@@ -3,10 +3,9 @@
 Times a small experiment campaign serially and with ``--jobs N``
 workers (verifying the outputs are identical along the way), plus a set
 of kernel microbenchmarks covering the DES hot path: event throughput,
-seek-time LUT vs. closed-form, synthetic trace generation, the
-request-plan cache (on vs off, with an identical-results check), and
-the streaming trace pipeline (a million-request run at O(chunk)
-resident trace memory).
+seek-time LUT vs. closed-form, synthetic trace generation, and the
+streaming trace pipeline (a million-request run at O(chunk) resident
+trace memory).
 
 Usage::
 
@@ -153,68 +152,6 @@ def bench_trace_gen(scale=0.01):
     }
 
 
-def _result_fingerprint(result) -> tuple:
-    """Comparable digest of a RunResult (ndarrays defeat dataclass ==)."""
-    return (
-        result.simulated_ms,
-        result.events,
-        result.response.count,
-        result.response.mean,
-        result.read_response.mean,
-        result.write_response.mean,
-        tuple(int(x) for x in result.per_disk_accesses),
-    )
-
-
-def bench_plan_cache(scale=1.0):
-    """run_trace wall-clock with the request-plan cache on vs off.
-
-    RAID5 small writes exercise the richest plans (RMW groups with
-    read/parity runs), so that's where memoizing the logical→physical
-    decomposition pays the most.  The off-run doubles as a correctness
-    gate: both runs must produce bit-identical results.
-    """
-    from repro.sim import SystemConfig, run_trace
-    from repro.sim.config import Organization
-    from repro.trace.synthetic import generate_trace, trace2_config
-
-    trace = generate_trace(trace2_config(scale=scale))
-    config = SystemConfig(
-        organization=Organization.RAID5,
-        blocks_per_disk=trace.blocks_per_disk,
-        n=10,
-    )
-
-    from dataclasses import replace
-
-    run_trace(config, trace)  # warm (imports, seek LUT, trace pages)
-
-    t0 = time.perf_counter()
-    on = run_trace(config, trace)
-    on_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    off = run_trace(replace(config, plan_cache=False), trace)
-    off_s = time.perf_counter() - t0
-
-    identical = _result_fingerprint(on) == _result_fingerprint(off)
-    if not identical:
-        print("ERROR: plan-cache run differs from uncached run", file=sys.stderr)
-    hits = sum(a.plan_hits for a in on.arrays)
-    misses = sum(a.plan_misses for a in on.arrays)
-    return {
-        "requests": len(trace),
-        "organization": "raid5",
-        "cached_s": round(on_s, 4),
-        "uncached_s": round(off_s, 4),
-        "speedup": round(off_s / on_s, 3) if on_s else None,
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": round(hits / (hits + misses), 4) if hits + misses else None,
-        "outputs_identical": identical,
-    }
-
-
 def bench_streaming(n_requests=1_000_000, chunk_requests=65536):
     """Million-request run fed from a streaming trace source.
 
@@ -285,9 +222,6 @@ def main(argv=None):
     parser.add_argument("--streaming-requests", type=int, default=1_000_000,
                         help="streaming-bench request count (default 1e6; "
                              "CI smoke uses a small value)")
-    parser.add_argument("--plan-cache-scale", type=float, default=1.0,
-                        help="trace scale for the plan-cache benchmark "
-                             "(default 1.0 = the full Trace-2 stream)")
     args = parser.parse_args(argv)
 
     import os
@@ -310,7 +244,6 @@ def main(argv=None):
     report["seek_time"] = bench_seek()
     draws.append(bench_event_throughput())
     report["trace_generation"] = bench_trace_gen()
-    report["plan_cache"] = bench_plan_cache(scale=args.plan_cache_scale)
     report["streaming"] = bench_streaming(n_requests=args.streaming_requests)
     draws.append(bench_event_throughput())
     best = min(draws, key=lambda d: d["elapsed_s"])
@@ -328,7 +261,6 @@ def main(argv=None):
     print(f"wrote {args.out}", file=sys.stderr)
     ok = (
         report["campaign"]["outputs_identical"]
-        and report["plan_cache"]["outputs_identical"]
         and report["streaming"]["bounded"]
     )
     return 0 if ok else 1

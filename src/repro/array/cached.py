@@ -103,7 +103,7 @@ class CachedController(ArrayController):
                 cache.touch(b)
         # Claim slots (evicting / waiting as needed), then fetch.
         yield from self._acquire_slots(len(missing))
-        addrs = [(b, self.plans.map_block(b)) for b in missing]
+        addrs = [(b, self.layout.map_block(b)) for b in missing]
         runs = merge_runs([a for _, a in addrs])
         fetches = [self.env.process(self._fetch_run(run)) for run in runs]
         if fetches:
@@ -338,7 +338,7 @@ class CachedController(ArrayController):
         addrs = sorted(
             (
                 (p.disk, p.block)
-                for p in (self.plans.parity_of(lb) for lb in run.lblocks)
+                for p in (self.layout.parity_of(lb) for lb in run.lblocks)
             ),
         )
         return merge_runs([PhysicalAddress(d, b) for d, b in addrs])

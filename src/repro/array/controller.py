@@ -12,7 +12,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Generator, Sequence
 
-from repro.array.plancache import PlanCache
 from repro.channel.bus import Channel
 from repro.des import Environment, Event
 from repro.disk.drive import Disk
@@ -52,13 +51,6 @@ class ArrayController(ABC):
         self.disks = list(disks)
         self.channel = channel
         self.config = config
-        #: Memoized logical→physical planning (pass-through when the
-        #: layout has no translational symmetry or the knob is off).
-        self.plans = PlanCache(
-            layout,
-            config.rmw_threshold,
-            enabled=getattr(config, "plan_cache", True),
-        )
         self.requests_handled = 0
         #: Optional validation tap (``repro.validate``): an object with
         #: ``on_handle(controller, lstart, nblocks, is_write)`` and

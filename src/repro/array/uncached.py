@@ -62,7 +62,7 @@ class _UncachedController(ArrayController):
         return self._handle_read(lstart, nblocks)
 
     def _handle_read(self, lstart: int, nblocks: int) -> Generator[Event, None, None]:
-        runs = self.plans.read_runs(lstart, nblocks)
+        runs = self.layout.read_runs(lstart, nblocks)
         if len(runs) == 1:
             yield from self._read_run(runs[0])
             return
@@ -88,7 +88,7 @@ class _UncachedController(ArrayController):
     def _handle_write(self, lstart: int, nblocks: int) -> Generator[Event, None, None]:
         # Host data crosses the channel into the track buffers first.
         yield from self._channel_transfer(nblocks)
-        plan = self.plans.write_plan(lstart, nblocks)
+        plan = self.layout.write_plan(lstart, nblocks, self.config.rmw_threshold)
         procs = [self.env.process(self._write_group(group)) for group in plan]
         if len(procs) == 1:
             yield procs[0]

@@ -111,10 +111,6 @@ def _from_campaign_kernel(doc: dict, source: str) -> BenchRecord:
         "seek_time.lut_speedup": (("seek_time", "lut_speedup"), "x", "higher"),
         "trace_generation.requests_per_s": (
             ("trace_generation", "requests_per_s"), "req/s", "higher"),
-        "plan_cache.speedup": (("plan_cache", "speedup"), "x", "higher"),
-        "plan_cache.hit_rate": (("plan_cache", "hit_rate"), "frac", "higher"),
-        "plan_cache.outputs_identical": (
-            ("plan_cache", "outputs_identical"), "bool", "higher"),
         "streaming.requests": (("streaming", "requests"), "req", "higher"),
         "streaming.requests_per_s": (
             ("streaming", "requests_per_s"), "req/s", "higher"),

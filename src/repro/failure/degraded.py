@@ -155,20 +155,6 @@ class _DegradedMixin:
         elif spare:
             raise FailureScheduleError("a spare requires a failed disk")
 
-    def _invalidate_plans(self) -> None:
-        """Advance the plan cache's failure-domain epoch.
-
-        Plans are failure-independent today (degraded handling happens at
-        execution time), but the contract of
-        :class:`~repro.array.plancache.PlanCache` is that every
-        failure-domain transition invalidates — insurance against
-        planning ever consulting failure state.  ``getattr`` because
-        ``_init_degraded`` may run transitions during construction.
-        """
-        plans = getattr(self, "plans", None)
-        if plans is not None:
-            plans.invalidate()
-
     # -- runtime failure transitions -----------------------------------------
     def fail_disk(self, disk: int) -> None:
         """Disk *disk* dies now; subsequent planning takes degraded paths."""
@@ -188,7 +174,6 @@ class _DegradedMixin:
         # them would wrongly mark rebuilt blocks unreadable.
         for key in [k for k in self.latent if k[0] == disk]:
             del self.latent[key]
-        self._invalidate_plans()
 
     def attach_spare(self) -> None:
         """A hot spare replaces the failed drive: same geometry, fresh arm."""
@@ -204,13 +189,11 @@ class _DegradedMixin:
         self.disks[self.failed_disk] = spare
         self.has_spare = True
         self.rebuilt_upto = 0
-        self._invalidate_plans()
 
     def rebuild_finished(self, total_blocks: int) -> None:
         """A full-range rebuild restores the array to healthy state."""
         if total_blocks >= self.layout.blocks_per_disk:
             self.failed_disk = None
-            self._invalidate_plans()
 
     def inject_latent(self, disk: int, pblock: int) -> None:
         """Block ``(disk, pblock)`` silently becomes unreadable now."""

@@ -23,11 +23,6 @@ class BaseLayout(Layout):
     def ndisks(self) -> int:
         return self.n
 
-    def plan_period(self) -> tuple[int, int, int]:
-        # One logical disk per physical disk: advancing a full disk's
-        # worth of blocks moves to the next disk at the same offset.
-        return (self.blocks_per_disk, 1, 0)
-
     def map_block(self, lblock: int) -> PhysicalAddress:
         self._check_range(lblock, 1)
         disk, block = divmod(lblock, self.blocks_per_disk)

@@ -129,23 +129,6 @@ class Layout(ABC):
         """True for layouts that maintain parity."""
         return False
 
-    def plan_period(self) -> Optional[tuple[int, int, int]]:
-        """Translational symmetry of the mapping, if the layout has one.
-
-        Returns ``(period_lblocks, disk_step, pblock_step)`` such that for
-        every valid logical block ``l``::
-
-            map(l + period_lblocks).disk  == (map(l).disk + disk_step) % ndisks
-            map(l + period_lblocks).block ==  map(l).block + pblock_step
-
-        and the same shift carries :meth:`parity_of`, :meth:`read_runs`
-        and :meth:`write_plan` (mode choices included), so a plan computed
-        at ``l % period_lblocks`` can be translated to ``l`` instead of
-        recomputed.  ``None`` means no usable symmetry; the plan cache
-        then stays out of the way.
-        """
-        return None
-
     # -- per-block mapping -----------------------------------------------------
     @abstractmethod
     def map_block(self, lblock: int) -> PhysicalAddress:

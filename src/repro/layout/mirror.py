@@ -29,11 +29,6 @@ class MirrorLayout(Layout):
     def ndisks(self) -> int:
         return 2 * self.n
 
-    def plan_period(self) -> tuple[int, int, int]:
-        # The next logical disk's primary sits two physical disks over
-        # (pairs occupy consecutive slots), at the same block offset.
-        return (self.blocks_per_disk, 2, 0)
-
     def map_block(self, lblock: int) -> PhysicalAddress:
         self._check_range(lblock, 1)
         ldisk, block = divmod(lblock, self.blocks_per_disk)

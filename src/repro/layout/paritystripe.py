@@ -97,14 +97,6 @@ class ParityStripingLayout(Layout):
             return (self.n + 1) // 2
         return self.n
 
-    def plan_period(self) -> tuple[int, int, int]:
-        # Advancing one disk's data capacity moves to the next disk with
-        # the same (area, offset), and the Latin-square group assignment
-        # shifts with the disk index: group_of(disk+1, k, off) is one
-        # group over (mod N+1), so parity runs translate by the same
-        # disk step as data runs.
-        return (self.data_blocks_per_disk, 1, 0)
-
     # -- area arithmetic --------------------------------------------------------
     def _physical_area(self, k: int) -> int:
         """Physical area index of data area *k* (skipping the parity area)."""

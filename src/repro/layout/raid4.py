@@ -28,11 +28,6 @@ class Raid4Layout(StripedParityLayout):
         """The dedicated parity disk (always the last one)."""
         return self.n
 
-    def plan_period(self) -> tuple[int, int, int]:
-        # The parity disk is fixed, so a single row is the whole pattern:
-        # the next row uses the same disks, one striping unit further in.
-        return (self.n * self.striping_unit, 0, self.striping_unit)
-
     def parity_disk_of_row(self, row: int) -> int:
         return self.n
 

@@ -21,16 +21,6 @@ class Raid5Layout(StripedParityLayout):
     def has_parity(self) -> bool:
         return True
 
-    def plan_period(self) -> tuple[int, int, int]:
-        # Parity placement repeats every N+1 rows; advancing that many
-        # rows keeps every disk assignment and shifts physical blocks by
-        # (N+1) striping units.
-        return (
-            (self.n + 1) * self.n * self.striping_unit,
-            0,
-            (self.n + 1) * self.striping_unit,
-        )
-
     def parity_disk_of_row(self, row: int) -> int:
         return row % (self.n + 1)
 

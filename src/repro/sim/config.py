@@ -200,10 +200,6 @@ class SystemConfig:
     #: Stripe-coverage fraction at or above which reconstruct-write is
     #: used instead of read-modify-write ("less than half a stripe").
     rmw_threshold: float = 0.5
-    #: Memoize logical→physical request plans in the controllers
-    #: (:mod:`repro.array.plancache`).  Plans are bit-identical either
-    #: way — the knob exists for A/B benchmarking and as an escape hatch.
-    plan_cache: bool = True
     #: Under SI, revolutions the parity disk is held waiting for the old
     #: data before requeueing the access ("held for the duration of some
     #: number of full rotations", §3.3).  The bound also breaks the

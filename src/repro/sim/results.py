@@ -37,9 +37,6 @@ class ArrayMetrics:
     write_misses: int = 0
     sync_writebacks: int = 0
     destaged_blocks: int = 0
-    #: Request-plan cache counters (0 when the cache is disabled).
-    plan_hits: int = 0
-    plan_misses: int = 0
 
 
 @dataclass

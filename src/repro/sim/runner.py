@@ -279,10 +279,6 @@ def run_trace(
             array_metrics.write_misses = cache.write_misses
             array_metrics.sync_writebacks = controller.sync_writebacks
             array_metrics.destaged_blocks = controller.destaged_blocks
-        plans = getattr(controller, "plans", None)
-        if plans is not None:
-            array_metrics.plan_hits = plans.hits
-            array_metrics.plan_misses = plans.misses
         result.arrays.append(array_metrics)
 
     # Tracer first: its detach restores the monitor's probes, which the

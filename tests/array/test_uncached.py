@@ -249,3 +249,13 @@ class TestBufferAccounting:
         env.run(until=60_000)
         assert len(finished) == len(range(0, 200, 3))
         assert ctrl.buffers.in_use == 0
+
+
+@pytest.mark.parametrize("is_write", [False, True], ids=["read", "write"])
+@pytest.mark.parametrize("org", ["base", "mirror", "raid5", "parity_striping"])
+def test_request_past_capacity_fails_fast(org, is_write):
+    """A request running off the end of the logical space raises instead
+    of being served from a wrapped or past-the-disk address."""
+    env, ctrl = make_controller(org)
+    with pytest.raises(ValueError, match="outside capacity"):
+        run_one(env, ctrl, ctrl.layout.logical_blocks - 1, 4, is_write)

@@ -5,6 +5,7 @@ every registered experiment is documented, every listed example
 exists, and the DESIGN inventory matches the package layout.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -43,11 +44,23 @@ class TestDesignDoc:
         assert "synthetic" in design.lower()
 
     def test_module_map_matches_packages(self, design):
+        """Every ``pkg/`` and ``*.py`` the map names exists, and every
+        subpackage on disk is in the map."""
         src = ROOT / "src" / "repro"
-        for pkg in ("des", "disk", "channel", "layout", "array", "cache",
-                    "trace", "sim", "models", "experiments"):
-            assert (src / pkg / "__init__.py").exists(), pkg
-            assert pkg + "/" in design or f"  {pkg}" in design or pkg in design
+        block = re.search(r"```\nsrc/repro/\n(.*?)```", design, re.DOTALL)
+        assert block, "module map code block missing from DESIGN.md"
+        mapped, pkg = set(), None
+        for line in block.group(1).splitlines():
+            head = re.match(r"  (\w+)/", line)
+            if head:
+                pkg = head.group(1)
+                mapped.add(pkg)
+                assert (src / pkg / "__init__.py").exists(), f"{pkg}/"
+                continue
+            for name in re.findall(r"\b\w+\.py\b", line):
+                assert pkg and (src / pkg / name).exists(), f"{pkg}/{name}"
+        on_disk = {p.parent.name for p in src.glob("*/__init__.py")}
+        assert on_disk <= mapped, sorted(on_disk - mapped)
 
 
 class TestExperimentsDoc:
@@ -86,8 +99,6 @@ class TestReadme:
 
     def test_quickstart_code_runs(self, readme):
         """The README quickstart snippet is valid, runnable code."""
-        import re
-
         blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
         assert blocks, "no python snippet in README"
         snippet = blocks[0].replace("scale=0.3", "scale=0.01")
