@@ -15,6 +15,7 @@ states:
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,11 +98,14 @@ class Event:
     # -- triggering ----------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Set a successful outcome and schedule the event immediately."""
-        if self.triggered:
+        if self._value is not PENDING or self._exc is not None:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        # ``env.schedule(self)`` inlined: the same (time, sequence) key.
+        env = self.env
+        env._seq += 1
+        heappush(env._queue, (env._now, env._seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -265,7 +269,7 @@ class Condition(Event):
         return value
 
     def _check(self, event: "Event") -> None:
-        if self.triggered:
+        if self._value is not PENDING or self._exc is not None:
             return
         self._count += 1
         if not event._ok:

@@ -41,7 +41,7 @@ class Process(Event):
         #: The process that was active when this one was spawned (``None``
         #: for processes created outside any process, e.g. at build time).
         #: Observers use the chain to attribute work to a logical request.
-        self.parent: Optional[Process] = env.active_process
+        self.parent: Optional[Process] = env._active_proc
 
         init = Event(env)
         init._ok = True

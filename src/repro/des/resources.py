@@ -17,7 +17,7 @@ import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.des.events import Event
+from repro.des.events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
@@ -34,7 +34,9 @@ class Request(Event):
             yield req
             ...
 
-    and have the claim released automatically.
+    and have the claim released automatically: a granted claim is
+    released, and one still queued (the waiter was interrupted or failed
+    at the ``yield``) is withdrawn.
     """
 
     __slots__ = ("resource", "priority", "time")
@@ -49,7 +51,10 @@ class Request(Event):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.resource.release(self)
+        if self._value is PENDING:
+            self.cancel()
+        else:
+            self.resource.release(self)
 
     def cancel(self) -> None:
         """Withdraw an ungranted request (no-op if already granted)."""

@@ -69,6 +69,20 @@ class Disk:
         #: phases; 0.0 everywhere models synchronized spindles.
         self.phase = phase
 
+        # Geometry constants read once: the service loop computes on these
+        # instead of re-deriving them through DiskGeometry's property
+        # chains, with the same operations in the same order, so every
+        # time it produces is bit-identical to the geometry's own.  A
+        # block's start angle depends only on its slot within the track.
+        self._rev = geometry.revolution_time
+        self._block_transfer_time = geometry.block_transfer_time
+        self._blocks_per_cylinder = geometry.blocks_per_cylinder
+        self._blocks_per_track = geometry.blocks_per_track
+        self._start_angles = tuple(
+            geometry.start_angle_of(b) for b in range(geometry.blocks_per_track)
+        )
+        self._total_blocks = geometry.total_blocks
+
         #: Current arm position.
         self.cylinder = 0
         self._wakeup: Optional[Event] = None
@@ -94,7 +108,18 @@ class Disk:
 
     # -- public API ---------------------------------------------------------
     def submit(self, request: DiskRequest) -> DiskRequest:
-        """Enqueue *request*; its ``started``/``done`` events are created."""
+        """Enqueue *request*; its ``started``/``done`` events are created.
+
+        Raises :class:`ValueError`, queueing nothing, if the request runs
+        past the last block of the disk.  This is the only range check on
+        the access: the service loop trusts every queued block.
+        """
+        end = request.end_block
+        if end > self._total_blocks:
+            raise ValueError(
+                f"{self.name}: blocks {request.start_block}..{end - 1} run "
+                f"past the disk's last block {self._total_blocks - 1}"
+            )
         request.attach(self.env)
         self.scheduler.put(request)
         self.queue_length.add(self.env.now, +1)
@@ -122,19 +147,18 @@ class Disk:
     # -- rotational timing ----------------------------------------------------
     def angle_at(self, time: float) -> float:
         """Angular position of the platter in [0, 1) at *time*."""
-        rev = self.geometry.revolution_time
+        rev = self._rev
         return ((time % rev) / rev + self.phase) % 1.0
 
     def rotational_latency(self, time: float, block: int) -> float:
         """Time from *time* until the start sector of *block* is under the head."""
-        target = self.geometry.start_angle_of(block)
-        cur = self.angle_at(time)
-        frac = (target - cur) % 1.0
-        return frac * self.geometry.revolution_time
+        target = self._start_angles[block % self._blocks_per_track]
+        frac = (target - self.angle_at(time)) % 1.0
+        return frac * self._rev
 
     def seek_distance_to(self, block: int) -> int:
         """Cylinders the arm would travel to reach *block* right now."""
-        return abs(self.geometry.cylinder_of(block) - self.cylinder)
+        return abs(block // self._blocks_per_cylinder - self.cylinder)
 
     # -- service loop -----------------------------------------------------------
     def _serve(self) -> Generator[Event, None, None]:
@@ -145,12 +169,12 @@ class Disk:
                 yield self._wakeup
                 self._wakeup = None
             request = self.scheduler.pop(self.cylinder)
-            self.queue_length.add(env.now, -1)
+            t0 = env.now
+            self.queue_length.add(t0, -1)
             self._current = request
             assert request.started is not None
             if not request.started.triggered:  # first service attempt
-                request.started.succeed(env.now)
-            t0 = env.now
+                request.started.succeed(t0)
             finished = yield from self._service(request)
             self.busy_time += env.now - t0
             if finished:
@@ -162,11 +186,10 @@ class Disk:
 
     def _service(self, request: DiskRequest) -> Generator[Event, None, bool]:
         env = self.env
-        geo = self.geometry
         probe = self.probe
 
         # Seek.
-        target_cyl = geo.cylinder_of(request.start_block)
+        target_cyl = request.start_block // self._blocks_per_cylinder
         seek = self.seek_model.seek_time(abs(target_cyl - self.cylinder))
         self.cylinder = target_cyl
         self.seek_time_total += seek
@@ -182,8 +205,8 @@ class Disk:
             if probe is not None:
                 probe.on_disk_phase(self, request, "rotation", env.now - latency, env.now)
 
-        xfer = geo.transfer_time(request.nblocks)
-        rev = geo.revolution_time
+        xfer = request.nblocks * self._block_transfer_time
+        rev = self._rev
 
         if request.kind is AccessKind.READ:
             self.reads += 1
@@ -265,7 +288,7 @@ class Disk:
             self._finish(request)
 
         # Arm parks at the cylinder of the last transferred block.
-        self.cylinder = geo.cylinder_of(request.start_block + request.nblocks - 1)
+        self.cylinder = (request.end_block - 1) // self._blocks_per_cylinder
         return True
 
     def _finish(self, request: DiskRequest) -> None:

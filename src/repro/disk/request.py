@@ -18,8 +18,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.des import Event
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.des import Environment, Event
+    from repro.des import Environment
 
 __all__ = ["AccessKind", "DiskRequest", "Priority"]
 
@@ -105,8 +107,6 @@ class DiskRequest:
 
     def attach(self, env: "Environment") -> None:
         """Create the lifecycle events (called by :meth:`Disk.submit`)."""
-        from repro.des import Event
-
         self.submit_time = env.now
         self.started = Event(env)
         self.read_complete = Event(env)

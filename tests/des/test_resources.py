@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, PriorityStore, Resource, Store
+from repro.des import Environment, Interrupt, PriorityStore, Resource, Store
 
 
 @pytest.fixture
@@ -154,6 +154,38 @@ class TestResource:
         env.run()
         # The cancelled request must not block the patient waiter.
         assert granted == [5.0]
+
+    def test_interrupted_waiter_withdraws_its_claim(self, env):
+        """Leaving ``with res.request()`` while still queued cancels the
+        claim, so the waiter sees its ``Interrupt`` and nothing leaks."""
+        res = Resource(env)
+        caught = []
+
+        def holder(env):
+            with res.request() as req:
+                yield req
+                yield env.timeout(5)
+
+        def waiter(env):
+            try:
+                with res.request() as req:
+                    yield req
+                    yield env.timeout(1)
+            except Interrupt as exc:
+                caught.append((env.now, exc.cause))
+
+        env.process(holder(env))
+        victim = env.process(waiter(env))
+
+        def interrupter(env):
+            yield env.timeout(2)
+            victim.interrupt("give up")
+
+        env.process(interrupter(env))
+        env.run()
+        assert caught == [(2.0, "give up")]
+        assert res.count == 0
+        assert res.queue_length == 0
 
     def test_capacity_n_parallelism(self, env):
         res = Resource(env, capacity=3)

@@ -1,6 +1,8 @@
 """Tests for the Disk service process: exact timing of the paper's model."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.des import Environment, Event
 from repro.disk import AccessKind, Disk, DiskGeometry, DiskRequest, SeekModel
@@ -101,6 +103,82 @@ class TestBasicTiming:
         r = disk.submit(DiskRequest(AccessKind.READ, start, nblocks=2))
         env.run(r.done)
         assert disk.cylinder == 1
+
+
+class TestSubmitRangeCheck:
+    @pytest.mark.parametrize(
+        "offset, nblocks",
+        [(-1, 2), (10, 1)],
+        ids=["straddles-last-block", "wholly-past-end"],
+    )
+    def test_rejected_at_submit_and_nothing_queued(self, env, geo, sm, offset, nblocks):
+        disk = Disk(env, geo, sm, name="array0.disk7")
+        req = DiskRequest(AccessKind.READ, geo.total_blocks + offset, nblocks=nblocks)
+        with pytest.raises(ValueError, match=r"array0\.disk7: blocks .* past"):
+            disk.submit(req)
+        assert disk.pending == 0
+        assert disk.queue_length.value == 0
+        assert req.done is None
+        # The service process is still idle and serves the next request.
+        ok = disk.submit(DiskRequest(AccessKind.READ, geo.total_blocks - 1))
+        env.run()
+        assert ok.done.processed
+        assert disk.completed == 1
+        assert disk.cylinder == geo.cylinders - 1
+
+
+GEO = DiskGeometry()
+SEEK = SeekModel.fit()
+
+
+def _reference_latency(disk, time, block):
+    """``Disk.rotational_latency`` computed through the geometry's methods."""
+    return ((GEO.start_angle_of(block) - disk.angle_at(time)) % 1.0) * GEO.revolution_time
+
+
+class TestArithmeticMatchesGeometry:
+    """The disk's precomputed constants reproduce the DiskGeometry
+    reference bit for bit: ``==``, never ``approx``."""
+
+    @pytest.mark.parametrize("phase", [0.0, 0.5])
+    def test_first_cylinder_and_last_block(self, phase):
+        disk = Disk(Environment(), GEO, SEEK, phase=phase)
+        disk.cylinder = 7
+        for block in [*range(GEO.blocks_per_cylinder), GEO.total_blocks - 1]:
+            for time in (0.0, 1.0, 5.55, 123.456789, 98765.4321):
+                assert disk.rotational_latency(time, block) == _reference_latency(
+                    disk, time, block
+                )
+            assert disk.seek_distance_to(block) == abs(GEO.cylinder_of(block) - 7)
+
+    @given(
+        block=st.integers(0, GEO.total_blocks - 1),
+        time=st.floats(0.0, 1e8, allow_nan=False, allow_infinity=False),
+        phase=st.sampled_from([0.0, 0.5]),
+    )
+    def test_drawn_block_and_time(self, block, time, phase):
+        disk = Disk(Environment(), GEO, SEEK, phase=phase)
+        assert disk.rotational_latency(time, block) == _reference_latency(disk, time, block)
+
+    @given(
+        block=st.integers(0, GEO.total_blocks - 1),
+        nblocks=st.integers(1, 12),
+        phase=st.sampled_from([0.0, 0.5]),
+    )
+    @example(block=GEO.blocks_per_cylinder - 1, nblocks=2, phase=0.0)  # crosses a cylinder
+    @example(block=GEO.total_blocks - 1, nblocks=1, phase=0.5)
+    def test_service_loop_matches_reference(self, block, nblocks, phase):
+        """Seek, latency, transfer and the parked arm of one access."""
+        block = min(block, GEO.total_blocks - nblocks)
+        env = Environment()
+        disk = Disk(env, GEO, SEEK, phase=phase)
+        req = disk.submit(DiskRequest(AccessKind.READ, block, nblocks=nblocks))
+        env.run(req.done)
+        seek = SEEK.seek_time(GEO.cylinder_of(block))  # the arm starts at cylinder 0
+        arrive = seek + _reference_latency(disk, seek, block)
+        assert env.now == arrive + GEO.transfer_time(nblocks)
+        assert disk.seek_time_total == seek
+        assert disk.cylinder == GEO.cylinder_of(block + nblocks - 1)
 
 
 class TestDependencies:

@@ -33,6 +33,17 @@ CASES = {
     "mirror_uncached_n4": dict(org="mirror", n=4),
 }
 
+#: ``RunResult.events`` of each case.  Snapshots leave the kernel event
+#: count out (the metrics sampler adds events of its own to traced
+#: runs), so it is pinned here: a host-side speed-up must keep the
+#: simulated schedule event for event.
+EVENTS = {
+    "base_uncached_n4": 2015,
+    "raid5_uncached_n4": 5819,
+    "raid5_cached_n4": 2643,
+    "mirror_uncached_n4": 2456,
+}
+
 
 def golden_run(case_kw):
     cfg = config(**case_kw)
@@ -58,6 +69,10 @@ class TestGolden:
             f"missing fixture {path.name}; run pytest with --regen-golden"
         )
         compare_snapshots(expected, first, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_kernel_event_count(self, case):
+        assert golden_run(CASES[case]).events == EVENTS[case]
 
 
 class TestDiffMachinery:
