@@ -34,7 +34,7 @@ class BlockState(enum.Enum):
     DIRTY = "dirty"
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """Per-block cache metadata."""
 
@@ -97,7 +97,7 @@ class LRUCache:
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - self.occupancy
+        return self.capacity - len(self._entries) - self._old_copies - self._reserved
 
     @property
     def old_copies(self) -> int:
@@ -142,10 +142,12 @@ class LRUCache:
     def probe_read(self, lblocks) -> bool:
         """Multi-block hit test: a hit only if *all* blocks are resident
         (the paper's rule for multiblock accesses); touches on hit."""
-        if not all(b in self._entries for b in lblocks):
-            return False
+        entries = self._entries
         for b in lblocks:
-            self._entries.move_to_end(b)
+            if b not in entries:
+                return False
+        for b in lblocks:
+            entries.move_to_end(b)
         return True
 
     # -- mutation ----------------------------------------------------------------
@@ -205,6 +207,33 @@ class LRUCache:
             if not entry.destaging:
                 return lblock, entry
         return None
+
+    def make_room(self, k: int) -> int:
+        """Evict from the LRU head until *k* slots are free.
+
+        A dirty head is written back on the spot (a synchronous
+        writeback, the event periodic destage exists to avoid) through
+        :meth:`begin_destage` and :meth:`finish_destage`, which also
+        releases its old copy, and is then evicted.  Returns the number
+        of such writebacks.  Raises ``RuntimeError`` when reservations
+        hold more than ``capacity - k`` slots, leaving nothing to evict,
+        or when the head was re-dirtied during an in-flight destage and
+        so stays dirty.
+        """
+        entries = self._entries
+        writebacks = 0
+        while self.free_slots < k:
+            if not entries:
+                raise RuntimeError("cache capacity exhausted by reservations")
+            lblock = next(iter(entries))
+            entry = entries[lblock]
+            if entry.state is BlockState.DIRTY:
+                writebacks += 1
+                if not entry.destaging:
+                    self.begin_destage(lblock)
+                self.finish_destage(lblock)
+            self.evict(lblock)
+        return writebacks
 
     def evict(self, lblock: int) -> None:
         """Remove a CLEAN, non-destaging block."""

@@ -1,11 +1,21 @@
 """Tests for the fast cache-only hit-ratio simulator."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from repro.cache import simulate_hit_ratios
 from repro.layout import Raid4Layout
-from repro.trace import TRACE_DTYPE, Trace
+from repro.sim import Organization, SystemConfig, run_trace
+from repro.trace import (
+    TRACE_DTYPE,
+    Trace,
+    generate_trace,
+    slice_arrays,
+    trace1_config,
+    trace2_config,
+)
 
 
 def make_trace(rows, ndisks=4, bpd=1000):
@@ -45,6 +55,17 @@ class TestBasics:
         s = simulate_hit_ratios(t, 4, 100)
         assert s.read_misses == 2
         assert s.read_hits == 1
+
+    def test_multiblock_write_hit_requires_all(self):
+        t = make_trace(
+            [
+                (0.0, 5, 1, False),
+                (1.0, 5, 2, True),  # block 6 missing -> request miss
+                (2.0, 5, 2, True),  # now both present -> hit
+            ]
+        )
+        s = simulate_hit_ratios(t, 4, 100)
+        assert (s.write_hits, s.write_misses) == (1, 1)
 
     def test_capacity_eviction(self):
         rows = [(float(i), i, 1, False) for i in range(10)]
@@ -130,3 +151,96 @@ class TestDestageAndOldBlocks:
             make_trace(rows), 4, 128, "raid4pc", layout=layout
         )
         assert pc.read_hit_ratio <= par.read_hit_ratio + 0.01
+
+
+class TestArraySpanningRequests:
+    """A request crossing an array boundary is split the way the DES's
+    ``ArraySystem.split`` splits it: each part is one request-level hit
+    or miss in its own array's cache."""
+
+    BPD = 1000
+
+    def _compare(self, rows):
+        trace = make_trace(rows, ndisks=4, bpd=self.BPD)
+        cfg = SystemConfig(
+            organization=Organization.BASE,
+            n=2,
+            cached=True,
+            cache_mb=1,
+            blocks_per_disk=self.BPD,
+        )
+        des = run_trace(cfg, trace, warmup_fraction=0.0)
+        fast = simulate_hit_ratios(
+            trace, 2, cfg.cache_blocks, destage_period_ms=cfg.destage_period_ms
+        )
+
+        def total(field):
+            return sum(getattr(a, field) for a in des.arrays)
+
+        fields = ("read_hits", "read_misses", "write_hits", "write_misses")
+        assert tuple(getattr(fast, f) for f in fields) == tuple(map(total, fields))
+        return fast
+
+    def test_read_parts_hit_in_their_own_caches(self):
+        edge = 2 * self.BPD  # first block of array 1
+        fast = self._compare(
+            [
+                (0.0, edge - 1, 2, False),
+                (1000.0, edge, 1, False),
+                (2000.0, edge - 1, 1, False),
+            ]
+        )
+        assert (fast.read_hits, fast.read_misses) == (2, 2)
+
+    def test_write_parts_hit_in_their_own_caches(self):
+        edge = 2 * self.BPD
+        fast = self._compare(
+            [
+                (0.0, edge - 1, 2, False),
+                (1000.0, edge - 1, 2, True),
+            ]
+        )
+        assert (fast.write_hits, fast.write_misses) == (2, 0)
+
+
+@pytest.fixture(scope="module")
+def pinned_traces():
+    return {
+        "t2": generate_trace(trace2_config(0.05)),
+        "t1": slice_arrays(generate_trace(trace1_config(0.02)), 0, 20),
+    }
+
+
+#: Every CacheHitStats field, in declaration order: read_hits,
+#: read_misses, write_hits, write_misses, dirty_replacements,
+#: destage_cycles, destaged_blocks, spooled_parity_blocks.
+PINNED = {
+    ("t2", "plain", 64): (116, 2389, 47, 925, 424, 348, 1750, 0),
+    ("t2", "plain", 1024): (207, 2298, 244, 728, 0, 348, 2173, 0),
+    ("t2", "parity", 64): (114, 2391, 47, 925, 425, 348, 1749, 0),
+    ("t2", "parity", 1024): (207, 2298, 244, 728, 0, 348, 2173, 0),
+    ("t2", "raid4pc", 64): (114, 2391, 47, 925, 429, 348, 1745, 118),
+    ("t2", "raid4pc", 1024): (207, 2298, 243, 729, 0, 348, 2173, 475),
+    ("t1", "plain", 64): (272, 10122, 764, 396, 75, 216, 1411, 0),
+    ("t1", "plain", 1024): (705, 9689, 1094, 66, 0, 216, 1486, 0),
+    ("t1", "parity", 64): (272, 10122, 758, 402, 85, 216, 1401, 0),
+    ("t1", "parity", 1024): (705, 9689, 1094, 66, 0, 216, 1486, 0),
+    ("t1", "raid4pc", 64): (268, 10126, 741, 419, 95, 216, 1391, 846),
+    ("t1", "raid4pc", 1024): (705, 9689, 1094, 66, 0, 216, 1486, 1043),
+}
+
+
+class TestPinnedCounters:
+    """Exact counters on seeded Trace-2 and Trace-1 workloads (two
+    arrays of N=10 for the Trace-1 slice), so a speed-up of the replay
+    loop cannot move a single cache decision."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED), ids=lambda k: "-".join(map(str, k)))
+    def test_counters(self, pinned_traces, key):
+        name, mode, cache_blocks = key
+        trace = pinned_traces[name]
+        layout = None
+        if mode == "raid4pc":
+            layout = Raid4Layout(10, trace.blocks_per_disk, striping_unit=1)
+        stats = simulate_hit_ratios(trace, 10, cache_blocks, mode, layout=layout)
+        assert astuple(stats) == PINNED[key]

@@ -218,6 +218,64 @@ class TestReservations:
             c.insert_clean(1)
 
 
+class TestMakeRoom:
+    def test_noop_when_room_is_free(self):
+        c = LRUCache(4)
+        c.insert_clean(1)
+        assert c.make_room(3) == 0
+        assert list(b for b, _ in c.iter_blocks()) == [1]
+
+    def test_evicts_in_lru_head_order(self):
+        c = LRUCache(4)
+        for b in (1, 2, 3, 4):
+            c.insert_clean(b)
+        c.touch(1)  # order: 2, 3, 4, 1
+        assert c.make_room(2) == 0
+        assert list(b for b, _ in c.iter_blocks()) == [4, 1]
+        assert c.free_slots == 2
+        assert c.evictions == 2
+
+    def test_dirty_head_counted_and_old_copy_released(self):
+        c = LRUCache(4, track_old=True)
+        c.insert_clean(1)
+        c.write(1)  # dirty, old copy held: 2 slots
+        c.insert_clean(2)
+        c.insert_clean(3)  # full; head is dirty block 1
+        assert c.make_room(1) == 1
+        assert 1 not in c
+        assert c.old_copies == 0
+        assert c.dirty_count == 0
+        assert c.free_slots == 2  # the block and its old copy
+
+    def test_raises_when_reservations_leave_nothing_to_evict(self):
+        c = LRUCache(4)
+        c.reserve_slots(3)
+        c.insert_clean(1)
+        with pytest.raises(RuntimeError, match="reservations"):
+            c.make_room(2)
+        assert len(c) == 0
+        assert c.reserved_slots == 3
+
+    def test_probe_sees_the_writeback_then_the_eviction(self):
+        class Probe:
+            def __init__(self):
+                self.ops = []
+
+            def on_cache_op(self, cache, op, arg):
+                self.ops.append((op, arg))
+
+        c = LRUCache(2)
+        c.write(7)
+        c.insert_clean(8)
+        c.probe = probe = Probe()
+        assert c.make_room(1) == 1
+        assert probe.ops == [
+            ("begin_destage", 7),
+            ("finish_destage", 7),
+            ("evict", 7),
+        ]
+
+
 class TestOccupancyInvariant:
     @given(
         st.lists(

@@ -32,6 +32,21 @@ class Reference:
         self.old_copies = 0
         self.reserved = 0
 
+    @classmethod
+    def of(cls, cache):
+        """A model starting from *cache*'s current state."""
+        ref = cls(cache.capacity, cache.track_old)
+        for lb, e in cache.iter_blocks():
+            ref.entries[lb] = dict(
+                dirty=e.state is BlockState.DIRTY,
+                old=e.has_old,
+                destaging=e.destaging,
+                redirtied=e.redirtied,
+            )
+        ref.old_copies = cache.old_copies
+        ref.reserved = cache.reserved_slots
+        return ref
+
     @property
     def occupancy(self):
         return len(self.entries) + self.old_copies + self.reserved
@@ -175,3 +190,72 @@ class TestLRUAgainstReference:
                 (lb for lb, e in ref.entries.items() if not e["destaging"]), None
             )
             assert (candidate[0] if candidate else None) == expected
+
+
+def legacy_make_room(cache, needed, counters):
+    """The eviction loop the hit-ratio replay ran before
+    ``LRUCache.make_room`` existed, kept as the reference."""
+    while cache.free_slots < needed:
+        head = cache.lru_block()
+        if head is None:
+            raise RuntimeError("cache capacity exhausted by reservations")
+        lblock, entry = head
+        if entry.state is BlockState.DIRTY:
+            counters["dirty_replacements"] += 1
+            if not entry.destaging:
+                cache.begin_destage(lblock)
+            cache.finish_destage(lblock)
+        cache.evict(lblock)
+
+
+def cache_state(cache):
+    return (
+        [
+            (lb, e.state, e.has_old, e.destaging, e.redirtied)
+            for lb, e in cache.iter_blocks()
+        ],
+        cache.old_copies,
+        cache.reserved_slots,
+        sorted(cache.dirty_blocks(include_destaging=True)),
+        cache.evictions,
+    )
+
+
+def outcome(fn):
+    try:
+        return fn(), None
+    except RuntimeError as exc:
+        return None, str(exc)
+
+
+class TestMakeRoomMatchesLegacyLoop:
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 6 * BLOCKS - 1), max_size=30),
+                st.integers(min_value=0, max_value=CAPACITY),
+            ),
+            max_size=12,
+        ),
+        track_old=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_state_as_legacy_loop(self, steps, track_old):
+        """Between bursts of arbitrary legal operations, ``make_room(k)``
+        and the legacy loop leave identical caches, count the same
+        writebacks and raise the same errors."""
+        new = LRUCache(CAPACITY, track_old=track_old)
+        old = LRUCache(CAPACITY, track_old=track_old)
+        for ops, k in steps:
+            for cache in (new, old):
+                ref = Reference.of(cache)
+                for code in ops:
+                    apply_op(cache, ref, code)
+            counters = {"dirty_replacements": 0}
+            got, err = outcome(lambda: new.make_room(k))
+            _, legacy_err = outcome(lambda: legacy_make_room(old, k, counters))
+            assert err == legacy_err
+            if err is None:
+                assert got == counters["dirty_replacements"]
+                assert new.free_slots >= k
+            assert cache_state(new) == cache_state(old)

@@ -62,6 +62,12 @@ class TestDesignDoc:
         on_disk = {p.parent.name for p in src.glob("*/__init__.py")}
         assert on_disk <= mapped, sorted(on_disk - mapped)
 
+    def test_named_benchmark_files_exist(self, design):
+        named = set(re.findall(r"benchmarks/test_\w+\.py", design))
+        assert named, "DESIGN.md names no benchmark file"
+        missing = sorted(n for n in named if not (ROOT / n).exists())
+        assert not missing, missing
+
 
 class TestExperimentsDoc:
     def test_every_paper_figure_recorded(self, experiments_md):
