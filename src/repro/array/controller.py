@@ -51,16 +51,14 @@ class ArrayController(ABC):
         self.disks = list(disks)
         self.channel = channel
         self.config = config
+        #: ``config.block_bytes``, read once: every transfer needs it.
+        self.block_bytes: int = config.block_bytes
         self.requests_handled = 0
         #: Optional validation tap (``repro.validate``): an object with
         #: ``on_handle(controller, lstart, nblocks, is_write)`` and
         #: ``on_destage(controller, run)``.  ``None`` keeps request
         #: admission at one identity check.
         self.probe = None
-
-    @property
-    def block_bytes(self) -> int:
-        return self.config.block_bytes
 
     @abstractmethod
     def handle(

@@ -57,15 +57,20 @@ class Channel:
         """Acquire the channel and move *nbytes*; returns completion time.
 
         Use as ``yield from channel.transfer(...)`` inside a process.
+        A non-positive *nbytes* raises before the transfer is probed,
+        queued or granted the link.
         """
+        if nbytes <= 0:
+            raise ValueError("nbytes must be positive")
         env = self.env
         if self.probe is not None:
             self.probe.on_channel_request(self, nbytes)
-        self.queue_length.add(env.now, +1)
+        queue_length = self.queue_length
+        queue_length.add(env.now, +1)
         with self._link.request(priority=priority) as claim:
             yield claim
-            self.queue_length.add(env.now, -1)
-            duration = self.transfer_time(nbytes)
+            queue_length.add(env.now, -1)
+            duration = nbytes / self.bytes_per_ms  # transfer_time(nbytes)
             yield env.timeout(duration)
             self.busy_time += duration
             self.bytes_transferred += nbytes

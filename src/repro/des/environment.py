@@ -102,7 +102,14 @@ class Environment:
 
     # -- scheduling -------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Insert *event* into the queue ``delay`` time units from now."""
+        """Insert *event* into the queue ``delay`` time units from now.
+
+        A NaN delay is rejected: it would make the clock NaN.  A negative
+        one is not: this is the raw insertion the validation suite uses
+        to plant an out-of-order event.
+        """
+        if delay != delay:
+            raise ValueError(f"invalid delay {delay} (must be >= 0)")
         self._seq += 1
         heappush(self._queue, (self._now + delay, self._seq, event))
 
@@ -265,8 +272,8 @@ class Environment:
         """
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
+            if not delay >= 0:  # also rejects NaN
+                raise ValueError(f"invalid delay {delay} (must be >= 0)")
             event = pool.pop()
             event.delay = delay
             event._value = value

@@ -167,8 +167,9 @@ class Timeout(Event):
     __slots__ = ("delay", "_proc")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        # ``not >=`` rather than ``<``: NaN fails every comparison.
+        if not delay >= 0:
+            raise ValueError(f"invalid delay {delay} (must be >= 0)")
         super().__init__(env)
         self.delay = delay
         self._ok = True

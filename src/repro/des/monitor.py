@@ -157,8 +157,23 @@ class TimeWeighted:
             self.min = value
 
     def add(self, time: float, delta: float) -> None:
-        """Increment the signal by *delta* at *time*."""
-        self.update(time, self._value + delta)
+        """Increment the signal by *delta* at *time*.
+
+        ``update(time, value + delta)`` written out: the same operations
+        in the same order, without the second call.
+        """
+        last = self._last_time
+        if time < last:
+            raise ValueError(f"time went backwards: {time} < {last}")
+        value = self._value
+        self._area += value * (time - last)
+        self._last_time = time
+        value += delta
+        self._value = value
+        if value > self.max:
+            self.max = value
+        if value < self.min:
+            self.min = value
 
     def mean(self, now: float) -> float:
         """Time-weighted mean over ``[start, now]``."""

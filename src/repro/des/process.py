@@ -9,6 +9,8 @@ processes can wait for each other.
 
 from __future__ import annotations
 
+from heapq import heappush
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.des.events import Event, Interrupt, PENDING, Timeout
@@ -31,23 +33,37 @@ class Process(Event):
     __slots__ = ("_generator", "_send", "_target", "name", "parent")
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        # Any object with send() and throw() runs as a process (timing
+        # proxies wrap generators this way); true generators skip the
+        # attribute probes.
+        if type(generator) is GeneratorType:
+            name = generator.__name__
+        elif hasattr(generator, "send") and hasattr(generator, "throw"):
+            name = getattr(generator, "__name__", "process")
+        else:
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # Event.__init__ written out: one process per request.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._exc = None
+        self._ok = True
+        self._defused = False
         self._generator = generator
         # Pre-bound send(): one attribute hop instead of two per resume.
         self._send = generator.send
-        self.name = getattr(generator, "__name__", "process")
+        self.name = name
         #: The process that was active when this one was spawned (``None``
         #: for processes created outside any process, e.g. at build time).
         #: Observers use the chain to attribute work to a logical request.
         self.parent: Optional[Process] = env._active_proc
 
         init = Event(env)
-        init._ok = True
         init._value = None
         init.callbacks = [self._resume]
-        env.schedule(init)
+        # ``env.schedule(init)``, inlined as in Event.succeed.
+        env._seq += 1
+        heappush(env._queue, (env._now, env._seq, init))
         #: The event this process is currently waiting on.
         self._target: Optional[Event] = init
 

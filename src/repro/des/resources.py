@@ -42,10 +42,16 @@ class Request(Event):
     __slots__ = ("resource", "priority", "time")
 
     def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
-        super().__init__(resource.env)
+        # Event.__init__ written out: one claim per channel transfer.
+        env = self.env = resource.env
+        self.callbacks = []
+        self._value = PENDING
+        self._exc = None
+        self._ok = True
+        self._defused = False
         self.resource = resource
         self.priority = priority
-        self.time = resource.env.now
+        self.time = env._now
 
     def __enter__(self) -> "Request":
         return self
@@ -67,9 +73,16 @@ class Release(Event):
     __slots__ = ("request",)
 
     def __init__(self, env: "Environment", request: Request) -> None:
-        super().__init__(env)
+        # Born succeeded: Event.__init__ plus succeed(), written out.
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._ok = True
+        self._defused = False
         self.request = request
-        self.succeed()
+        env._seq += 1
+        heapq.heappush(env._queue, (env._now, env._seq, self))
 
 
 class Resource:

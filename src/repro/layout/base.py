@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.layout.common import Layout, PhysicalAddress, WriteGroup, WriteMode, merge_runs
+from repro.layout.common import Layout, WriteGroup, WriteMode
 
 __all__ = ["BaseLayout"]
 
@@ -23,10 +23,8 @@ class BaseLayout(Layout):
     def ndisks(self) -> int:
         return self.n
 
-    def map_block(self, lblock: int) -> PhysicalAddress:
-        self._check_range(lblock, 1)
-        disk, block = divmod(lblock, self.blocks_per_disk)
-        return PhysicalAddress(disk, block)
+    def _locate(self, lblock: int) -> tuple[int, int]:
+        return divmod(lblock, self.blocks_per_disk)
 
     def logical_of(self, disk: int, pblock: int) -> Optional[int]:
         if not 0 <= disk < self.ndisks:
@@ -41,5 +39,5 @@ class BaseLayout(Layout):
 
     def write_plan(self, lstart: int, nblocks: int, rmw_threshold: float = 0.5) -> list[WriteGroup]:
         self._check_range(lstart, nblocks)
-        runs = merge_runs([self.map_block(b) for b in range(lstart, lstart + nblocks)])
+        runs = self._runs(range(lstart, lstart + nblocks))
         return [WriteGroup(mode=WriteMode.PLAIN, data_runs=runs)]

@@ -96,6 +96,13 @@ def merge_runs(addresses: list[PhysicalAddress]) -> list[Run]:
 class Layout(ABC):
     """Maps logical array blocks to physical disk blocks.
 
+    A concrete layout implements one mapping method, :meth:`_locate`
+    (logical block to ``(disk, block)``, unchecked).  :meth:`map_block`
+    adds the range check and the :class:`PhysicalAddress`;
+    :meth:`_runs` coalesces the mapping of a whole request into
+    :class:`Run` s and is what :meth:`read_runs` and the write planners
+    use, so a request is range-checked once, not once per block.
+
     Parameters
     ----------
     n:
@@ -112,6 +119,7 @@ class Layout(ABC):
             raise ValueError("blocks_per_disk must be >= 1")
         self.n = n
         self.blocks_per_disk = blocks_per_disk
+        self._capacity = n * blocks_per_disk
 
     # -- shape ---------------------------------------------------------------
     @property
@@ -122,7 +130,7 @@ class Layout(ABC):
     @property
     def logical_blocks(self) -> int:
         """Capacity of the array in logical blocks."""
-        return self.n * self.blocks_per_disk
+        return self._capacity
 
     @property
     def has_parity(self) -> bool:
@@ -131,8 +139,13 @@ class Layout(ABC):
 
     # -- per-block mapping -----------------------------------------------------
     @abstractmethod
+    def _locate(self, lblock: int) -> tuple[int, int]:
+        """``(disk, block)`` of logical block *lblock*; no range check."""
+
     def map_block(self, lblock: int) -> PhysicalAddress:
         """Physical location of logical block *lblock*."""
+        self._check_range(lblock, 1)
+        return PhysicalAddress(*self._locate(lblock))
 
     def parity_of(self, lblock: int) -> Optional[PhysicalAddress]:
         """Location of the parity protecting *lblock* (None if no parity)."""
@@ -162,7 +175,7 @@ class Layout(ABC):
     def read_runs(self, lstart: int, nblocks: int) -> list[Run]:
         """Physical runs servicing a logical read ``[lstart, lstart+n)``."""
         self._check_range(lstart, nblocks)
-        return merge_runs([self.map_block(b) for b in range(lstart, lstart + nblocks)])
+        return self._runs(range(lstart, lstart + nblocks))
 
     @abstractmethod
     def write_plan(self, lstart: int, nblocks: int, rmw_threshold: float = 0.5) -> list[WriteGroup]:
@@ -173,11 +186,33 @@ class Layout(ABC):
         "less than half a stripe").
         """
 
+    def _runs(self, lblocks) -> list[Run]:
+        """``merge_runs([map_block(b) for b in lblocks])``, unchecked.
+
+        Merges exactly as :func:`merge_runs` does but builds one
+        :class:`Run` per output run instead of an address and a run per
+        block.  The caller range-checks the request.
+        """
+        locate = self._locate
+        runs: list[Run] = []
+        disk = start = end = -1
+        for b in lblocks:
+            d, block = locate(b)
+            if d == disk and block == end:
+                end += 1
+                continue
+            if end > start:
+                runs.append(Run(disk, start, end - start))
+            disk, start, end = d, block, block + 1
+        if end > start:
+            runs.append(Run(disk, start, end - start))
+        return runs
+
     def _check_range(self, lstart: int, nblocks: int) -> None:
         if nblocks < 1:
             raise ValueError("nblocks must be >= 1")
-        if lstart < 0 or lstart + nblocks > self.logical_blocks:
+        if lstart < 0 or lstart + nblocks > self._capacity:
             raise ValueError(
                 f"logical range [{lstart}, {lstart + nblocks}) outside "
-                f"capacity {self.logical_blocks}"
+                f"capacity {self._capacity}"
             )

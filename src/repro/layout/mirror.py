@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.layout.common import Layout, PhysicalAddress, WriteGroup, WriteMode, merge_runs
+from repro.layout.common import Layout, PhysicalAddress, WriteGroup, WriteMode
 
 __all__ = ["MirrorLayout"]
 
@@ -29,10 +29,9 @@ class MirrorLayout(Layout):
     def ndisks(self) -> int:
         return 2 * self.n
 
-    def map_block(self, lblock: int) -> PhysicalAddress:
-        self._check_range(lblock, 1)
+    def _locate(self, lblock: int) -> tuple[int, int]:
         ldisk, block = divmod(lblock, self.blocks_per_disk)
-        return PhysicalAddress(2 * ldisk, block)
+        return 2 * ldisk, block
 
     def mirror_of(self, disk: int) -> int:
         """The other member of *disk*'s mirrored pair."""
@@ -58,6 +57,6 @@ class MirrorLayout(Layout):
 
     def write_plan(self, lstart: int, nblocks: int, rmw_threshold: float = 0.5) -> list[WriteGroup]:
         self._check_range(lstart, nblocks)
-        runs = merge_runs([self.map_block(b) for b in range(lstart, lstart + nblocks)])
+        runs = self._runs(range(lstart, lstart + nblocks))
         # The controller duplicates each run onto the mirror partner.
         return [WriteGroup(mode=WriteMode.PLAIN, data_runs=runs)]

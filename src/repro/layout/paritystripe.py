@@ -153,10 +153,9 @@ class ParityStripingLayout(Layout):
         k, off = divmod(q, self.area_blocks)
         return disk, k, off
 
-    def map_block(self, lblock: int) -> PhysicalAddress:
-        self._check_range(lblock, 1)
+    def _locate(self, lblock: int) -> tuple[int, int]:
         disk, k, off = self._decompose(lblock)
-        return PhysicalAddress(disk, self._physical_area(k) * self.area_blocks + off)
+        return disk, self._physical_area(k) * self.area_blocks + off
 
     def parity_of(self, lblock: int) -> Optional[PhysicalAddress]:
         self._check_range(lblock, 1)

@@ -14,6 +14,7 @@ row ``r`` lives: rotated (``r mod (N+1)``) vs fixed (the last disk).
 from __future__ import annotations
 
 from abc import abstractmethod
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.layout.common import (
     Run,
     WriteGroup,
     WriteMode,
-    merge_runs,
 )
 
 __all__ = ["StripedParityLayout"]
@@ -77,12 +77,13 @@ class StripedParityLayout(Layout):
         return self.blocks_per_disk // self.striping_unit
 
     # -- mapping ---------------------------------------------------------------
-    def map_block(self, lblock: int) -> PhysicalAddress:
-        self._check_range(lblock, 1)
+    def _locate(self, lblock: int) -> tuple[int, int]:
         su = self.striping_unit
         unit, offset = divmod(lblock, su)
         row, j = divmod(unit, self.n)
-        return PhysicalAddress(self.data_disk_of(row, j), row * su + offset)
+        # data_disk_of(row, j), inlined: this runs once per block.
+        p = self.parity_disk_of_row(row)
+        return (j if j < p else j + 1), row * su + offset
 
     def parity_of(self, lblock: int) -> Optional[PhysicalAddress]:
         self._check_range(lblock, 1)
@@ -133,7 +134,7 @@ class StripedParityLayout(Layout):
             row_hi = row_lo + row_blocks
             a, b = max(lstart, row_lo), min(end, row_hi)
             covered = b - a
-            data_runs = merge_runs([self.map_block(x) for x in range(a, b)])
+            data_runs = self._runs(range(a, b))
             p_disk = self.parity_disk_of_row(row)
 
             if covered == row_blocks:
@@ -147,15 +148,17 @@ class StripedParityLayout(Layout):
             # Offsets-within-unit touched by the write determine which
             # parity blocks change.  The union is approximated by its
             # contiguous hull (exact for the single-unit accesses that
-            # dominate OLTP workloads).
-            offsets = {x % su for x in range(a, b)} if covered < su else set(range(su))
-            lo, hi = min(offsets), max(offsets) + 1
+            # dominate OLTP workloads): [a % su, a % su + covered), or
+            # the whole unit when the offsets wrap past its end.
+            lo = a % su
+            hi = lo + covered
+            if hi > su:
+                lo, hi = 0, su
             parity = [Run(p_disk, row * su + lo, hi - lo)]
 
             if covered / row_blocks >= rmw_threshold:
                 # Reconstruct-write: read the rest of the row.
-                others = [x for x in range(row_lo, row_hi) if not a <= x < b]
-                read_runs = merge_runs([self.map_block(x) for x in others])
+                read_runs = self._runs(chain(range(row_lo, a), range(b, row_hi)))
                 groups.append(
                     WriteGroup(
                         WriteMode.RECONSTRUCT,

@@ -43,7 +43,8 @@ class ArraySystem:
     ``spans`` is the logical block count owned by each array.  Empty
     means uniform legacy spans of ``n * blocks_per_disk`` each, routed
     by division; a heterogeneous build fills it with the per-VA spans
-    and routing bisects the cumulative bounds.
+    and routing bisects the cumulative bounds.  Routing a block outside
+    ``[0, capacity)`` raises :class:`ValueError`.
     """
 
     env: Environment
@@ -51,12 +52,20 @@ class ArraySystem:
     controllers: list[ArrayController]
     spans: tuple[int, ...] = ()
     _bounds: list[int] = field(init=False, repr=False, default_factory=list)
+    #: Blocks per array of a uniform system; 0 for a heterogeneous one.
+    _per_array: int = field(init=False, repr=False, default=0)
+    #: Logical blocks across all arrays.
+    capacity: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
         total = 0
         for span in self.spans:
             total += span
             self._bounds.append(total)
+        if not self._bounds:
+            self._per_array = self.config.n * self.config.blocks_per_disk
+            total = self._per_array * len(self.controllers)
+        self.capacity = total
 
     @property
     def narrays(self) -> int:
@@ -69,34 +78,52 @@ class ArraySystem:
 
     def controller_for(self, lblock: int) -> tuple[int, ArrayController, int]:
         """Route a global logical block: ``(array, controller, local_block)``."""
-        if not self._bounds:
-            per_array = self.config.n * self.config.blocks_per_disk
-            idx = lblock // per_array
-            return idx, self.controllers[idx], lblock - idx * per_array
+        if not 0 <= lblock < self.capacity:
+            raise self._outside(lblock, 1)
+        if self._per_array:
+            idx, local = divmod(lblock, self._per_array)
+            return idx, self.controllers[idx], local
         idx = bisect_right(self._bounds, lblock)
         start = self._bounds[idx - 1] if idx else 0
         return idx, self.controllers[idx], lblock - start
 
     def array_end(self, idx: int) -> int:
         """First global logical block past array *idx*."""
-        if not self._bounds:
-            return (idx + 1) * self.config.n * self.config.blocks_per_disk
+        if self._per_array:
+            return (idx + 1) * self._per_array
         return self._bounds[idx]
 
     def split(self, lblock: int, nblocks: int) -> list[tuple[int, ArrayController, int, int]]:
         """Split a request into per-array parts.
 
         Returns ``(array, controller, local_block, span)`` tuples in
-        address order; most requests yield exactly one part.
+        address order; most requests yield exactly one part.  An empty
+        request or one reaching outside ``[0, capacity)`` raises
+        :class:`ValueError`.
         """
+        end = lblock + nblocks
+        if not 0 <= lblock < end <= self.capacity:
+            raise self._outside(lblock, nblocks)
+        per_array = self._per_array
+        if per_array:
+            # Uniform arrays: one divmod answers a request inside one array.
+            idx, local = divmod(lblock, per_array)
+            if local + nblocks <= per_array:
+                return [(idx, self.controllers[idx], local, nblocks)]
         parts = []
-        pos, end = lblock, lblock + nblocks
+        pos = lblock
         while pos < end:
             idx, controller, local = self.controller_for(pos)
             span = min(end - pos, self.array_end(idx) - pos)
             parts.append((idx, controller, local, span))
             pos += span
         return parts
+
+    def _outside(self, lblock: int, nblocks: int) -> ValueError:
+        return ValueError(
+            f"request of {nblocks} block(s) at {lblock} is not inside the "
+            f"{self.capacity} logical blocks of {self.narrays} array(s)"
+        )
 
 
 def build_system(

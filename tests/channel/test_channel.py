@@ -82,6 +82,53 @@ class TestChannel:
         assert Channel(env).utilization() == 0.0
 
 
+class _RecordingProbe:
+    def __init__(self):
+        self.calls = []
+
+    def on_channel_request(self, channel, nbytes):
+        self.calls.append(("request", nbytes))
+
+    def on_channel_transfer(self, channel, nbytes, duration):
+        self.calls.append(("transfer", nbytes, duration))
+
+
+class TestInvalidTransfer:
+    @pytest.mark.parametrize("nbytes", [0, -4096])
+    def test_rejected_before_any_side_effect(self, env, nbytes):
+        ch = Channel(env)
+        probe = ch.probe = _RecordingProbe()
+        errors = []
+
+        def proc(env):
+            try:
+                yield from ch.transfer(nbytes)
+            except ValueError as err:
+                errors.append(err)
+
+        env.process(proc(env))
+        env.run()
+        assert len(errors) == 1 and "nbytes must be positive" in str(errors[0])
+        assert probe.calls == []
+        assert ch.queue_length.max == 0
+        assert ch._link.count == 0 and ch.transfers == 0
+        # Only the process's own init and completion events ran: the
+        # link was never claimed or released.
+        assert env._seq == 2
+
+    def test_valid_transfer_still_probed(self, env):
+        ch = Channel(env)
+        probe = ch.probe = _RecordingProbe()
+
+        def proc(env):
+            yield from ch.transfer(4096)
+
+        env.process(proc(env))
+        env.run()
+        assert probe.calls == [("request", 4096), ("transfer", 4096, ch.transfer_time(4096))]
+        assert ch.queue_length.max == 1 and ch.queue_length.value == 0
+
+
 class TestTrackBufferPool:
     def test_validation(self, env):
         with pytest.raises(ValueError):

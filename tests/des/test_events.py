@@ -93,6 +93,37 @@ class TestTimeout:
         with pytest.raises(ValueError):
             Timeout(env, -1)
 
+    def test_nan_delay_rejected_by_constructor(self, env):
+        with pytest.raises(ValueError, match="delay nan"):
+            Timeout(env, float("nan"))
+        with pytest.raises(ValueError, match="delay nan"):
+            env.timeout(float("nan"))
+        assert env._seq == 0 and env.now == 0.0
+
+    def test_nan_delay_rejected_on_recycled_timeout(self, env):
+        def sleeper(env):
+            yield env.timeout(1.0)
+
+        env.process(sleeper(env))
+        env.run()
+        assert env._timeout_pool, "the sleeper's timeout was not recycled"
+        seq = env._seq
+        with pytest.raises(ValueError, match="delay nan"):
+            env.timeout(float("nan"))
+        assert env._seq == seq and env.peek() == float("inf")
+        assert env.now == 1.0
+
+    def test_nan_delay_rejected_by_schedule(self, env):
+        with pytest.raises(ValueError, match="delay nan"):
+            env.schedule(Event(env), float("nan"))
+        assert env._seq == 0 and env.peek() == float("inf")
+
+    def test_infinite_delay_allowed(self, env):
+        timeout = env.timeout(float("inf"))
+        assert env.peek() == float("inf")
+        env.schedule(Event(env), float("inf"))
+        assert not timeout.processed
+
     def test_timeout_fires_at_delay(self, env):
         times = []
 

@@ -170,3 +170,50 @@ class TestTimeWeighted:
         tw.update(4.0, 0.0)
         tw.update(6.0, 1.0)
         assert tw.mean(10.0) == pytest.approx(0.7)
+
+
+def _tw_state(tw):
+    return (tw._area, tw._value, tw.min, tw.max, tw._last_time)
+
+
+class TestTimeWeightedAddMatchesUpdate:
+    """``add(t, d)`` is ``update(t, value + d)``, float for float."""
+
+    _finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+    @given(
+        start=_finite,
+        value=_finite,
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=-5.0, max_value=1e3, allow_nan=False),
+                st.one_of(st.sampled_from([1.0, -1.0, 1, -1]), _finite),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_add_equals_update(self, start, value, steps):
+        via_add = TimeWeighted(start, value)
+        via_update = TimeWeighted(start, value)
+        t = start
+        for dt, delta in steps:
+            t += dt
+            expected = via_update._value + delta
+            try:
+                via_update.update(t, expected)
+            except ValueError as err:
+                with pytest.raises(ValueError) as caught:
+                    via_add.add(t, delta)
+                assert str(caught.value) == str(err)
+                t -= dt
+            else:
+                via_add.add(t, delta)
+            assert _tw_state(via_add) == _tw_state(via_update)
+
+    def test_backwards_add_raises_and_leaves_state(self):
+        tw = TimeWeighted(10.0, 2.0)
+        tw.add(12.0, 1)
+        before = _tw_state(tw)
+        with pytest.raises(ValueError, match="time went backwards: 11.0 < 12.0"):
+            tw.add(11.0, 1)
+        assert _tw_state(tw) == before

@@ -137,6 +137,65 @@ class TestProcess:
         assert results == [("a", 2.0), ("b", 2.0)]
 
 
+class _Forwarder:
+    """A non-generator coroutine: forwards ``send`` and ``throw`` to a
+    generator, the way a timing proxy wrapping a process does."""
+
+    def __init__(self, gen, name=None):
+        self._gen = gen
+        if name is not None:
+            self.__name__ = name
+
+    def send(self, value):
+        return self._gen.send(value)
+
+    def throw(self, *exc):
+        return self._gen.throw(*exc)
+
+
+class TestNonGeneratorProcess:
+    def test_runs_object_with_send_and_throw(self, env):
+        def body(env):
+            got = yield env.timeout(2, value="tick")
+            return got, env.now
+
+        p = env.process(_Forwarder(body(env), name="body"))
+        env.run()
+        assert p.value == ("tick", 2.0)
+
+    def test_failures_are_thrown_through(self, env):
+        def body(env):
+            ev = env.event()
+            ev.fail(KeyError("boom"))
+            try:
+                yield ev
+            except KeyError:
+                return "handled"
+
+        p = env.process(_Forwarder(body(env)))
+        env.run()
+        assert p.value == "handled"
+
+    def test_named_by_dunder_name(self, env):
+        def body(env):
+            yield env.timeout(1)
+
+        assert env.process(_Forwarder(body(env), name="worker")).name == "worker"
+
+    def test_unnamed_object_is_called_process(self, env):
+        def body(env):
+            yield env.timeout(1)
+
+        assert env.process(_Forwarder(body(env))).name == "process"
+
+    @pytest.mark.parametrize("attrs", [(), ("send",), ("throw",)])
+    def test_rejects_object_without_send_and_throw(self, env, attrs):
+        obj = type("Partial", (), {a: lambda self, *args: None for a in attrs})()
+        with pytest.raises(TypeError, match="not a generator"):
+            Process(env, obj)
+        assert env._seq == 0
+
+
 class TestInterrupt:
     def test_interrupt_delivers_cause(self, env):
         def victim(env):
