@@ -54,10 +54,9 @@ class ArrayController(ABC):
         #: ``config.block_bytes``, read once: every transfer needs it.
         self.block_bytes: int = config.block_bytes
         self.requests_handled = 0
-        #: Optional validation tap (``repro.validate``): an object with
-        #: ``on_handle(controller, lstart, nblocks, is_write)`` and
-        #: ``on_destage(controller, run)``.  ``None`` keeps request
-        #: admission at one identity check.
+        #: Probe slot: the system's probe bus while anything observes it
+        #: (the controller taps of ``repro.obs.probes.TAPS``).  ``None``
+        #: keeps request admission at one identity check.
         self.probe = None
 
     @abstractmethod

@@ -69,8 +69,9 @@ class LRUCache:
         self._dirty: set[int] = set()
         self._old_copies = 0
         self._reserved = 0
-        #: Optional validation tap (``repro.validate``): an object with
-        #: ``on_cache_op(cache, op, arg)`` called after every mutation.
+        #: Probe slot: the system's probe bus while anything observes it
+        #: (the ``cache_op`` tap of ``repro.obs.probes.TAPS``, after every
+        #: mutation), else ``None``.
         self.probe = None
         # Statistics.  Hit/miss counters are maintained by the cache's
         # *owner* at request granularity (a multiblock access is one hit

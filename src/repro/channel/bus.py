@@ -41,10 +41,9 @@ class Channel:
         self.bytes_transferred = 0
         self.transfers = 0
         self.queue_length = TimeWeighted(env.now, 0.0)
-        #: Optional observation tap (``repro.validate`` / ``repro.obs``):
-        #: an object with ``on_channel_request(channel, nbytes)`` (at
-        #: enqueue) and ``on_channel_transfer(channel, nbytes, duration)``
-        #: (at completion).
+        #: Probe slot: the system's probe bus while anything observes it
+        #: (the ``channel_*`` taps of ``repro.obs.probes.TAPS``), else
+        #: ``None``.
         self.probe = None
 
     def transfer_time(self, nbytes: int) -> float:

@@ -87,10 +87,8 @@ class Disk:
         self.cylinder = 0
         self._wakeup: Optional[Event] = None
         self._current: Optional[DiskRequest] = None
-        #: Optional observation tap (``repro.validate`` /
-        #: ``repro.obs``): an object with ``on_disk_submit(disk,
-        #: request)`` / ``on_disk_complete(disk, request)`` /
-        #: ``on_disk_phase(disk, request, phase, t0, t1)``.  ``None``
+        #: Probe slot: the system's probe bus while anything observes it
+        #: (the ``disk_*`` taps of ``repro.obs.probes.TAPS``).  ``None``
         #: keeps the data path at one identity check per tap.
         self.probe = None
 

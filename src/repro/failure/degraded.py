@@ -184,7 +184,7 @@ class _DegradedMixin:
         old = self.disks[self.failed_disk]
         spare = Disk(old.env, old.geometry, old.seek_model, name=f"{old.name}.spare")
         # Keep instrumentation continuous: the spare inherits the probe
-        # (monitor/tracer fanout) installed on the drive it replaces.
+        # bus of the drive it replaces.
         spare.probe = old.probe
         self.disks[self.failed_disk] = spare
         self.has_spare = True

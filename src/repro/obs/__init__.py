@@ -1,10 +1,12 @@
 """Opt-in observability: request tracing, metrics, and analysis.
 
-Three layers, all off by default (the unobserved hot path pays one
-``probe is not None`` check per tap):
+Every probe tap of the simulator is declared once, in
+:data:`repro.obs.probes.TAPS`; observers subscribe to a system's shared
+:class:`ProbeBus`.  Three layers, all off by default (the unobserved hot
+path pays one ``probe is not None`` check per tap):
 
 * **tracing** (:mod:`repro.obs.tracer`, :mod:`repro.obs.span`) — a
-  :class:`Tracer` rides the simulator's probe seams and records a tree
+  :class:`Tracer` subscribes to the probe taps and records a tree
   of timed spans per logical request: disk accesses with their seek /
   rotation / transfer / parity-sync phases, channel waits and wire
   time, queue time, mirror routing and destage marks.  Exports to JSONL
@@ -44,8 +46,9 @@ from repro.obs.metrics import (
     parse_prometheus,
     registry_from_csv,
 )
+from repro.obs.probes import TAPS, ProbeBus
 from repro.obs.span import SPAN_KINDS, Span, TraceData, well_formedness_problems
-from repro.obs.tracer import ProbeFanout, Tracer
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "Span",
@@ -53,7 +56,8 @@ __all__ = [
     "SPAN_KINDS",
     "well_formedness_problems",
     "Tracer",
-    "ProbeFanout",
+    "TAPS",
+    "ProbeBus",
     "Counter",
     "Gauge",
     "Histogram",

@@ -11,8 +11,9 @@ and fills it from two sides:
 
 The collector only ever schedules pure timeout events and reads public
 counters, so a metered run produces bit-identical results to an
-unmetered one.  Response-time histograms are fed by the runner at the
-same point it feeds :class:`~repro.des.Tally`, so histogram counts match
+unmetered one.  Response-time histograms are fed by the runner's
+``response`` probe tap, emitted at the same point it feeds
+:class:`~repro.des.Tally`, so histogram counts match
 ``RunResult.response.count`` exactly.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 from typing import Generator, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probes import ProbeBus
 
 __all__ = ["MetricsCollector"]
 
@@ -42,15 +44,19 @@ class MetricsCollector:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.env = None
         self.controllers: Sequence = ()
+        self._bus: Optional[ProbeBus] = None
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, env, controllers: Sequence, interval_ms: float) -> "MetricsCollector":
-        """Start the utilization/queue-depth sampler."""
+        """Start the utilization/queue-depth sampler and subscribe to the
+        probe bus of *controllers*."""
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
         self.env = env
         self.controllers = list(controllers)
         env.process(self._sample_loop(interval_ms))
+        self._bus = ProbeBus.of(self.controllers)
+        self._bus.subscribe(self)
         return self
 
     def _sample_loop(self, interval_ms: float) -> Generator:
@@ -80,9 +86,9 @@ class MetricsCollector:
                         now, cache.occupancy
                     )
 
-    # -- runner feed -----------------------------------------------------------
-    def observe_response(self, rt_ms: float, is_write: bool) -> None:
-        """Record one measured response time (called by the runner)."""
+    # -- probe tap ---------------------------------------------------------------
+    def on_response(self, rt_ms: float, is_write: bool) -> None:
+        """Record one measured response time."""
         reg = self.registry
         reg.histogram("response_ms", **_RESPONSE_HIST).observe(rt_ms)
         name = "write_response_ms" if is_write else "read_response_ms"
@@ -90,7 +96,11 @@ class MetricsCollector:
 
     # -- harvest -----------------------------------------------------------------
     def finalize(self, result=None) -> MetricsRegistry:
-        """Copy the simulator's counters into the registry and return it."""
+        """Unsubscribe, copy the simulator's counters into the registry
+        and return it."""
+        if self._bus is not None:
+            self._bus.unsubscribe(self)
+            self._bus = None
         reg = self.registry
         env = self.env
         now = env.now if env is not None else 0.0

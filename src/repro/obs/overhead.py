@@ -3,9 +3,11 @@
 Two promises back the "opt-in" claim:
 
 * **non-perturbation** — tracing and metrics never change what the
-  simulator computes.  Checked exactly: the
-  :func:`~repro.validate.replay.result_fingerprint` of an instrumented
-  run must equal the plain run's, bit for bit.
+  simulator computes, alone or composed with validation on one probe
+  bus.  Checked exactly: the
+  :func:`~repro.validate.replay.result_fingerprint` of a traced and
+  metered run, and of one run with validation, tracing and metrics all
+  subscribed, must equal the plain run's, bit for bit.
 * **bounded slowdown** — the instrumented run's wall time stays within a
   small multiple of the plain run.  Wall time on shared CI machines is
   noisy, so the plain run is repeated and the *best* time of each mode
@@ -56,7 +58,11 @@ def overhead_report(
     config=None,
     workload=None,
 ) -> dict:
-    """Time plain vs instrumented runs and compare result fingerprints."""
+    """Time plain vs instrumented runs and compare result fingerprints.
+
+    One further, untimed run subscribes validation, tracing and metrics
+    together; its fingerprint must match the plain run's as well.
+    """
     from repro.sim.runner import run_trace
     from repro.validate.replay import result_fingerprint
 
@@ -85,6 +91,10 @@ def overhead_report(
         traced_times.append(dt)
         traced_fp = result_fingerprint(result)
 
+    composed_fp = result_fingerprint(
+        run_trace(config, workload, validate=True, trace=True, metrics=True)
+    )
+
     best_plain = min(plain_times)
     best_traced = min(traced_times)
     return {
@@ -98,6 +108,8 @@ def overhead_report(
         "plain_fingerprint": plain_fp,
         "traced_fingerprint": traced_fp,
         "fingerprints_equal": plain_fp == traced_fp,
+        "composed_fingerprint": composed_fp,
+        "composed_equal": plain_fp == composed_fp,
     }
 
 
@@ -108,6 +120,12 @@ def check(report: dict, max_ratio: float = DEFAULT_MAX_RATIO) -> list[str]:
         problems.append(
             "instrumented run perturbed the simulation: fingerprint "
             f"{report['traced_fingerprint']} != {report['plain_fingerprint']}"
+        )
+    if not report["composed_equal"]:
+        problems.append(
+            "validation, tracing and metrics together perturbed the "
+            f"simulation: fingerprint {report['composed_fingerprint']} != "
+            f"{report['plain_fingerprint']}"
         )
     if report["ratio"] > max_ratio:
         problems.append(
@@ -129,5 +147,6 @@ def render(report: dict) -> str:
         f"(all: {', '.join(f'{t * 1000.0:.1f}' for t in report['traced_times_s'])})",
         f"  ratio   {report['ratio']:>9.2f}x",
         f"  fingerprints equal: {report['fingerprints_equal']}",
+        f"  with validation too: {report['composed_equal']}",
     ]
     return "\n".join(lines)

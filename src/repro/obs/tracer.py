@@ -1,9 +1,9 @@
-"""Span tracing over the simulator's probe seams.
+"""Span tracing over the simulator's probe taps.
 
-:class:`Tracer` is a probe (the same protocol
-:class:`~repro.validate.monitor.ValidationMonitor` implements): it
-installs itself on every controller, disk, channel and cache, and turns
-the notifications into a per-request tree of timed spans.
+:class:`Tracer` subscribes to the system's
+:class:`~repro.obs.probes.ProbeBus` for the taps of
+:data:`~repro.obs.probes.TAPS` it needs, and turns the notifications
+into a per-request tree of timed spans.
 
 Attribution works through the process tree.  Every
 :class:`~repro.des.process.Process` records the process that spawned it
@@ -26,81 +26,12 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+from repro.obs.probes import ProbeBus
 from repro.obs.span import Span, TraceData
 
-__all__ = ["Tracer", "ProbeFanout"]
+__all__ = ["Tracer"]
 
 _MISSING = object()
-
-
-class ProbeFanout:
-    """Dispatches every probe notification to several probes in order.
-
-    Used when tracing and validation are active at the same time: the
-    instrumented objects hold a single ``probe`` attribute, so the
-    tracer wraps the already-installed probe instead of displacing it.
-    """
-
-    __slots__ = ("probes",)
-
-    def __init__(self, probes: Sequence[Any]) -> None:
-        self.probes = tuple(probes)
-
-    def on_disk_submit(self, disk, request) -> None:
-        for p in self.probes:
-            p.on_disk_submit(disk, request)
-
-    def on_disk_complete(self, disk, request) -> None:
-        for p in self.probes:
-            p.on_disk_complete(disk, request)
-
-    def on_disk_phase(self, disk, request, phase, t0, t1) -> None:
-        for p in self.probes:
-            p.on_disk_phase(disk, request, phase, t0, t1)
-
-    def on_channel_request(self, channel, nbytes) -> None:
-        for p in self.probes:
-            p.on_channel_request(channel, nbytes)
-
-    def on_channel_transfer(self, channel, nbytes, duration) -> None:
-        for p in self.probes:
-            p.on_channel_transfer(channel, nbytes, duration)
-
-    def on_cache_op(self, cache, op, arg) -> None:
-        for p in self.probes:
-            p.on_cache_op(cache, op, arg)
-
-    def on_handle(self, controller, lstart, nblocks, is_write) -> None:
-        for p in self.probes:
-            p.on_handle(controller, lstart, nblocks, is_write)
-
-    def on_destage(self, controller, run) -> None:
-        for p in self.probes:
-            p.on_destage(controller, run)
-
-    def on_write_group(self, controller, group) -> None:
-        for p in self.probes:
-            p.on_write_group(controller, group)
-
-    def on_parity_update(self, controller, run, parity_runs) -> None:
-        for p in self.probes:
-            p.on_parity_update(controller, run, parity_runs)
-
-    def on_degraded(self, controller, kind) -> None:
-        for p in self.probes:
-            p.on_degraded(controller, kind)
-
-    def on_data_loss(self, controller, kind, disk, pblock) -> None:
-        for p in self.probes:
-            p.on_data_loss(controller, kind, disk, pblock)
-
-    def on_latent_repair(self, controller, disk, pblock, how) -> None:
-        for p in self.probes:
-            p.on_latent_repair(controller, disk, pblock, how)
-
-    def on_mirror_route(self, controller, run, chosen, alternate, seek_chosen, seek_alt) -> None:
-        for p in self.probes:
-            p.on_mirror_route(controller, run, chosen, alternate, seek_chosen, seek_alt)
 
 
 class Tracer:
@@ -125,35 +56,25 @@ class Tracer:
         self._open_disk: dict[int, Span] = {}
         self._open_chan: dict[Any, tuple[float, int, Optional[int]]] = {}
         self._ctrl_label: dict[int, str] = {}
-        self._restore: list[tuple[Any, Any]] = []
+        self._bus: Optional[ProbeBus] = None
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, env, controllers: Sequence) -> "Tracer":
-        """Install the tracer as (or alongside) every probe tap."""
+        """Subscribe to the probe bus of *controllers*."""
         if self.env is not None:
             raise RuntimeError("tracer is already attached")
         self.env = env
         for ai, ctrl in enumerate(controllers):
             self._ctrl_label[id(ctrl)] = f"a{ai}"
-            self._instrument(ctrl)
-            self._instrument(ctrl.channel)
-            for disk in ctrl.disks:
-                self._instrument(disk)
-            cache = getattr(ctrl, "cache", None)
-            if cache is not None:
-                self._instrument(cache)
+        self._bus = ProbeBus.of(controllers)
+        self._bus.subscribe(self)
         return self
 
-    def _instrument(self, obj) -> None:
-        prev = obj.probe
-        obj.probe = self if prev is None else ProbeFanout((prev, self))
-        self._restore.append((obj, prev))
-
     def detach(self) -> None:
-        """Restore the probes that were installed before :meth:`attach`."""
-        for obj, prev in reversed(self._restore):
-            obj.probe = prev
-        self._restore.clear()
+        """Unsubscribe from the probe bus."""
+        if self._bus is not None:
+            self._bus.unsubscribe(self)
+            self._bus = None
         self.env = None
 
     def finalize(self, meta: Optional[dict] = None) -> TraceData:
@@ -231,8 +152,8 @@ class Tracer:
         root = self._roots.get(rid)
         return None if root is None else root.sid
 
-    # -- runner lifecycle notifications -----------------------------------------
-    def request_released(
+    # -- probe taps ---------------------------------------------------------------
+    def on_request_released(
         self, rid: int, process, lstart: int, nblocks: int, is_write: bool
     ) -> None:
         """Open the root span for request *rid* (root process *process*)."""
@@ -246,12 +167,11 @@ class Tracer:
         self._roots[rid] = span
         self._proc_rid[process] = rid
 
-    def request_completed(self, rid: int) -> None:
+    def on_request_completed(self, rid: int) -> None:
         root = self._roots.get(rid)
         if root is not None:
             root.t1 = self.env.now
 
-    # -- probe interface ---------------------------------------------------------
     def on_disk_submit(self, disk, request) -> None:
         rid = self._rid()
         if rid is None and not self.background:
@@ -380,9 +300,6 @@ class Tracer:
             modes = root.attrs.setdefault("write_modes", [])
             modes.append(group.mode.value if hasattr(group.mode, "value") else str(group.mode))
 
-    def on_parity_update(self, controller, run, parity_runs) -> None:
-        pass
-
     def on_cache_op(self, cache, op: str, arg: int) -> None:
         self.cache_ops[op] = self.cache_ops.get(op, 0) + 1
 
@@ -406,9 +323,6 @@ class Tracer:
                 "kind": kind, "disk": disk, "pblock": pblock,
             },
         )
-
-    def on_latent_repair(self, controller, disk: int, pblock: int, how: str) -> None:
-        pass
 
     def on_mirror_route(
         self, controller, run, chosen, alternate, seek_chosen, seek_alt

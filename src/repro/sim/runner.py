@@ -187,8 +187,6 @@ def run_trace(
         monitor = ValidationMonitor(checkers)
         monitor.attach(env, system.controllers, warmup_ms)
 
-    # The tracer attaches after the monitor so both see every probe tap
-    # (the tracer wraps an existing probe in a fanout).
     tracer = None
     if trace is not False and trace is not None:
         from repro.obs.tracer import Tracer
@@ -208,6 +206,9 @@ def run_trace(
         if metrics_interval_ms is None:
             metrics_interval_ms = max(workload.duration_ms / 200.0, 1.0)
         collector.attach(env, system.controllers, metrics_interval_ms)
+    # The probe bus every observer subscribed to (each probe slot holds
+    # it), or None when nothing observes the run.
+    probe = system.controllers[0].probe
 
     result = RunResult(
         name=name or workload.name,
@@ -242,10 +243,7 @@ def run_trace(
     # run ends when the last request completes, not when the event queue
     # drains.
     progress = _Progress(len(workload), Event(env))
-    env.process(
-        _source(env, system, workload, warmup_ms, result, progress, monitor,
-                tracer, collector)
-    )
+    env.process(_source(env, system, workload, warmup_ms, result, progress, probe))
     if len(workload):
         env.run(until=progress.all_done)
     if injector is not None:
@@ -281,8 +279,6 @@ def run_trace(
             array_metrics.destaged_blocks = controller.destaged_blocks
         result.arrays.append(array_metrics)
 
-    # Tracer first: its detach restores the monitor's probes, which the
-    # monitor's own finalize then removes.
     if tracer is not None:
         result.trace = tracer.finalize(
             {
@@ -323,9 +319,7 @@ def _source(
     warmup_ms: float,
     result: RunResult,
     progress: "_Progress",
-    monitor=None,
-    tracer=None,
-    collector=None,
+    probe=None,
 ) -> Generator[Event, None, None]:
     """Release requests at their trace arrival times.
 
@@ -352,27 +346,15 @@ def _source(
             t = times[i]
             if t > env.now:
                 yield env.timeout(t - env.now)
-            if monitor is not None:
-                monitor.request_released(rid, env.now)
             lstart, span, write = lblocks[i], nblocks[i], is_write[i]
             proc = env.process(
                 _request(
-                    env,
-                    system,
-                    lstart,
-                    span,
-                    write,
-                    warmup_ms,
-                    result,
-                    progress,
-                    monitor,
-                    rid,
-                    tracer,
-                    collector,
+                    env, system, lstart, span, write, warmup_ms, result,
+                    progress, rid, probe,
                 )
             )
-            if tracer is not None:
-                tracer.request_released(rid, proc, lstart, span, write)
+            if probe is not None:
+                probe.on_request_released(rid, proc, lstart, span, write)
             rid += 1
 
 
@@ -385,10 +367,8 @@ def _request(
     warmup_ms: float,
     result: RunResult,
     progress: "_Progress",
-    monitor=None,
     rid: int = -1,
-    tracer=None,
-    collector=None,
+    probe=None,
 ) -> Generator[Event, None, None]:
     """Service one trace request, splitting across arrays if needed."""
     t0 = env.now
@@ -404,16 +384,14 @@ def _request(
         ]
         yield AllOf(env, procs)
 
-    if monitor is not None:
-        monitor.request_completed(rid, env.now)
-    if tracer is not None:
-        tracer.request_completed(rid)
+    if probe is not None:
+        probe.on_request_completed(rid)
     if t0 >= warmup_ms:
         rt = env.now - t0
         result.response.observe(rt)
         (result.write_response if is_write else result.read_response).observe(rt)
         if result.va_response:
             result.va_response[parts[0][0]].observe(rt)
-        if collector is not None:
-            collector.observe_response(rt, is_write)
+        if probe is not None:
+            probe.on_response(rt, is_write)
     progress.one_done()

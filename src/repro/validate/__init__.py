@@ -3,9 +3,9 @@
 Opt-in (``run_trace(..., validate=True)``) runtime verification of the
 simulator's physics:
 
-* :class:`ValidationMonitor` installs passive probes across the kernel,
-  disks, channels, caches and controllers, and fans events out to
-  pluggable :class:`InvariantChecker` s;
+* :class:`ValidationMonitor` subscribes pluggable
+  :class:`InvariantChecker` s to the probe taps of
+  :data:`repro.obs.probes.TAPS` and hooks the kernel's event loop;
 * the stock checkers guard request conservation, parity-group
   consistency, cache accounting and resource sanity;
 * :func:`verify_replay` enforces the determinism contract (same seed ⇒

@@ -138,28 +138,28 @@ class CacheAccountingChecker(InvariantChecker):
                 self._shadows[ai] = _ShadowCache(cache)
                 self._cache_to_array[id(cache)] = ai
 
-    def on_cache_op(self, ctx: CheckContext, cache, op: str, arg: int) -> None:
+    def on_cache_op(self, cache, op: str, arg: int) -> None:
         ai = self._cache_to_array.get(id(cache))
         if ai is None:
             return
         error = self._shadows[ai].apply(op, arg)
         if error is not None:
-            self.fail(f"array {ai}: {error} (t={ctx.env.now:g})")
+            self.fail(f"array {ai}: {error} (t={self.ctx.env.now:g})")
         if cache.occupancy > cache.capacity or cache.free_slots < 0:
             self.fail(
                 f"array {ai}: occupancy {cache.occupancy} exceeds capacity "
-                f"{cache.capacity} after {op!r} (t={ctx.env.now:g})"
+                f"{cache.capacity} after {op!r} (t={self.ctx.env.now:g})"
             )
 
-    def on_handle(self, ctx: CheckContext, controller, lstart, nblocks, is_write) -> None:
+    def on_handle(self, controller, lstart, nblocks, is_write) -> None:
         if getattr(controller, "cache", None) is None:
             return
-        ai = ctx.array_of(controller)
+        ai = self.ctx.array_of(controller)
         counts = self._writes if is_write else self._reads
         counts[ai] = counts.get(ai, 0) + 1
 
-    def on_destage(self, ctx: CheckContext, controller, run) -> None:
-        ai = ctx.array_of(controller)
+    def on_destage(self, controller, run) -> None:
+        ai = self.ctx.array_of(controller)
         self._destaged[ai] = self._destaged.get(ai, 0) + run.nblocks
 
     def finalize(self, ctx: CheckContext, result) -> None:

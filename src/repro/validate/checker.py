@@ -1,12 +1,12 @@
 """Invariant-checker framework.
 
 A checker is a passive observer: the :class:`~repro.validate.monitor.
-ValidationMonitor` fans simulation events out to every attached checker
-(disk submissions/completions, channel transfers, cache mutations,
-request admissions, destages, degraded accesses, request release and
-completion), and calls :meth:`InvariantChecker.finalize` once the run
-ends.  A checker that sees physics violated raises
-:class:`InvariantViolation` with enough context to debug the run.
+ValidationMonitor` subscribes every attached checker to the system's
+probe bus, so a checker receives each tap of
+:data:`~repro.obs.probes.TAPS` it defines an ``on_<tap>`` method for,
+and calls :meth:`InvariantChecker.finalize` once the run ends.  A
+checker that sees physics violated raises :class:`InvariantViolation`
+with enough context to debug the run.
 
 Checkers must never mutate simulation state — they exist so that a
 ``validate=True`` run is *observationally identical* to a normal run.
@@ -18,11 +18,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.array.controller import ArrayController
-    from repro.cache.lru import LRUCache
-    from repro.channel.bus import Channel
     from repro.des import Environment
-    from repro.disk.drive import Disk
-    from repro.disk.request import DiskRequest
     from repro.sim.results import RunResult
 
 __all__ = ["InvariantViolation", "CheckContext", "InvariantChecker"]
@@ -70,13 +66,17 @@ class CheckContext:
 
 
 class InvariantChecker:
-    """Base class: every callback defaults to a no-op.
+    """Base class for invariant checkers.
 
-    Subclasses set :attr:`name` (used in violation messages), override
-    the callbacks they care about, and implement :meth:`finalize`.
+    Subclasses set :attr:`name` (used in violation messages), define an
+    ``on_<tap>`` method for each tap of :data:`~repro.obs.probes.TAPS`
+    they check, e.g. ``on_disk_submit(self, disk, request)``, and
+    implement :meth:`finalize`.  Tap methods read :attr:`ctx`.
     """
 
     name = "invariant"
+    #: The run under observation; set by the monitor before :meth:`attach`.
+    ctx: Optional[CheckContext] = None
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, ctx: CheckContext) -> None:
@@ -85,57 +85,6 @@ class InvariantChecker:
     def finalize(self, ctx: CheckContext, result: Optional["RunResult"]) -> None:
         """Called once after the run ends (*result* may be ``None`` when
         the monitor is used outside :func:`repro.sim.runner.run_trace`)."""
-
-    # -- simulation taps -----------------------------------------------------
-    def on_disk_submit(self, ctx: CheckContext, disk: "Disk", request: "DiskRequest") -> None:
-        pass
-
-    def on_disk_complete(self, ctx: CheckContext, disk: "Disk", request: "DiskRequest") -> None:
-        pass
-
-    def on_channel_transfer(
-        self, ctx: CheckContext, channel: "Channel", nbytes: int, duration: float
-    ) -> None:
-        pass
-
-    def on_cache_op(self, ctx: CheckContext, cache: "LRUCache", op: str, arg: int) -> None:
-        pass
-
-    def on_handle(
-        self, ctx: CheckContext, controller: "ArrayController",
-        lstart: int, nblocks: int, is_write: bool,
-    ) -> None:
-        pass
-
-    def on_destage(self, ctx: CheckContext, controller: "ArrayController", run) -> None:
-        pass
-
-    def on_write_group(self, ctx: CheckContext, controller: "ArrayController", group) -> None:
-        pass
-
-    def on_parity_update(
-        self, ctx: CheckContext, controller: "ArrayController", run, parity_runs
-    ) -> None:
-        pass
-
-    def on_degraded(self, ctx: CheckContext, controller: "ArrayController", kind: str) -> None:
-        pass
-
-    def on_data_loss(
-        self, ctx: CheckContext, controller: "ArrayController", kind: str, disk: int, pblock: int
-    ) -> None:
-        pass
-
-    def on_latent_repair(
-        self, ctx: CheckContext, controller: "ArrayController", disk: int, pblock: int, how: str
-    ) -> None:
-        pass
-
-    def on_request_released(self, ctx: CheckContext, rid: int, time: float) -> None:
-        pass
-
-    def on_request_completed(self, ctx: CheckContext, rid: int, time: float) -> None:
-        pass
 
     # -- helpers -------------------------------------------------------------
     def fail(self, message: str) -> None:

@@ -38,16 +38,18 @@ class RequestConservationChecker(InvariantChecker):
         self._disk_completes = 0
 
     # -- logical requests ----------------------------------------------------
-    def on_request_released(self, ctx: CheckContext, rid: int, time: float) -> None:
+    def on_request_released(self, rid: int, process, lstart, nblocks, is_write) -> None:
+        time = self.ctx.env.now
         if rid in self._released:
             self.fail(f"request {rid} released twice (t={time:g})")
         if not math.isfinite(time) or time < 0.0:
             self.fail(f"request {rid} released at unphysical time {time!r}")
         self._released[rid] = time
-        if time >= ctx.warmup_ms:
+        if time >= self.ctx.warmup_ms:
             self._measured += 1
 
-    def on_request_completed(self, ctx: CheckContext, rid: int, time: float) -> None:
+    def on_request_completed(self, rid: int) -> None:
+        time = self.ctx.env.now
         if rid not in self._released:
             self.fail(f"request {rid} completed but never released")
         if rid in self._completed:
@@ -60,14 +62,15 @@ class RequestConservationChecker(InvariantChecker):
         self._completed.add(rid)
 
     # -- disk accesses -------------------------------------------------------
-    def on_disk_submit(self, ctx: CheckContext, disk, request) -> None:
+    def on_disk_submit(self, disk, request) -> None:
         self._disk_submits += 1
 
-    def on_disk_complete(self, ctx: CheckContext, disk, request) -> None:
+    def on_disk_complete(self, disk, request) -> None:
         self._disk_completes += 1
-        if ctx.env.now < request.submit_time:
+        now = self.ctx.env.now
+        if now < request.submit_time:
             self.fail(
-                f"{disk.name}: {request!r} completed at {ctx.env.now:g}, "
+                f"{disk.name}: {request!r} completed at {now:g}, "
                 f"before its submission at {request.submit_time:g}"
             )
         if request.spin_revolutions < 0 or request.hold_retries < 0:

@@ -62,22 +62,22 @@ def lose_completions(every: int = 2):
     ``request-conservation`` at finalize (requests released but never
     completed).
     """
-    from repro.validate.monitor import ValidationMonitor
+    from repro.validate.conservation import RequestConservationChecker
 
-    orig = ValidationMonitor.request_completed
+    orig = RequestConservationChecker.on_request_completed
     state = {"n": 0}
 
-    def faulty(self, rid, time):
+    def faulty(self, rid):
         state["n"] += 1
         if state["n"] % every == 0:
             return
-        orig(self, rid, time)
+        orig(self, rid)
 
-    ValidationMonitor.request_completed = faulty
+    RequestConservationChecker.on_request_completed = faulty
     try:
         yield
     finally:
-        ValidationMonitor.request_completed = orig
+        RequestConservationChecker.on_request_completed = orig
 
 
 @contextmanager

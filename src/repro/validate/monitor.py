@@ -1,12 +1,11 @@
-"""The validation monitor: probe installation and event fan-out.
+"""The validation monitor: invariant checkers on the probe bus.
 
-:class:`ValidationMonitor` is the single object the simulator knows
-about.  :meth:`~ValidationMonitor.attach` installs it as the probe of
-every disk, channel, cache and controller of the system and registers a
-kernel event hook; each notification is fanned out to the attached
-checkers.  :meth:`~ValidationMonitor.finalize` gives every checker its
-end-of-run audit and then detaches all probes, so a monitored system
-can keep running unobserved afterwards.
+:meth:`ValidationMonitor.attach` subscribes the checkers to the
+system's :class:`~repro.obs.probes.ProbeBus` (each receives the taps of
+:data:`~repro.obs.probes.TAPS` it defines) and registers a kernel event
+hook.  :meth:`~ValidationMonitor.finalize` gives every checker its
+end-of-run audit and then unsubscribes them, so a monitored system can
+keep running unobserved afterwards.
 
 The monitor also owns one invariant itself: the kernel's clock must
 never run backwards (the ``(time, sequence)`` heap contract).
@@ -16,6 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from repro.obs.probes import ProbeBus
 from repro.validate.checker import CheckContext, InvariantChecker, InvariantViolation
 
 __all__ = ["ValidationMonitor", "default_checkers"]
@@ -37,7 +37,7 @@ def default_checkers() -> list[InvariantChecker]:
 
 
 class ValidationMonitor:
-    """Fans simulation events out to a set of invariant checkers.
+    """Runs a set of invariant checkers over a simulation.
 
     Parameters
     ----------
@@ -49,27 +49,24 @@ class ValidationMonitor:
     def __init__(self, checkers: Optional[Iterable[InvariantChecker]] = None) -> None:
         self.checkers = list(checkers) if checkers is not None else default_checkers()
         self.ctx: Optional[CheckContext] = None
+        self._bus: Optional[ProbeBus] = None
         self._hook = None
         self._last_event_time = 0.0
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, env, controllers: Sequence, warmup_ms: float = 0.0) -> "ValidationMonitor":
-        """Install probes on *controllers* and their resources."""
+        """Subscribe the checkers to the probe bus of *controllers*."""
         if self.ctx is not None:
             raise RuntimeError("monitor is already attached")
-        self.ctx = CheckContext(env, controllers, warmup_ms)
-        self._last_event_time = env.now
-        for ctrl in self.ctx.controllers:
-            ctrl.probe = self
-            ctrl.channel.probe = self
-            for disk in ctrl.disks:
-                disk.probe = self
-            cache = getattr(ctrl, "cache", None)
-            if cache is not None:
-                cache.probe = self
-        self._hook = env.on_event(self._on_kernel_event)
+        ctx = CheckContext(env, controllers, warmup_ms)
         for checker in self.checkers:
-            checker.attach(self.ctx)
+            checker.ctx = ctx
+            checker.attach(ctx)
+        bus = ProbeBus.of(ctx.controllers)
+        bus.subscribe(*self.checkers)
+        self.ctx, self._bus = ctx, bus
+        self._last_event_time = env.now
+        self._hook = env.on_event(self._on_kernel_event)
         return self
 
     def finalize(self, result=None) -> None:
@@ -82,20 +79,13 @@ class ValidationMonitor:
             self.detach()
 
     def detach(self) -> None:
-        """Remove all probes; the system continues unobserved."""
+        """Unsubscribe the checkers; the system continues unobserved."""
         if self.ctx is None:
             return
-        for ctrl in self.ctx.controllers:
-            ctrl.probe = None
-            ctrl.channel.probe = None
-            for disk in ctrl.disks:
-                disk.probe = None
-            cache = getattr(ctrl, "cache", None)
-            if cache is not None:
-                cache.probe = None
-        if self._hook is not None:
-            self.ctx.env.off_event(self._hook)
-            self._hook = None
+        self._bus.unsubscribe(*self.checkers)
+        self._bus = None
+        self.ctx.env.off_event(self._hook)
+        self._hook = None
         self.ctx = None
 
     def _require_ctx(self) -> CheckContext:
@@ -111,80 +101,3 @@ class ValidationMonitor:
                 f"clock ran backwards: event at {time:g} after {self._last_event_time:g}",
             )
         self._last_event_time = time
-
-    # -- probe interface (called by the instrumented simulator) ---------------
-    def on_disk_submit(self, disk, request) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_disk_submit(ctx, disk, request)
-
-    def on_disk_complete(self, disk, request) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_disk_complete(ctx, disk, request)
-
-    def on_channel_transfer(self, channel, nbytes, duration) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_channel_transfer(ctx, channel, nbytes, duration)
-
-    def on_cache_op(self, cache, op: str, arg: int) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_cache_op(ctx, cache, op, arg)
-
-    def on_handle(self, controller, lstart: int, nblocks: int, is_write: bool) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_handle(ctx, controller, lstart, nblocks, is_write)
-
-    def on_destage(self, controller, run) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_destage(ctx, controller, run)
-
-    def on_write_group(self, controller, group) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_write_group(ctx, controller, group)
-
-    def on_parity_update(self, controller, run, parity_runs) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_parity_update(ctx, controller, run, parity_runs)
-
-    def on_degraded(self, controller, kind: str) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_degraded(ctx, controller, kind)
-
-    def on_data_loss(self, controller, kind: str, disk: int, pblock: int) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_data_loss(ctx, controller, kind, disk, pblock)
-
-    def on_latent_repair(self, controller, disk: int, pblock: int, how: str) -> None:
-        ctx = self.ctx
-        for checker in self.checkers:
-            checker.on_latent_repair(ctx, controller, disk, pblock, how)
-
-    # -- tracing-only taps (consumed by repro.obs; validation ignores them) ---
-    def on_disk_phase(self, disk, request, phase: str, t0: float, t1: float) -> None:
-        pass
-
-    def on_channel_request(self, channel, nbytes: int) -> None:
-        pass
-
-    def on_mirror_route(self, controller, run, chosen, alternate, seek_chosen, seek_alt) -> None:
-        pass
-
-    # -- workload notifications (called by the runner) -------------------------
-    def request_released(self, rid: int, time: float) -> None:
-        ctx = self._require_ctx()
-        for checker in self.checkers:
-            checker.on_request_released(ctx, rid, time)
-
-    def request_completed(self, rid: int, time: float) -> None:
-        ctx = self._require_ctx()
-        for checker in self.checkers:
-            checker.on_request_completed(ctx, rid, time)

@@ -72,7 +72,7 @@ class ParityConsistencyChecker(InvariantChecker):
         return bool(is_failed(disk, pblock))
 
     # -- plan-level checks ---------------------------------------------------
-    def on_write_group(self, ctx: CheckContext, controller, group) -> None:
+    def on_write_group(self, controller, group) -> None:
         layout = controller.layout
         if not layout.has_parity:
             return
@@ -88,13 +88,13 @@ class ParityConsistencyChecker(InvariantChecker):
                 self.fail(
                     f"write group ({group.mode.value}) updates lblock {lblock} "
                     f"but not its parity at disk {addr.disk} "
-                    f"pblock {addr.block} (t={ctx.env.now:g})"
+                    f"pblock {addr.block} (t={self.ctx.env.now:g})"
                 )
         self._groups_checked += 1
 
-    def on_parity_update(self, ctx: CheckContext, controller, run, parity_runs) -> None:
+    def on_parity_update(self, controller, run, parity_runs) -> None:
         layout = controller.layout
-        ai = ctx.array_of(controller)
+        ai = self.ctx.array_of(controller)
         provided = {
             (prun.disk, pb)
             for prun in parity_runs
@@ -109,7 +109,7 @@ class ParityConsistencyChecker(InvariantChecker):
                 self.fail(
                     f"destage of lblock {lblock} (disk {run.disk}, "
                     f"pblocks [{run.start}, {run.end})) omits its parity at "
-                    f"disk {addr.disk} pblock {addr.block} (t={ctx.env.now:g})"
+                    f"disk {addr.disk} pblock {addr.block} (t={self.ctx.env.now:g})"
                 )
         self._groups_checked += 1
 
@@ -130,8 +130,8 @@ class ParityConsistencyChecker(InvariantChecker):
         return out
 
     # -- stream-level checks ---------------------------------------------------
-    def on_disk_submit(self, ctx: CheckContext, disk, request) -> None:
-        info = ctx.disk_info.get(disk)
+    def on_disk_submit(self, disk, request) -> None:
+        info = self.ctx.disk_info.get(disk)
         if info is None or request.kind not in _WRITE_KINDS:
             return
         ai, di, ctrl = info
@@ -142,8 +142,8 @@ class ParityConsistencyChecker(InvariantChecker):
             if layout.is_parity_block(di, pb):
                 self._parity_writes[ai] = self._parity_writes.get(ai, 0) + 1
 
-    def on_disk_complete(self, ctx: CheckContext, disk, request) -> None:
-        info = ctx.disk_info.get(disk)
+    def on_disk_complete(self, disk, request) -> None:
+        info = self.ctx.disk_info.get(disk)
         if info is None or request.kind not in _WRITE_KINDS:
             return
         ai, di, ctrl = info

@@ -41,22 +41,22 @@ class ResourceSanityChecker(InvariantChecker):
             self._shadows[ai] = _ChannelShadow()
             self._channel_to_array[id(ctrl.channel)] = ai
 
-    def on_channel_transfer(self, ctx: CheckContext, channel, nbytes, duration) -> None:
+    def on_channel_transfer(self, channel, nbytes, duration) -> None:
         ai = self._channel_to_array.get(id(channel))
         if ai is None:
             return
         if nbytes <= 0 or duration <= 0 or not math.isfinite(duration):
             self.fail(
                 f"array {ai}: channel moved {nbytes} byte(s) in "
-                f"{duration:g} ms (t={ctx.env.now:g})"
+                f"{duration:g} ms (t={self.ctx.env.now:g})"
             )
         shadow = self._shadows[ai]
         shadow.bytes += nbytes
         shadow.busy += duration
         shadow.count += 1
 
-    def on_disk_submit(self, ctx: CheckContext, disk, request) -> None:
-        info = ctx.disk_info.get(disk)
+    def on_disk_submit(self, disk, request) -> None:
+        info = self.ctx.disk_info.get(disk)
         if info is None:
             return
         ai, di, _ = info

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import Environment, Event
+from repro.obs import ProbeBus
 from repro.sim import run_trace
 from repro.sim.system import build_system
 from repro.validate import (
@@ -24,12 +25,14 @@ class TestLifecycle:
     def test_attach_installs_probes_everywhere(self):
         env, system = self._system()
         monitor = ValidationMonitor().attach(env, system.controllers)
+        bus = system.controllers[0].probe
+        assert isinstance(bus, ProbeBus) and bus.subscribers == monitor.checkers
         for ctrl in system.controllers:
-            assert ctrl.probe is monitor
-            assert ctrl.channel.probe is monitor
-            assert ctrl.cache.probe is monitor
+            assert ctrl.probe is bus
+            assert ctrl.channel.probe is bus
+            assert ctrl.cache.probe is bus
             for disk in ctrl.disks:
-                assert disk.probe is monitor
+                assert disk.probe is bus
 
     def test_finalize_detaches_all_probes(self):
         env, system = self._system()
@@ -64,7 +67,7 @@ class TestLifecycle:
         class Recorder(InvariantChecker):
             name = "recorder"
 
-            def on_disk_submit(self, ctx, disk, request):
+            def on_disk_submit(self, disk, request):
                 seen.append(request.start_block)
 
         cfg = config(org="base")
