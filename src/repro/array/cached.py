@@ -103,25 +103,31 @@ class CachedController(ArrayController):
                 cache.touch(b)
         # Claim slots (evicting / waiting as needed), then fetch.
         yield from self._acquire_slots(len(missing))
-        addrs = [(b, self.layout.map_block(b)) for b in missing]
-        runs = merge_runs([a for _, a in addrs])
-        fetches = [self.env.process(self._fetch_run(run)) for run in runs]
+        env = self.env
+        fetches = []
+        i = 0
+        for run in self.layout.runs_of(missing):
+            j = i + run.nblocks
+            fetches.append(env.process(self._fetch_run(run, missing[i:j])))
+            i = j
         if fetches:
-            yield AllOf(self.env, fetches)
+            yield AllOf(env, fetches)
         yield from self._channel_transfer(nblocks)
 
-    def _fetch_run(self, run: Run) -> Generator[Event, None, None]:
-        """Read a physically contiguous run of missed blocks into the cache."""
+    def _fetch_run(self, run: Run, lblocks: list[int]) -> Generator[Event, None, None]:
+        """Read a physically contiguous run of missed blocks into the cache.
+
+        *lblocks* are the run's logical blocks, in physical order.
+        """
         req = self._pick_read_disk(run).submit(
             DiskRequest(AccessKind.READ, run.start, run.nblocks)
         )
         yield req.done
-        for pblock in range(run.start, run.end):
-            lblock = self.layout.logical_of(run.disk, pblock)
-            assert lblock is not None
-            self.cache.release_slots(1)
-            if self.cache.get(lblock) is None:
-                self.cache.insert_clean(lblock)
+        cache = self.cache
+        for lblock in lblocks:
+            cache.release_slots(1)
+            if cache.get(lblock) is None:
+                cache.insert_clean(lblock)
             else:
                 self._notify_slot()  # raced with another inserter
 

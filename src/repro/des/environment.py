@@ -1,14 +1,27 @@
-"""The simulation environment: virtual clock and event queue.
+"""The simulation environment: virtual clock and event queues.
 
-The environment owns a binary-heap event queue keyed by
-``(time, sequence)``; the sequence number is a monotonically increasing
-counter, so same-time events are processed in the order they were
-scheduled.  Combined with seeded random number generators this makes every
-simulation run bit-for-bit reproducible.
+Every scheduled event takes the next value of a monotonically increasing
+sequence number, and events are processed in ``(time, sequence)`` order:
+by time, and in the order they were scheduled within one time.  Combined
+with seeded random number generators this makes every simulation run
+bit-for-bit reproducible.
+
+Two queues hold the pending events.  Most events are due at the very
+instant they are scheduled (a succeeded event, a process start or
+completion, a zero-delay timeout); they go to a FIFO *ready queue*.
+Later events go on a binary heap of ``(time, sequence, event)`` entries.
+The ready queue is dispatched first.  When it runs dry the clock advances
+to the heap's earliest time, and every heap entry due then moves to the
+ready queue before anything is dispatched.  Those entries were scheduled
+before the clock reached that time, so their sequence numbers are smaller
+than those of anything scheduled at it, and the dispatch order is exactly
+``(time, sequence)``: the queue split saves heap pushes and pops, not
+events.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional, Union
 
@@ -43,6 +56,7 @@ class Environment:
 
     __slots__ = (
         "_now",
+        "_ready",
         "_queue",
         "_seq",
         "_active_proc",
@@ -52,6 +66,9 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
+        # Events due at ``_now``, in sequence order.
+        self._ready: deque[Event] = deque()
+        # Later events as ``(time, sequence, event)`` heap entries.
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._active_proc: Optional[Process] = None
@@ -104,35 +121,55 @@ class Environment:
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Insert *event* into the queue ``delay`` time units from now.
 
+        An event due now joins the ready queue, a later one the heap.
         A NaN delay is rejected: it would make the clock NaN.  A negative
         one is not: this is the raw insertion the validation suite uses
-        to plant an out-of-order event.
+        to plant an out-of-order event.  Such a past event goes on the
+        heap, so it is dispatched after the current instant's ready
+        events, and the clock then runs backwards to its time, which the
+        validation monitor's event-order checker reports.
         """
         if delay != delay:
             raise ValueError(f"invalid delay {delay} (must be >= 0)")
         self._seq += 1
-        heappush(self._queue, (self._now + delay, self._seq, event))
+        at = self._now + delay
+        if at == self._now:
+            self._ready.append(event)
+        else:
+            heappush(self._queue, (at, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._ready:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the next event.
 
-        Advances the clock, pops the event, runs its callbacks.  If the
+        Takes the head of the ready queue or, when that is empty, advances
+        the clock to the heap's earliest time and moves every entry due
+        then to the ready queue; then runs the event's callbacks.  If the
         event failed and no handler defused the failure, the exception is
         re-raised here so that programming errors inside processes surface
-        instead of being swallowed.
+        instead of being swallowed.  Raises :class:`EmptySchedule` when
+        both queues are empty.
 
         The dispatch body is intentionally duplicated inside the
         :meth:`run` hot loops; any semantic change here must be mirrored
         there (the kernel test-suite pins the shared behavior).
         """
-        try:
-            self._now, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
+        ready = self._ready
+        if ready:
+            event = ready.popleft()
+        else:
+            queue = self._queue
+            if not queue:
+                raise EmptySchedule()
+            now, _, event = heappop(queue)
+            self._now = now
+            while queue and queue[0][0] == now:
+                ready.append(heappop(queue)[2])
 
         if self._event_hooks is not None:
             for hook in self._event_hooks:
@@ -173,10 +210,11 @@ class Environment:
         ----------
         until:
             ``None``
-                run until the event queue is exhausted;
+                run until both event queues are exhausted;
             a number
-                run until the clock reaches that time (the clock is set to
-                exactly ``until`` on return);
+                dispatch every event due at or before that time, the
+                ready ones included, and set the clock to exactly
+                ``until``;
             an :class:`Event`
                 run until that event has been processed and return its
                 value (re-raising its exception if it failed).
@@ -200,19 +238,25 @@ class Environment:
             # Hot loop: local bindings, inlined dispatch.  ``resume`` is
             # the unbound method, called as ``resume(proc, event)`` to
             # avoid allocating a bound method per fast-lane event.
+            ready = self._ready
+            popleft = ready.popleft
             queue = self._queue
             pool = self._timeout_pool
             pop = heappop
             timeout_t = Timeout
             resume = Process._resume
             while not flag:
-                if not queue:
-                    if stop is None:
-                        return None
-                    raise RuntimeError(
-                        f"no more events; {stop!r} never triggered"
-                    ) from None
-                self._now, _, event = pop(queue)
+                if ready:
+                    event = popleft()
+                elif queue:
+                    now, _, event = pop(queue)
+                    self._now = now
+                    while queue and queue[0][0] == now:
+                        ready.append(pop(queue)[2])
+                elif stop is None:
+                    return None
+                else:
+                    raise RuntimeError(f"no more events; {stop!r} never triggered")
 
                 hooks = self._event_hooks
                 if hooks is not None:
@@ -251,7 +295,7 @@ class Environment:
         at = float(until)
         if at < self._now:
             raise ValueError(f"until ({at}) must be >= now ({self._now})")
-        while self._queue and self._queue[0][0] <= at:
+        while self._ready or (self._queue and self._queue[0][0] <= at):
             self.step()
         self._now = at
         return None
@@ -278,8 +322,13 @@ class Environment:
             event.delay = delay
             event._value = value
             event.callbacks = []
+            # ``schedule(event, delay)`` inlined.
             self._seq += 1
-            heappush(self._queue, (self._now + delay, self._seq, event))
+            at = self._now + delay
+            if at == self._now:
+                self._ready.append(event)
+            else:
+                heappush(self._queue, (at, self._seq, event))
             return event
         return Timeout(self, delay, value)
 

@@ -8,14 +8,14 @@ states:
 ``pending``
     created but not yet triggered; ``callbacks`` is a (possibly empty) list.
 ``triggered``
-    an outcome has been set and the event sits in the environment's queue.
+    an outcome has been set and the event sits in one of the environment's
+    queues.
 ``processed``
     the environment has invoked the callbacks; ``callbacks`` is ``None``.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -102,10 +102,10 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # ``env.schedule(self)`` inlined: the same (time, sequence) key.
+        # ``env.schedule(self)`` inlined: due now, so the ready queue.
         env = self.env
         env._seq += 1
-        heappush(env._queue, (env._now, env._seq, self))
+        env._ready.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":

@@ -69,6 +69,11 @@ class Tally:
         v = self.variance
         return math.sqrt(v) if v == v else math.nan  # NaN-safe
 
+    @property
+    def keeps_samples(self) -> bool:
+        """True if every observation is stored (``keep_samples=True``)."""
+        return self._samples is not None
+
     def percentile(self, q: float) -> float:
         """Exact percentile ``q`` in [0, 100]; requires stored samples.
 
@@ -176,7 +181,14 @@ class TimeWeighted:
             self.min = value
 
     def mean(self, now: float) -> float:
-        """Time-weighted mean over ``[start, now]``."""
+        """Time-weighted mean over ``[start, now]``.
+
+        Raises :class:`ValueError` if *now* is before the last change,
+        as :meth:`update` does: the signal's last value would be
+        integrated over a negative span.
+        """
+        if now < self._last_time:
+            raise ValueError(f"time went backwards: {now} < {self._last_time}")
         span = now - self._start
         if span <= 0:
             return math.nan

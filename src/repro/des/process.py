@@ -9,7 +9,6 @@ processes can wait for each other.
 
 from __future__ import annotations
 
-from heapq import heappush
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
@@ -63,7 +62,7 @@ class Process(Event):
         init.callbacks = [self._resume]
         # ``env.schedule(init)``, inlined as in Event.succeed.
         env._seq += 1
-        heappush(env._queue, (env._now, env._seq, init))
+        env._ready.append(init)
         #: The event this process is currently waiting on.
         self._target: Optional[Event] = init
 
@@ -82,7 +81,10 @@ class Process(Event):
 
         The process stops waiting on its current target (it may re-yield
         it to continue waiting) and the ``Interrupt`` exception is raised
-        at the point of the current ``yield``.
+        at the point of the current ``yield``.  Interrupts sent in one
+        instant arrive one after another, each at the wait the process
+        reached after the one before; one sent to a process that has
+        ended by the time it arrives is dropped.
         """
         if not self.is_alive:
             raise RuntimeError(f"{self!r} has terminated; cannot interrupt")
@@ -93,9 +95,18 @@ class Process(Event):
         interrupt_ev._ok = False
         interrupt_ev._exc = Interrupt(cause)
         interrupt_ev._defused = True
-        # Detach from the current target so a late trigger does not resume
-        # the process twice.  A timeout holding us in its fast-lane slot is
-        # cleared the same way a list waiter would be removed.
+        # Detach now so a late trigger of the target does not resume the
+        # process before the interrupt does.
+        self._detach()
+        interrupt_ev.callbacks = [self._interrupted]
+        self.env.schedule(interrupt_ev)
+
+    def _detach(self) -> None:
+        """Stop waiting on the current target.
+
+        A timeout holding this process in its fast-lane slot is cleared
+        the same way a list waiter is removed.
+        """
         target = self._target
         if target is not None:
             if type(target) is Timeout and target._proc is self:
@@ -106,8 +117,16 @@ class Process(Event):
                 except ValueError:  # pragma: no cover - defensive
                     pass
         self._target = None
-        interrupt_ev.callbacks = [self._resume]
-        self.env.schedule(interrupt_ev)
+
+    def _interrupted(self, event: Event) -> None:
+        """Deliver an interrupt to whatever the process waits on now.
+
+        An earlier interrupt of the same instant may have resumed the
+        process into a new wait, or ended it.
+        """
+        if self.is_alive:
+            self._detach()
+            self._resume(event)
 
     # -- machinery ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -128,7 +147,9 @@ class Process(Event):
                 self._target = None
                 self._ok = True
                 self._value = stop.value
-                env.schedule(self)
+                # ``env.schedule(self)``, inlined as in Event.succeed.
+                env._seq += 1
+                env._ready.append(self)
                 break
             except BaseException as error:
                 self._target = None

@@ -82,7 +82,7 @@ class Release(Event):
         self._defused = False
         self.request = request
         env._seq += 1
-        heapq.heappush(env._queue, (env._now, env._seq, self))
+        env._ready.append(self)
 
 
 class Resource:

@@ -100,8 +100,9 @@ class Layout(ABC):
     (logical block to ``(disk, block)``, unchecked).  :meth:`map_block`
     adds the range check and the :class:`PhysicalAddress`;
     :meth:`_runs` coalesces the mapping of a whole request into
-    :class:`Run` s and is what :meth:`read_runs` and the write planners
-    use, so a request is range-checked once, not once per block.
+    :class:`Run` s and is what :meth:`read_runs`, :meth:`runs_of` and the
+    write planners use, so a request is range-checked once, not once per
+    block.
 
     Parameters
     ----------
@@ -176,6 +177,20 @@ class Layout(ABC):
         """Physical runs servicing a logical read ``[lstart, lstart+n)``."""
         self._check_range(lstart, nblocks)
         return self._runs(range(lstart, lstart + nblocks))
+
+    def runs_of(self, lblocks: list[int]) -> list[Run]:
+        """Physical runs of the logical blocks *lblocks*, in their order.
+
+        ``merge_runs([map_block(b) for b in lblocks])`` with one range
+        check for the whole list; a cached read plans the blocks it
+        missed this way.  Run ``i`` covers the next ``runs[i].nblocks``
+        entries of *lblocks*.
+        """
+        if not lblocks:
+            return []
+        lo, hi = min(lblocks), max(lblocks)
+        self._check_range(lo, hi - lo + 1)
+        return self._runs(lblocks)
 
     @abstractmethod
     def write_plan(self, lstart: int, nblocks: int, rmw_threshold: float = 0.5) -> list[WriteGroup]:

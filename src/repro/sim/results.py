@@ -129,13 +129,17 @@ class RunResult:
 
     def summary(self) -> str:
         """Human-readable one-run report."""
+        if self.response.keeps_samples:
+            p95 = f"{self.p95_response_ms:.2f} ms"
+        else:
+            p95 = "n/a (samples not kept)"
         lines = [
             f"{self.name}: {self.organization} N={self.n} x{self.narrays} arrays",
             f"  requests measured   {self.response.count:,} "
             f"({self.requests:,} total, warmup {self.warmup_ms:.0f} ms)",
             f"  mean response       {self.mean_response_ms:.2f} ms "
             f"(reads {self.read_response.mean:.2f}, writes {self.write_response.mean:.2f})",
-            f"  p95 response        {self.p95_response_ms:.2f} ms",
+            f"  p95 response        {p95}",
             f"  disk utilization    mean {self.mean_disk_utilization:.1%}, "
             f"max {self.max_disk_utilization:.1%}",
         ]

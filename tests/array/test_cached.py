@@ -4,6 +4,7 @@ import pytest
 
 from repro.des import Environment
 from repro.disk import DiskGeometry
+from repro.obs import ProbeBus
 from repro.sim import Organization, SystemConfig
 from repro.sim.system import build_system
 
@@ -76,6 +77,32 @@ class TestReadPath:
         blocks_before = sum(d.blocks_transferred for d in ctrl.disks)
         run_one(env, ctrl, 5, 2, False)
         assert sum(d.blocks_transferred for d in ctrl.disks) == blocks_before + 1
+
+    def test_scattered_misses_read_once_per_physical_run(self):
+        """Resident blocks split the misses, and so does the disk boundary
+        at block 240: one read per maximal run of missing blocks, and
+        exactly the missing blocks inserted."""
+        env, ctrl = make("base")
+        for b in (238, 241):
+            run_one(env, ctrl, b, 1, False)
+
+        class Seen:
+            def __init__(self):
+                self.reads, self.inserted = [], []
+
+            def on_disk_submit(self, disk, request):
+                self.reads.append((ctrl.disks.index(disk), request.start_block, request.nblocks))
+
+            def on_cache_op(self, cache, op, arg):
+                if op == "insert_clean":
+                    self.inserted.append(arg)
+
+        seen = Seen()
+        ProbeBus.of([ctrl]).subscribe(seen)
+        run_one(env, ctrl, 236, 8, False)
+        assert seen.reads == [(0, 236, 2), (0, 239, 1), (1, 0, 1), (1, 2, 2)]
+        assert sorted(seen.inserted) == [236, 237, 239, 240, 242, 243]
+        assert ctrl.cache.read_misses == 3
 
 
 class TestWritePath:

@@ -158,6 +158,14 @@ class TestTimeWeighted:
         with pytest.raises(ValueError):
             tw.update(5.0, 1.0)
 
+    def test_mean_before_last_change_rejected(self):
+        """A queue that held 1 from t=10 has no mean at t=5 (it was -1)."""
+        tw = TimeWeighted(0.0, 0.0)
+        tw.add(10.0, 1)
+        with pytest.raises(ValueError, match="time went backwards"):
+            tw.mean(5.0)
+        assert tw.mean(10.0) == 0.0
+
     def test_mean_of_empty_span_is_nan(self):
         tw = TimeWeighted(0.0, 1.0)
         assert math.isnan(tw.mean(0.0))

@@ -252,6 +252,46 @@ class TestInterrupt:
         env.run()
         assert p.value == 10.0
 
+    def test_two_interrupts_in_one_instant_arrive_in_turn(self, env):
+        """The second interrupt reaches the wait the first one led to."""
+        log = []
+
+        def victim(env):
+            for _ in range(3):
+                try:
+                    yield env.timeout(10)
+                    log.append(("slept", env.now))
+                except Interrupt as i:
+                    log.append((i.cause, env.now))
+
+        def attacker(env, p):
+            yield env.timeout(1)
+            p.interrupt("first")
+            p.interrupt("second")
+
+        p = env.process(victim(env))
+        env.process(attacker(env, p))
+        env.run()
+        assert log == [("first", 1.0), ("second", 1.0), ("slept", 11.0)]
+        assert p.processed and p.ok
+
+    def test_interrupt_of_a_process_ended_by_an_earlier_one_is_dropped(self, env):
+        def victim(env):
+            try:
+                yield env.timeout(10)
+            except Interrupt as i:
+                return i.cause
+
+        def attacker(env, p):
+            yield env.timeout(1)
+            p.interrupt("first")
+            p.interrupt("second")
+
+        p = env.process(victim(env))
+        env.process(attacker(env, p))
+        env.run()
+        assert p.value == "first" and env.now == 10.0
+
 
 class TestEnvironmentRun:
     def test_run_until_time(self, env):

@@ -1,7 +1,7 @@
 """Request planning equals the per-block reference, run for run.
 
-``read_runs`` and ``write_plan`` must produce exactly what mapping each
-logical block on its own and coalescing the addresses with
+``read_runs``, ``runs_of`` and ``write_plan`` must produce exactly what
+mapping each logical block on its own and coalescing the addresses with
 :func:`merge_runs` produces.  The write-plan reference below is the
 straightforward per-block formulation of the Base, Mirror and striped
 planners: every data and reconstruct-read run is ``merge_runs`` over
@@ -144,13 +144,20 @@ def _assert_same_groups(got, want):
         assert g.parity_runs == w.parity_runs
 
 
-@given(requests())
+@given(requests(), st.data())
 @settings(max_examples=400, deadline=None)
-def test_read_runs_equal_per_block_merge(request):
+def test_read_runs_equal_per_block_merge(request, data):
     layout, lstart, nblocks = request
-    assert layout.read_runs(lstart, nblocks) == _per_block(
-        layout, range(lstart, lstart + nblocks)
+    blocks = range(lstart, lstart + nblocks)
+    assert layout.read_runs(lstart, nblocks) == _per_block(layout, blocks)
+    # A partial cache miss plans the request's blocks minus the resident
+    # ones: an ascending subset with holes anywhere.
+    holes = data.draw(
+        st.lists(st.tuples(st.integers(0, nblocks - 1), st.integers(1, 16)), max_size=8)
     )
+    resident = {lstart + i for at, k in holes for i in range(at, at + k)}
+    missed = [b for b in blocks if b not in resident]
+    assert layout.runs_of(missed) == _per_block(layout, missed)
 
 
 @given(requests(PER_BLOCK_PLANNERS), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.0]))

@@ -49,6 +49,21 @@ def _assert_identical(a, b, events=True):
         assert ma.channel_utilization == mb.channel_utilization
 
 
+class TestRunWithoutSamples:
+    def test_summary_reports_p95_as_unavailable(self):
+        """A long streamed run drops its sample store; its report still
+        renders, while the p95 itself keeps refusing to answer."""
+        stream = TraceStream(GEN, chunk_requests=128)
+        result = run_trace(
+            _config(Organization.BASE), stream, warmup_ms=0.0, keep_samples=False
+        )
+        text = result.summary()
+        assert "p95 response        n/a (samples not kept)" in text
+        assert "mean response" in text
+        with pytest.raises(ValueError, match="keep_samples"):
+            result.p95_response_ms
+
+
 class TestStreamVsMaterialized:
     @pytest.mark.parametrize("kw", ORGS, ids=lambda kw: kw["org"].value)
     def test_bit_identical_run(self, kw):
