@@ -33,7 +33,8 @@ DEFAULT_EXPERIMENTS = ["fig5", "fig8"]
 
 def bench_experiment(exp_id: str, scale: float) -> dict:
     from repro.analytic.validation import CAMPAIGN_TOLERANCE
-    from repro.experiments.points import run_points, with_backend
+    from repro.experiments.parallel import run_points
+    from repro.experiments.points import with_backend
     from repro.experiments.registry import get_experiment
 
     exp = get_experiment(exp_id)

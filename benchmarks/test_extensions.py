@@ -1,12 +1,14 @@
 """Benchmarks for the extension experiments (ablations beyond the paper)."""
 
-from repro.experiments.extensions import (
-    run_destage_policies,
-    run_parity_grain,
-    run_rebuild,
-    run_scheduler,
-    run_spindle_sync,
-)
+from functools import partial
+
+from repro.experiments import run_experiment
+from repro.experiments.extensions import run_rebuild
+
+run_destage_policies = partial(run_experiment, "ext-destage")
+run_parity_grain = partial(run_experiment, "ext-parity-grain")
+run_scheduler = partial(run_experiment, "ext-scheduler")
+run_spindle_sync = partial(run_experiment, "ext-spindle")
 
 
 def test_ext_rebuild(bench_experiment):

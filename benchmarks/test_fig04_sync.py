@@ -1,6 +1,10 @@
 """Figure 4 benchmark: synchronization policies vs array size."""
 
-from repro.experiments.fig04_sync import run
+from functools import partial
+
+from repro.experiments import run_experiment
+
+run = partial(run_experiment, "fig4")
 
 
 def test_fig04_sync_policies(bench_experiment):

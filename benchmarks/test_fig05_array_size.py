@@ -1,6 +1,10 @@
 """Figure 5 benchmark: response time vs array size, uncached."""
 
-from repro.experiments.fig05_array_size import run
+from functools import partial
+
+from repro.experiments import run_experiment
+
+run = partial(run_experiment, "fig5")
 
 
 def test_fig05_array_size(bench_experiment):

@@ -1,8 +1,12 @@
 """Figures 8, 14 and 19 benchmarks: striping unit sweeps."""
 
-from repro.experiments.fig08_striping_unit import run as run_fig8
-from repro.experiments.fig14_cached_striping import run as run_fig14
-from repro.experiments.fig17_19_parity_cache_params import run_fig19
+from functools import partial
+
+from repro.experiments import run_experiment
+
+run_fig8 = partial(run_experiment, "fig8")
+run_fig14 = partial(run_experiment, "fig14")
+run_fig19 = partial(run_experiment, "fig19")
 
 
 def test_fig08_striping_unit_uncached(bench_experiment):

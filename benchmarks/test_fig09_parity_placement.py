@@ -1,6 +1,10 @@
 """Figure 9 benchmark: Parity Striping parity placement."""
 
-from repro.experiments.fig09_parity_placement import run
+from functools import partial
+
+from repro.experiments import run_experiment
+
+run = partial(run_experiment, "fig9")
 
 
 def test_fig09_parity_placement(bench_experiment):

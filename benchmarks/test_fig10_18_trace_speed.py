@@ -1,7 +1,11 @@
 """Figures 10 and 18 benchmarks: trace-speed sweeps."""
 
-from repro.experiments.fig10_trace_speed import run as run_fig10
-from repro.experiments.fig17_19_parity_cache_params import run_fig18
+from functools import partial
+
+from repro.experiments import run_experiment
+
+run_fig10 = partial(run_experiment, "fig10")
+run_fig18 = partial(run_experiment, "fig18")
 
 
 def test_fig10_trace_speed_uncached(bench_experiment):

@@ -1,7 +1,11 @@
 """Figures 11 and 15 benchmarks: hit-ratio curves."""
 
-from repro.experiments.fig11_hit_ratios import run as run_fig11
-from repro.experiments.fig15_16_parity_cache import run_fig15
+from functools import partial
+
+from repro.experiments import run_experiment
+
+run_fig11 = partial(run_experiment, "fig11")
+run_fig15 = partial(run_experiment, "fig15")
 
 
 def test_fig11_hit_ratios(bench_experiment):

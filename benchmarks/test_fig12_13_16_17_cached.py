@@ -1,9 +1,13 @@
 """Figures 12, 13, 16 and 17 benchmarks: cached-organization sweeps."""
 
-from repro.experiments.fig12_cache_size import run as run_fig12
-from repro.experiments.fig13_cached_array_size import run as run_fig13
-from repro.experiments.fig15_16_parity_cache import run_fig16
-from repro.experiments.fig17_19_parity_cache_params import run_fig17
+from functools import partial
+
+from repro.experiments import run_experiment
+
+run_fig12 = partial(run_experiment, "fig12")
+run_fig13 = partial(run_experiment, "fig13")
+run_fig16 = partial(run_experiment, "fig16")
+run_fig17 = partial(run_experiment, "fig17")
 
 
 def test_fig12_cache_size(bench_experiment):

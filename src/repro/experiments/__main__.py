@@ -6,9 +6,12 @@ Usage::
     python -m repro.experiments fig5 [fig8 ...] [--scale 0.5] [--json out.json]
     python -m repro.experiments all --scale 0.25 --jobs 8
 
-``--jobs N`` fans the campaign's independent simulation points out over
-N worker processes; the merged output is byte-identical to a serial run
-(``--jobs 1``, the default).  ``--jobs 0`` uses one worker per core.
+Every invocation runs through the campaign engine
+(:func:`repro.experiments.parallel.run_campaign`).  ``--jobs N`` fans
+the campaign's independent simulation points out over N worker
+processes; the merged output is byte-identical to a serial run
+(``--jobs 1``, the default, which runs and prints one experiment at a
+time).  ``--jobs 0`` uses one worker per core.
 
 ``--manifest PATH`` records per-point telemetry (JSONL manifest plus a
 ``*.summary.json``); ``--resume`` serves unchanged points from the
@@ -23,7 +26,11 @@ import json
 import sys
 import time
 
+from repro.experiments.ascii_plot import render_chart
+from repro.experiments.parallel import ProgressPrinter, default_jobs, run_campaign
 from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.telemetry import CampaignRecorder
+from repro.experiments.trace_cache import stats
 
 __all__ = ["main"]
 
@@ -85,28 +92,30 @@ def main(argv: list[str] | None = None) -> int:
 
     ids = list(EXPERIMENTS) if args.ids == ["all"] else args.ids
     # Resolve aliases (e.g. fig05 -> fig5) and fail early on unknown ids.
-    ids = [get_experiment(i).exp_id for i in ids]
+    experiments = [get_experiment(i) for i in ids]
+    ids = [exp.exp_id for exp in experiments]
+    if args.backend != "des":
+        for exp in experiments:
+            if exp.run is not None:
+                why = "has no point decomposition; running on"
+            elif any(point.des_only for point in exp.points(args.scale)):
+                why = "simulates failure scenarios; running those points on"
+            else:
+                continue
+            print(f"note: {exp.exp_id} {why} the DES backend", file=sys.stderr)
 
-    jobs = args.jobs
-    campaign = None
-    recorder = None
-    if jobs != 1 or args.manifest or args.resume:
-        from repro.experiments.parallel import (
-            ProgressPrinter,
-            default_jobs,
-            run_campaign,
-        )
-
-        if jobs <= 0:
-            jobs = default_jobs()
-        if args.manifest:
-            from repro.experiments.telemetry import CampaignRecorder
-
-            recorder = CampaignRecorder(args.manifest)
-        hook = ProgressPrinter() if args.progress else None
+    jobs = default_jobs() if args.jobs <= 0 else args.jobs
+    recorder = CampaignRecorder(args.manifest) if args.manifest else None
+    hook = ProgressPrinter() if args.progress else None
+    # Serially, one experiment per call, so each prints as it finishes;
+    # a pool takes the whole campaign at once.
+    batches = [ids] if jobs > 1 else [[exp_id] for exp_id in ids]
+    collected = []
+    campaign_t0 = time.time()
+    for batch in batches:
         t0 = time.time()
         campaign = run_campaign(
-            ids,
+            batch,
             args.scale,
             jobs=jobs,
             progress=hook,
@@ -114,52 +123,25 @@ def main(argv: list[str] | None = None) -> int:
             recorder=recorder,
             resume=args.resume,
         )
-        campaign_elapsed = time.time() - t0
-    elif args.progress:
-        print("note: --progress reports per experiment in serial mode", file=sys.stderr)
-
-    collected = []
-    for exp_id in ids:
-        exp = get_experiment(exp_id)
-        t0 = time.time()
-        if campaign is not None:
-            results = campaign[exp_id]
-        elif args.backend != "des" and exp.points is not None:
-            from repro.experiments.points import run_points, with_backend
-
-            results = exp.assemble(
-                args.scale, run_points(with_backend(exp.points(args.scale), args.backend))
-            )
-        else:
-            if args.backend != "des":
-                print(
-                    f"note: {exp.exp_id} has no point decomposition; "
-                    f"running on the DES backend",
-                    file=sys.stderr,
-                )
-            results = exp.run(args.scale)
         elapsed = time.time() - t0
-        for result in results:
-            print(result.table_str())
-            print()
-            if args.plot:
-                from repro.experiments.ascii_plot import render_chart
-
-                print(render_chart(result))
+        for exp_id in batch:
+            for result in campaign[exp_id]:
+                print(result.table_str())
                 print()
-            collected.append(result.to_dict())
-        print(f"[{exp.exp_id} done in {elapsed:.1f} s]")
+                if args.plot:
+                    print(render_chart(result))
+                    print()
+                collected.append(result.to_dict())
+        print(f"[{' '.join(batch)} done in {elapsed:.1f} s]")
         print()
+    campaign_elapsed = time.time() - campaign_t0
 
-    if campaign is not None:
-        print(
-            f"[campaign: {len(ids)} experiment(s) over {jobs} worker(s) "
-            f"in {campaign_elapsed:.1f} s]",
-            file=sys.stderr,
-        )
+    print(
+        f"[campaign: {len(ids)} experiment(s) over {jobs} worker(s) "
+        f"in {campaign_elapsed:.1f} s]",
+        file=sys.stderr,
+    )
     if recorder is not None:
-        from repro.experiments.trace_cache import stats
-
         summary = recorder.finalize(
             experiments=ids,
             scale=args.scale,

@@ -29,14 +29,12 @@ from __future__ import annotations
 import math
 
 from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 from repro.failure import FailureSchedule, LatentError, ScrubPolicy
 
 __all__ = [
-    "run_rebuild_rate",
     "points_rebuild_rate",
     "assemble_rebuild_rate",
-    "run_scrub",
     "points_scrub",
     "assemble_scrub",
     "REBUILD_DELAYS_MS",
@@ -118,10 +116,6 @@ def assemble_rebuild_rate(scale: float, values: dict) -> list[ExperimentResult]:
             series=rebuild_series,
         ),
     ]
-
-
-def run_rebuild_rate(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble_rebuild_rate(scale, run_points(points_rebuild_rate(scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +202,3 @@ def assemble_scrub(scale: float, values: dict) -> list[ExperimentResult]:
             series=repaired_series,
         ),
     ]
-
-
-def run_scrub(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble_scrub(scale, run_points(points_scrub(scale)))

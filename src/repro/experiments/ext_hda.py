@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 from repro.layout import POLICIES
 from repro.sim import (
     DiskParams,
@@ -44,7 +44,6 @@ from repro.sim import (
 from repro.trace.synthetic import DEFAULT_BLOCKS_PER_DISK
 
 __all__ = [
-    "run",
     "points",
     "assemble",
     "FAST",
@@ -228,7 +227,3 @@ def assemble(scale: float, values: dict) -> List[ExperimentResult]:
             ),
         ),
     ]
-
-
-def run(scale: float = 1.0) -> List[ExperimentResult]:
-    return assemble(scale, run_points(points(scale)))

@@ -27,15 +27,11 @@ from repro.experiments.common import (
     get_trace,
     make_config,
 )
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 from repro.sim import run_trace
 
 __all__ = [
     "run_rebuild",
-    "run_destage_policies",
-    "run_parity_grain",
-    "run_spindle_sync",
-    "run_scheduler",
     "run_reliability",
     "points_destage",
     "assemble_destage",
@@ -152,6 +148,7 @@ DESTAGE_MB = (8, 16, 32)
 
 
 def points_destage(scale: float = 1.0) -> list[Point]:
+    """Periodic vs basic-LRU vs decoupled write-back (§3.4)."""
     return [
         Point.sim(
             "ext-destage",
@@ -192,11 +189,6 @@ def assemble_destage(scale: float, values: dict) -> list[ExperimentResult]:
     return results
 
 
-def run_destage_policies(scale: float = 1.0) -> list[ExperimentResult]:
-    """Periodic vs basic-LRU vs decoupled write-back (§3.4)."""
-    return assemble_destage(scale, run_points(points_destage(scale)))
-
-
 GRAIN_VARIANTS = (
     ("ParStripe classic", "parity_striping", {}),
     ("ParStripe grain=1", "parity_striping", {"parity_grain": 1}),
@@ -206,6 +198,7 @@ GRAIN_VARIANTS = (
 
 
 def points_parity_grain(scale: float = 1.0) -> list[Point]:
+    """Fine-grained Parity Striping vs classic vs RAID5 (future work)."""
     return [
         Point.sim("ext-parity-grain", (which, label), TraceSpec(which, scale), org, **kw)
         for which in (1, 2)
@@ -236,12 +229,8 @@ def assemble_parity_grain(scale: float, values: dict) -> list[ExperimentResult]:
     return results
 
 
-def run_parity_grain(scale: float = 1.0) -> list[ExperimentResult]:
-    """Fine-grained Parity Striping vs classic vs RAID5 (future work)."""
-    return assemble_parity_grain(scale, run_points(points_parity_grain(scale)))
-
-
 def points_spindle(scale: float = 1.0) -> list[Point]:
+    """Spindle synchronization on/off for Mirror and RAID5."""
     return [
         Point.sim(
             "ext-spindle", (which, org, sync), TraceSpec(which, scale), org, spindle_sync=sync
@@ -276,12 +265,8 @@ def assemble_spindle(scale: float, values: dict) -> list[ExperimentResult]:
     return results
 
 
-def run_spindle_sync(scale: float = 1.0) -> list[ExperimentResult]:
-    """Spindle synchronization on/off for Mirror and RAID5."""
-    return assemble_spindle(scale, run_points(points_spindle(scale)))
-
-
 def points_scheduler(scale: float = 1.0) -> list[Point]:
+    """FCFS vs SSTF per-disk scheduling across organizations."""
     return [
         Point.sim(
             "ext-scheduler", (which, org, s), TraceSpec(which, scale), org, disk_scheduler=s
@@ -313,8 +298,3 @@ def assemble_scheduler(scale: float, values: dict) -> list[ExperimentResult]:
             )
         )
     return results
-
-
-def run_scheduler(scale: float = 1.0) -> list[ExperimentResult]:
-    """FCFS vs SSTF per-disk scheduling across organizations."""
-    return assemble_scheduler(scale, run_points(points_scheduler(scale)))

@@ -10,9 +10,9 @@ RF; the /PR variants best; all gaps narrowing as N grows.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 
-__all__ = ["run", "points", "assemble"]
+__all__ = ["points", "assemble"]
 
 POLICIES = ["SI", "RF", "RF/PR", "DF", "DF/PR"]
 SIZES = [5, 10, 15, 20]
@@ -58,7 +58,3 @@ def assemble(scale: float, values: dict) -> list[ExperimentResult]:
                 )
             )
     return results
-
-
-def run(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble(scale, run_points(points(scale)))

@@ -11,9 +11,9 @@ small N; Trace 2 (high skew): RAID5 below Base, Parity Striping above.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 
-__all__ = ["run", "points", "assemble", "ORGS", "SIZES"]
+__all__ = ["points", "assemble", "ORGS", "SIZES"]
 
 ORGS = [
     ("base", "Base"),
@@ -50,7 +50,3 @@ def assemble(scale: float, values: dict) -> list[ExperimentResult]:
             )
         )
     return results
-
-
-def run(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble(scale, run_points(points(scale)))

@@ -8,9 +8,9 @@ difference from 1 to 16, degrading from 32 up; Trace 2 optimal at
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 
-__all__ = ["run", "points", "assemble", "UNITS"]
+__all__ = ["points", "assemble", "UNITS"]
 
 UNITS = [1, 2, 4, 8, 16, 32, 64]
 
@@ -36,7 +36,3 @@ def assemble(scale: float, values: dict) -> list[ExperimentResult]:
         )
         for which in (1, 2)
     ]
-
-
-def run(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble(scale, run_points(points(scale)))

@@ -8,11 +8,11 @@ placement should win for large N and lose for small N.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 from repro.layout import ParityPlacement
 from repro.models import preferred_placement
 
-__all__ = ["run", "points", "assemble", "SIZES"]
+__all__ = ["points", "assemble", "SIZES"]
 
 SIZES = [5, 10, 15, 20]
 PLACEMENTS = (ParityPlacement.MIDDLE, ParityPlacement.END)
@@ -59,7 +59,3 @@ def assemble(scale: float, values: dict) -> list[ExperimentResult]:
             )
         )
     return results
-
-
-def run(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble(scale, run_points(points(scale)))

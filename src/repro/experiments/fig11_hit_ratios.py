@@ -20,9 +20,9 @@ at scale 0.25 with 8 MB: 7.8% read hits against the DES's 6.7%).
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 
-__all__ = ["run", "points", "assemble", "CACHE_MB"]
+__all__ = ["points", "assemble", "CACHE_MB"]
 
 CACHE_MB = [8, 16, 32, 64, 128, 256]
 BLOCKS_PER_MB = 256
@@ -75,7 +75,3 @@ def assemble(scale: float, values: dict) -> list[ExperimentResult]:
             )
         )
     return results
-
-
-def run(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble(scale, run_points(points(scale)))

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series
 from repro.experiments.fig05_array_size import ORGS
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 
-__all__ = ["run", "points", "assemble", "POINTS"]
+__all__ = ["points", "assemble", "POINTS"]
 
 POINTS = [(5, 8.0), (10, 16.0), (15, 24.0)]
 
@@ -51,7 +51,3 @@ def assemble(scale: float, values: dict) -> list[ExperimentResult]:
             )
         )
     return results
-
-
-def run(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble(scale, run_points(points(scale)))

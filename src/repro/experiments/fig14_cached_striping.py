@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series
 from repro.experiments.fig08_striping_unit import UNITS
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 
-__all__ = ["run", "points", "assemble"]
+__all__ = ["points", "assemble"]
 
 
 def points(scale: float = 1.0) -> list[Point]:
@@ -42,7 +42,3 @@ def assemble(scale: float, values: dict) -> list[ExperimentResult]:
         )
         for which in (1, 2)
     ]
-
-
-def run(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble(scale, run_points(points(scale)))

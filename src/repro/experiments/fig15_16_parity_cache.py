@@ -12,11 +12,9 @@ size for N = 10; by ~1-2% on Trace 1 and up to ~15% on Trace 2 at
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 
 __all__ = [
-    "run_fig15",
-    "run_fig16",
     "points_fig15",
     "assemble_fig15",
     "points_fig16",
@@ -61,10 +59,6 @@ def assemble_fig15(scale: float, values: dict) -> list[ExperimentResult]:
     return results
 
 
-def run_fig15(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble_fig15(scale, run_points(points_fig15(scale)))
-
-
 PAIR16 = (("raid5", "RAID5"), ("raid4", "RAID4-PC"))
 
 
@@ -100,7 +94,3 @@ def assemble_fig16(scale: float, values: dict) -> list[ExperimentResult]:
             )
         )
     return results
-
-
-def run_fig16(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble_fig16(scale, run_points(points_fig16(scale)))

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series
 from repro.experiments.fig08_striping_unit import UNITS
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 
 __all__ = [
-    "run_fig17",
-    "run_fig18",
-    "run_fig19",
     "points_fig17",
     "assemble_fig17",
     "points_fig18",
@@ -73,10 +70,6 @@ def assemble_fig17(scale: float, values: dict) -> list[ExperimentResult]:
     return results
 
 
-def run_fig17(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble_fig17(scale, run_points(points_fig17(scale)))
-
-
 def points_fig18(scale: float = 1.0) -> list[Point]:
     return [
         Point.sim(
@@ -111,10 +104,6 @@ def assemble_fig18(scale: float, values: dict) -> list[ExperimentResult]:
     return results
 
 
-def run_fig18(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble_fig18(scale, run_points(points_fig18(scale)))
-
-
 def points_fig19(scale: float = 1.0) -> list[Point]:
     return [
         Point.sim(
@@ -144,7 +133,3 @@ def assemble_fig19(scale: float, values: dict) -> list[ExperimentResult]:
             )
         )
     return results
-
-
-def run_fig19(scale: float = 1.0) -> list[ExperimentResult]:
-    return assemble_fig19(scale, run_points(points_fig19(scale)))

@@ -1,25 +1,24 @@
-"""Parallel campaign engine: fan experiment points out over processes.
+"""Campaign engine: every experiment runs through :func:`run_campaign`.
 
-The registry decomposes most experiments into independent
+The registry describes each experiment either as independent
 :class:`~repro.experiments.points.Point` work units (config + trace
-spec, nothing heavyweight).  This module schedules those units over a
-``ProcessPoolExecutor`` and merges the values deterministically:
+spec, nothing heavyweight) plus an ``assemble`` merge, or as one whole
+unit (pure-computation tables, the bespoke rebuild scenario).  One unit
+loop evaluates them, in this process (``jobs <= 1``) or over a
+``ProcessPoolExecutor`` (``jobs > 1``), and merges the values
+deterministically:
 
-* results are keyed by each point's ``key`` and assembled by the
+* values are placed by each point's ``key`` and assembled by the
   driver's ``assemble`` hook, so completion order cannot perturb the
   output — ``--jobs N`` is byte-identical to a serial run;
-* experiments without a decomposition (pure-computation tables,
-  the custom rebuild scenario) run as single whole-experiment units in
-  the same pool;
 * traces are materialized per worker through the shared on-disk trace
   cache, so N workers generate each workload once per machine, not once
   per point;
-* a crashed worker (or a point raising) cancels the remaining work and
-  surfaces a :class:`CampaignError` naming the failed unit instead of
-  hanging the pool.
-
-Serial execution (``jobs=1``) bypasses multiprocessing entirely and is
-exactly the historical code path.
+* with ``resume``, points already in the result store are served in the
+  parent and never reach a worker;
+* a unit that raises (or a crashed worker) surfaces a
+  :class:`CampaignError` naming the failed unit, in both modes; under a
+  pool the remaining work is cancelled first instead of hanging it.
 """
 
 from __future__ import annotations
@@ -27,22 +26,18 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.experiments import result_store
 from repro.experiments.common import ExperimentResult
-from repro.experiments.points import (
-    Point,
-    PointValue,
-    run_point,
-    run_points,
-    with_backend,
-)
-from repro.experiments.registry import get_experiment
+from repro.experiments.points import Point, PointValue, with_backend
+from repro.experiments.registry import Experiment, get_experiment
 from repro.experiments.telemetry import (
     CampaignRecorder,
     PointRecord,
     evaluate_point,
+    stored_record,
     whole_unit_record,
 )
 
@@ -51,8 +46,7 @@ __all__ = [
     "ProgressPrinter",
     "default_jobs",
     "run_campaign",
-    "run_points_parallel",
-    "stderr_progress",
+    "run_points",
 ]
 
 #: Signature of a progress callback: ``progress(done, total, label)``.
@@ -132,141 +126,121 @@ class ProgressPrinter:
             print(text, file=self.stream, flush=True)
 
 
-#: Shared default reporter (the CLI's ``--progress``); kept as a
-#: module-level callable for backwards compatibility with the old
-#: line-per-unit function of the same name.
-stderr_progress: ProgressHook = ProgressPrinter()
+#: A work unit: a point, or the id of an experiment that runs whole.
+Unit = Union[Point, str]
 
 
-# -- worker-side entry points (module-level: picklable under spawn) ----------
+def _label(unit: Unit) -> str:
+    return unit.label() if isinstance(unit, Point) else unit
 
 
-def _eval_point(point: Point) -> PointValue:
-    return run_point(point)
+def _evaluate(unit: Unit, scale: float, resume: bool) -> Tuple[Any, PointRecord]:
+    """Evaluate one unit, in whatever process, into ``(value, record)``.
 
-
-def _eval_point_recorded(point: Point, resume: bool) -> Tuple[PointValue, PointRecord]:
-    return evaluate_point(point, resume=resume)
-
-
-def _eval_whole_timed(
-    exp_id: str, scale: float
-) -> Tuple[List[ExperimentResult], PointRecord]:
-    t0 = time.perf_counter()
-    results = get_experiment(exp_id).run(scale)
-    return results, whole_unit_record(exp_id, time.perf_counter() - t0)
-
-
-# -- engine ------------------------------------------------------------------
-
-
-def run_points_parallel(
-    points: Sequence[Point],
-    jobs: int,
-    progress: Optional[ProgressHook] = None,
-    recorder: Optional[CampaignRecorder] = None,
-    resume: bool = False,
-) -> Dict[tuple, PointValue]:
-    """Evaluate *points* over *jobs* workers into a ``key -> value`` map.
-
-    With ``jobs <= 1`` this is :func:`~repro.experiments.points.
-    run_points`.  Keys must be unique across the sequence.  A
-    *recorder* collects one telemetry record per point; *resume* serves
-    values from the point-result store where possible (checked in the
-    parent, so stored points never reach a worker) and persists each
-    computed value worker-side as soon as it exists.
+    Module-level so the pool can send it to workers by import path.
     """
+    if isinstance(unit, Point):
+        return evaluate_point(unit, resume=resume)
+    t0 = time.perf_counter()
+    results = get_experiment(unit).run(scale)
+    return results, whole_unit_record(unit, time.perf_counter() - t0)
+
+
+def _failure(unit: Unit, exc: Exception) -> CampaignError:
+    return CampaignError(
+        f"campaign unit '{_label(unit)}' failed: {type(exc).__name__}: {exc}"
+    )
+
+
+def _run_units(
+    units: Sequence[Unit],
+    jobs: int,
+    progress: Optional[ProgressHook],
+    recorder: Optional[CampaignRecorder],
+    resume: bool,
+    scale: float = 1.0,
+) -> List[Any]:
+    """Evaluate *units* into their values, in unit order.
+
+    ``jobs <= 1`` evaluates in this process, in order; ``jobs > 1``
+    submits the same evaluator to a pool of that many workers.  *scale*
+    is passed to whole-experiment units.
+    """
+    values: List[Any] = [None] * len(units)
+    done = 0
+
+    def finish(i: int, value: Any, record: PointRecord) -> None:
+        nonlocal done
+        values[i] = value
+        if recorder is not None:
+            recorder.add(record)
+        done += 1
+        if progress is not None:
+            progress(done, len(units), _label(units[i]))
+
+    pending = range(len(units))
+    if resume:
+        # Without this pre-check a warm re-run would start its whole
+        # units behind one pool round trip per stored point.
+        pending = []
+        for i, unit in enumerate(units):
+            if isinstance(unit, Point):
+                t0 = time.perf_counter()
+                key = result_store.point_key(unit)
+                value = result_store.load_value(key)
+                if value is not None:
+                    finish(i, value, stored_record(unit, key, value, time.perf_counter() - t0))
+                    continue
+            pending.append(i)
+
     if jobs <= 1:
-        total = len(points)
-        values: Dict[tuple, PointValue] = {}
-        for i, point in enumerate(points):
-            if recorder is not None or resume:
-                value, record = evaluate_point(point, resume=resume)
-                if recorder is not None:
-                    recorder.add(record)
-                values[point.key] = value
-            else:
-                values[point.key] = run_point(point)
-            if progress is not None:
-                progress(i + 1, total, point.label())
+        for i in pending:
+            try:
+                value, record = _evaluate(units[i], scale, resume)
+            except Exception as exc:
+                raise _failure(units[i], exc) from exc
+            finish(i, value, record)
         return values
 
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = {pool.submit(_evaluate, units[i], scale, resume): i for i in pending}
+        for fut in as_completed(futures):
+            i = futures[fut]
+            try:
+                value, record = fut.result()
+            except Exception as exc:
+                for other in futures:
+                    other.cancel()
+                raise _failure(units[i], exc) from exc
+            finish(i, value, record)
+    return values
+
+
+def _check_unique(points: Sequence[Point]) -> None:
     seen = set()
     for point in points:
         if point.key in seen:
             raise ValueError(f"duplicate point key {point.key!r} in {point.exp_id}")
         seen.add(point.key)
 
-    values = {}
-    total = len(points)
-    done = 0
-    pending_points: List[Point] = []
-    if resume:
-        from repro.experiments import result_store
-        from repro.experiments.telemetry import stored_record
 
-        for point in points:
-            t0 = time.perf_counter()
-            key = result_store.point_key(point)
-            value = result_store.load_value(key)
-            if value is None:
-                pending_points.append(point)
-                continue
-            values[point.key] = value
-            if recorder is not None:
-                recorder.add(
-                    stored_record(point, key, value, time.perf_counter() - t0)
-                )
-            done += 1
-            if progress is not None:
-                progress(done, total, point.label())
-    else:
-        pending_points = list(points)
+def run_points(
+    points: Iterable[Point],
+    jobs: int = 1,
+    progress: Optional[ProgressHook] = None,
+    recorder: Optional[CampaignRecorder] = None,
+    resume: bool = False,
+) -> Dict[tuple, PointValue]:
+    """Evaluate *points* into a ``key -> value`` map.
 
-    recorded = recorder is not None or resume
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {}
-        for p in pending_points:
-            if recorded:
-                futures[pool.submit(_eval_point_recorded, p, resume)] = p
-            else:
-                futures[pool.submit(_eval_point, p)] = p
-
-        def collect(fut, point):
-            if recorded:
-                value, record = fut.result()
-                if recorder is not None:
-                    recorder.add(record)
-            else:
-                value = fut.result()
-            values[point.key] = value
-
-        _drain(futures, progress, collect, done_start=done, total=total)
-    return values
-
-
-def _drain(futures, progress, on_done, done_start: int = 0, total: Optional[int] = None) -> None:
-    """Collect *futures*, failing fast with the offending unit named."""
-    done_count = done_start
-    if total is None:
-        total = done_start + len(futures)
-    pending = set(futures)
-    while pending:
-        finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
-        for fut in finished:
-            unit = futures[fut]
-            label = unit.label() if isinstance(unit, Point) else str(unit)
-            try:
-                on_done(fut, unit)
-            except Exception as exc:
-                for other in pending:
-                    other.cancel()
-                raise CampaignError(
-                    f"campaign unit '{label}' failed: {type(exc).__name__}: {exc}"
-                ) from exc
-            done_count += 1
-            if progress is not None:
-                progress(done_count, total, label)
+    Keys must be unique across the sequence.  *jobs*, *progress*,
+    *recorder* and *resume* mean what they mean for
+    :func:`run_campaign`.
+    """
+    points = list(points)
+    _check_unique(points)
+    values = _run_units(points, jobs, progress, recorder, resume)
+    return {point.key: value for point, value in zip(points, values)}
 
 
 def run_campaign(
@@ -285,124 +259,41 @@ def run_campaign(
     exp_ids:
         Experiment ids, already resolved against the registry.
     jobs:
-        ``<= 1`` runs everything serially in-process (the historical
-        path); ``> 1`` fans out over that many worker processes.
+        ``<= 1`` evaluates every unit in this process, in order;
+        ``> 1`` fans the units out over that many worker processes.
+        The results are byte-identical either way.
     progress:
         Optional ``hook(done, total, label)`` called per finished unit.
     backend:
         Evaluate simulation points on ``"des"`` (default) or the
-        ``"analytic"`` fast solver.  Experiments without a point
-        decomposition always run on the DES.
+        ``"analytic"`` fast solver.  Whole-unit experiments and
+        failure-scenario points always run on the DES.
     recorder:
         Optional :class:`~repro.experiments.telemetry.CampaignRecorder`
-        collecting one telemetry record per executed unit (the caller
-        finalizes it into the manifest).  With a recorder, serial runs
-        route decomposed experiments through the same points path the
-        parallel engine uses — output is identical by the
-        ``run == assemble(run_points(points))`` contract.
+        collecting one telemetry record per unit (the caller finalizes
+        it into the manifest).
     resume:
         Serve previously computed points from the content-keyed result
         store and persist fresh values into it, so interrupted or
         repeated campaigns only compute what is missing.
     """
-    experiments = [get_experiment(e) for e in exp_ids]
-    instrumented = recorder is not None or resume
-
-    if jobs <= 1:
-        out: Dict[str, List[ExperimentResult]] = {}
-        # Count units only for progress reporting; execution is the
-        # plain serial driver path (or its instrumented twin).
-        done = 0
-        total = len(experiments)
-        for exp in experiments:
-            if exp.points is not None and (backend != "des" or instrumented):
-                pts = with_backend(exp.points(scale), backend)
-                values = run_points_parallel(
-                    pts, jobs=1, recorder=recorder, resume=resume
-                )
-                out[exp.exp_id] = exp.assemble(scale, values)
-            else:
-                t0 = time.perf_counter()
-                out[exp.exp_id] = exp.run(scale)
-                if recorder is not None:
-                    recorder.add(
-                        whole_unit_record(exp.exp_id, time.perf_counter() - t0)
-                    )
-            done += 1
-            if progress is not None:
-                progress(done, total, exp.exp_id)
-        return out
-
-    point_lists: Dict[str, List[Point]] = {}
-    whole_ids: List[str] = []
-    all_points: List[Point] = []
-    for exp in experiments:
-        if exp.points is not None and exp.assemble is not None:
-            pts = with_backend(exp.points(scale), backend)
-            point_lists[exp.exp_id] = pts
-            all_points.extend(pts)
+    plan: List[Tuple[Experiment, Optional[List[Point]]]] = []
+    units: List[Unit] = []
+    for exp in map(get_experiment, exp_ids):
+        if exp.run is not None:
+            plan.append((exp, None))
+            units.append(exp.exp_id)
         else:
-            whole_ids.append(exp.exp_id)
+            points = with_backend(exp.points(scale), backend)
+            _check_unique(points)
+            plan.append((exp, points))
+            units.extend(points)
 
-    point_values: Dict[str, Dict[tuple, PointValue]] = {e: {} for e in point_lists}
-    whole_results: Dict[str, List[ExperimentResult]] = {}
-    total = len(all_points) + len(whole_ids)
-    done = 0
-
-    # Parent-side store pre-check: stored points never reach a worker.
-    pending_points = all_points
-    if resume:
-        from repro.experiments import result_store
-        from repro.experiments.telemetry import stored_record
-
-        pending_points = []
-        for point in all_points:
-            t0 = time.perf_counter()
-            key = result_store.point_key(point)
-            value = result_store.load_value(key)
-            if value is None:
-                pending_points.append(point)
-                continue
-            point_values[point.exp_id][point.key] = value
-            if recorder is not None:
-                recorder.add(
-                    stored_record(point, key, value, time.perf_counter() - t0)
-                )
-            done += 1
-            if progress is not None:
-                progress(done, total, point.label())
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {}
-        for p in pending_points:
-            if instrumented:
-                futures[pool.submit(_eval_point_recorded, p, resume)] = p
-            else:
-                futures[pool.submit(_eval_point, p)] = p
-        for exp_id in whole_ids:
-            futures[pool.submit(_eval_whole_timed, exp_id, scale)] = exp_id
-
-        def collect(fut, unit):
-            if isinstance(unit, Point):
-                if instrumented:
-                    value, record = fut.result()
-                    if recorder is not None:
-                        recorder.add(record)
-                else:
-                    value = fut.result()
-                point_values[unit.exp_id][unit.key] = value
-            else:
-                results, record = fut.result()
-                whole_results[unit] = results
-                if recorder is not None:
-                    recorder.add(record)
-
-        _drain(futures, progress, collect, done_start=done, total=total)
-
-    out = {}
-    for exp in experiments:
-        if exp.exp_id in point_lists:
-            out[exp.exp_id] = exp.assemble(scale, point_values[exp.exp_id])
+    values = iter(_run_units(units, jobs, progress, recorder, resume, scale))
+    out: Dict[str, List[ExperimentResult]] = {}
+    for exp, points in plan:
+        if points is None:
+            out[exp.exp_id] = next(values)
         else:
-            out[exp.exp_id] = whole_results[exp.exp_id]
+            out[exp.exp_id] = exp.assemble(scale, {p.key: next(values) for p in points})
     return out

@@ -3,8 +3,9 @@
 A campaign (``python -m repro.experiments all``) is dozens of
 independent simulation runs — (figure x trace x organization x sweep
 value) cells.  The drivers describe those cells declaratively as
-:class:`Point` work units so the engine in
-:mod:`repro.experiments.parallel` can fan them out over processes:
+:class:`Point` work units, which the campaign engine in
+:mod:`repro.experiments.parallel` evaluates in this process or fans out
+over worker processes:
 
 * a :class:`TraceSpec` names the workload *by construction recipe*
   (trace number, scale, speed, array size) instead of carrying a
@@ -21,10 +22,8 @@ value) cells.  The drivers describe those cells declaratively as
 Determinism: evaluating a point touches no shared mutable state beyond
 the trace caches (content-keyed, so a hit and a miss materialize
 bit-identical traces), and every simulation seeds its own RNGs — so any
-execution order, in any process layout, yields the same values.  The
-serial drivers run through exactly this path (``run(scale)`` is
-``assemble(scale, run_points(points(scale)))``), which is what makes
-``--jobs N`` output byte-identical to a serial run.
+execution order, in any process layout, yields the same values.  That
+is what makes ``--jobs N`` output byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "PointValue",
     "TraceSpec",
     "run_point",
-    "run_points",
     "with_backend",
 ]
 
@@ -113,6 +111,15 @@ class Point:
     @property
     def kwargs(self) -> Dict[str, Any]:
         return dict(self.overrides)
+
+    @property
+    def des_only(self) -> bool:
+        """Whether this point runs on the DES under every backend.
+
+        Failure-scenario points do: the analytic solver models the
+        healthy steady state only and rejects failure schedules.
+        """
+        return self.kind == "sim" and self.kwargs.get("failures") is not None
 
     def label(self) -> str:
         """Human-readable identity for progress lines and errors."""
@@ -212,29 +219,16 @@ def with_backend(points: Iterable[Point], backend: str) -> List[Point]:
     """Retarget the simulation points of a campaign onto *backend*.
 
     Hit-ratio points are backend-independent (the fast cache pass *is*
-    the analytic answer) and pass through unchanged; ``"des"`` is the
-    identity so existing call sites stay byte-identical.
+    the analytic answer) and pass through unchanged, as do
+    :attr:`Point.des_only` points; ``"des"`` is the identity so existing
+    call sites stay byte-identical.
     """
     out: List[Point] = []
     for point in points:
-        if backend == "des" or point.kind != "sim":
+        if backend == "des" or point.kind != "sim" or point.des_only:
             out.append(point)
             continue
         overrides = dict(point.overrides)
         overrides["backend"] = backend
         out.append(replace(point, overrides=tuple(sorted(overrides.items()))))
     return out
-
-
-def run_points(points: Iterable[Point]) -> Dict[Tuple, PointValue]:
-    """Evaluate *points* serially, in order, into a ``key -> value`` map.
-
-    The serial twin of the parallel engine's fan-out; drivers call this
-    from their ``run``.
-    """
-    values: Dict[Tuple, PointValue] = {}
-    for point in points:
-        if point.key in values:
-            raise ValueError(f"duplicate point key {point.key!r} in {point.exp_id}")
-        values[point.key] = run_point(point)
-    return values

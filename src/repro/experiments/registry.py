@@ -1,17 +1,18 @@
 """Registry of all experiments (one per paper table/figure).
 
-Every entry maps an experiment id to a callable
-``run(scale: float) -> list[ExperimentResult]``.  Experiments that
-decompose into independent work units additionally expose
+An experiment is registered in one of two forms.  Most decompose into
+independent work units and register
 
 ``points(scale) -> list[Point]``
     the independent (trace x organization x sweep-value) cells, and
 ``assemble(scale, values: dict[key, PointValue]) -> list[ExperimentResult]``
-    the pure merge of evaluated cells back into figures,
+    the pure merge of evaluated cells back into figures.
 
-with the contract ``run(scale) == assemble(scale, run_points(points(
-scale)))`` — the parallel engine relies on it to make ``--jobs N``
-byte-identical to a serial run.
+The rest (pure-computation tables, bespoke scenarios) register
+``run(scale) -> list[ExperimentResult]`` and run as one whole unit.
+Either way they run through
+:func:`repro.experiments.parallel.run_campaign`, serially or over
+worker processes.
 """
 
 from __future__ import annotations
@@ -49,19 +50,21 @@ class Experiment:
 
     exp_id: str
     title: str
-    run: Callable[[float], list[ExperimentResult]]
+    #: Whole-unit experiments only (None for decomposed ones).
+    run: Optional[Callable[[float], list[ExperimentResult]]] = None
     #: Rough relative cost (1 = seconds, 3 = minutes at default scale).
     cost: int = 2
-    #: Point decomposition for the parallel engine (None = run whole).
+    #: Point decomposition (decomposed experiments only).
     points: Optional[Callable[[float], List[Point]]] = None
     assemble: Optional[
         Callable[[float, Dict[tuple, PointValue]], List[ExperimentResult]]
     ] = None
 
     def __post_init__(self) -> None:
-        if (self.points is None) != (self.assemble is None):
+        form = (self.run is not None, self.points is not None, self.assemble is not None)
+        if form not in ((True, False, False), (False, True, True)):
             raise ValueError(
-                f"{self.exp_id}: points and assemble must be provided together"
+                f"{self.exp_id}: register either run, or points and assemble"
             )
 
 
@@ -71,60 +74,60 @@ EXPERIMENTS: dict[str, Experiment] = {
         # Whole-unit experiments (pure computation or bespoke scenarios).
         Experiment("table1", "Disk and channel parameters", tables.table1, cost=1),
         Experiment("table2", "Trace characteristics", tables.table2, cost=1),
-        Experiment("table3", "Organization matrix smoke", tables.table3, cost=2,
+        Experiment("table3", "Organization matrix smoke", cost=2,
                    points=tables.points_table3, assemble=tables.assemble_table3),
         Experiment("table4", "Default parameters", tables.table4, cost=1),
-        Experiment("fig4", "Synchronization policies vs N", fig04_sync.run, cost=3,
+        Experiment("fig4", "Synchronization policies vs N", cost=3,
                    points=fig04_sync.points, assemble=fig04_sync.assemble),
-        Experiment("fig5", "Array size, uncached orgs", fig05_array_size.run, cost=3,
+        Experiment("fig5", "Array size, uncached orgs", cost=3,
                    points=fig05_array_size.points, assemble=fig05_array_size.assemble),
         Experiment("fig6", "Disk access skew, Base", fig06_07_skew.run_fig6, cost=1),
         Experiment("fig7", "Disk access skew, RAID5", fig06_07_skew.run_fig7, cost=1),
-        Experiment("fig8", "Striping unit, uncached RAID5", fig08_striping_unit.run, cost=2,
+        Experiment("fig8", "Striping unit, uncached RAID5", cost=2,
                    points=fig08_striping_unit.points, assemble=fig08_striping_unit.assemble),
-        Experiment("fig9", "Parity placement, ParStripe", fig09_parity_placement.run, cost=3,
+        Experiment("fig9", "Parity placement, ParStripe", cost=3,
                    points=fig09_parity_placement.points, assemble=fig09_parity_placement.assemble),
-        Experiment("fig10", "Trace speed, uncached orgs", fig10_trace_speed.run, cost=3,
+        Experiment("fig10", "Trace speed, uncached orgs", cost=3,
                    points=fig10_trace_speed.points, assemble=fig10_trace_speed.assemble),
-        Experiment("fig11", "Hit ratios vs cache size", fig11_hit_ratios.run, cost=2,
+        Experiment("fig11", "Hit ratios vs cache size", cost=2,
                    points=fig11_hit_ratios.points, assemble=fig11_hit_ratios.assemble),
-        Experiment("fig12", "Cache size, cached orgs", fig12_cache_size.run, cost=3,
+        Experiment("fig12", "Cache size, cached orgs", cost=3,
                    points=fig12_cache_size.points, assemble=fig12_cache_size.assemble),
-        Experiment("fig13", "Array size, fixed total cache", fig13_cached_array_size.run, cost=3,
+        Experiment("fig13", "Array size, fixed total cache", cost=3,
                    points=fig13_cached_array_size.points, assemble=fig13_cached_array_size.assemble),
-        Experiment("fig14", "Striping unit, cached RAID5", fig14_cached_striping.run, cost=2,
+        Experiment("fig14", "Striping unit, cached RAID5", cost=2,
                    points=fig14_cached_striping.points, assemble=fig14_cached_striping.assemble),
-        Experiment("fig15", "Hit ratios, RAID4-PC vs RAID5", fig15_16_parity_cache.run_fig15, cost=2,
+        Experiment("fig15", "Hit ratios, RAID4-PC vs RAID5", cost=2,
                    points=fig15_16_parity_cache.points_fig15,
                    assemble=fig15_16_parity_cache.assemble_fig15),
-        Experiment("fig16", "Cache size, RAID4-PC vs RAID5", fig15_16_parity_cache.run_fig16, cost=2,
+        Experiment("fig16", "Cache size, RAID4-PC vs RAID5", cost=2,
                    points=fig15_16_parity_cache.points_fig16,
                    assemble=fig15_16_parity_cache.assemble_fig16),
-        Experiment("fig17", "Array size, RAID4-PC vs RAID5", fig17_19_parity_cache_params.run_fig17, cost=3,
+        Experiment("fig17", "Array size, RAID4-PC vs RAID5", cost=3,
                    points=fig17_19_parity_cache_params.points_fig17,
                    assemble=fig17_19_parity_cache_params.assemble_fig17),
-        Experiment("fig18", "Trace speed, RAID4-PC vs RAID5", fig17_19_parity_cache_params.run_fig18, cost=3,
+        Experiment("fig18", "Trace speed, RAID4-PC vs RAID5", cost=3,
                    points=fig17_19_parity_cache_params.points_fig18,
                    assemble=fig17_19_parity_cache_params.assemble_fig18),
-        Experiment("fig19", "Striping unit, RAID4-PC vs RAID5", fig17_19_parity_cache_params.run_fig19, cost=3,
+        Experiment("fig19", "Striping unit, RAID4-PC vs RAID5", cost=3,
                    points=fig17_19_parity_cache_params.points_fig19,
                    assemble=fig17_19_parity_cache_params.assemble_fig19),
         # Extensions beyond the paper's figures.
         Experiment("ext-rebuild", "Degraded mode + rebuild vs N", extensions.run_rebuild, cost=3),
-        Experiment("ext-destage", "Destage policy comparison", extensions.run_destage_policies, cost=3,
+        Experiment("ext-destage", "Destage policy comparison", cost=3,
                    points=extensions.points_destage, assemble=extensions.assemble_destage),
-        Experiment("ext-parity-grain", "Fine-grained parity striping", extensions.run_parity_grain, cost=2,
+        Experiment("ext-parity-grain", "Fine-grained parity striping", cost=2,
                    points=extensions.points_parity_grain, assemble=extensions.assemble_parity_grain),
-        Experiment("ext-spindle", "Spindle synchronization", extensions.run_spindle_sync, cost=2,
+        Experiment("ext-spindle", "Spindle synchronization", cost=2,
                    points=extensions.points_spindle, assemble=extensions.assemble_spindle),
-        Experiment("ext-scheduler", "FCFS vs SSTF disk scheduling", extensions.run_scheduler, cost=2,
+        Experiment("ext-scheduler", "FCFS vs SSTF disk scheduling", cost=2,
                    points=extensions.points_scheduler, assemble=extensions.assemble_scheduler),
         Experiment("ext-reliability", "MTTDL / storage overhead", extensions.run_reliability, cost=1),
-        Experiment("ext-rebuild-rate", "Rebuild rate vs foreground p95", ext_failure.run_rebuild_rate, cost=3,
+        Experiment("ext-rebuild-rate", "Rebuild rate vs foreground p95", cost=3,
                    points=ext_failure.points_rebuild_rate, assemble=ext_failure.assemble_rebuild_rate),
-        Experiment("ext-scrub", "Scrub interval vs latent-error exposure", ext_failure.run_scrub, cost=2,
+        Experiment("ext-scrub", "Scrub interval vs latent-error exposure", cost=2,
                    points=ext_failure.points_scrub, assemble=ext_failure.assemble_scrub),
-        Experiment("ext-hda", "Heterogeneous arrays: allocation policy x VA mix", ext_hda.run, cost=3,
+        Experiment("ext-hda", "Heterogeneous arrays: allocation policy x VA mix", cost=3,
                    points=ext_hda.points, assemble=ext_hda.assemble),
     ]
 }
@@ -152,5 +155,8 @@ def get_experiment(exp_id: str) -> Experiment:
 
 
 def run_experiment(exp_id: str, scale: float = 1.0) -> list[ExperimentResult]:
-    """Run one experiment and return its results."""
-    return get_experiment(exp_id).run(scale)
+    """Run one experiment (serially, through the campaign engine)."""
+    from repro.experiments.parallel import run_campaign
+
+    exp_id = get_experiment(exp_id).exp_id
+    return run_campaign([exp_id], scale)[exp_id]

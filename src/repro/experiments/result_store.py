@@ -38,12 +38,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 from pathlib import Path
 from typing import Optional
 
 from repro.experiments.points import Point, PointValue
+from repro.experiments.trace_cache import atomic_open, env_dir
 
 __all__ = [
     "load_value",
@@ -66,12 +65,7 @@ _VALUE_FIELDS = (
 
 def store_dir() -> Optional[Path]:
     """The on-disk store directory, or ``None`` when disabled."""
-    raw = os.environ.get("REPRO_RESULT_STORE")
-    if raw is not None:
-        if raw.strip().lower() in ("off", "0", "none", ""):
-            return None
-        return Path(raw).expanduser()
-    return Path.home() / ".cache" / "repro" / "results"
+    return env_dir("REPRO_RESULT_STORE", "results")
 
 
 def point_key(point: Point) -> str:
@@ -131,18 +125,8 @@ def store_value(key: str, value: PointValue) -> None:
         },
     }
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".json.tmp", dir=path.parent)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_open(path) as fh:
+            json.dump(doc, fh)
     except OSError:
         # A read-only or full store directory must never fail the run.
         pass

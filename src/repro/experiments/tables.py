@@ -9,10 +9,10 @@ Table 4 is the config default set.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series, get_trace
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.points import Point, TraceSpec
 from repro.sim import DiskParams, SystemConfig
 
-__all__ = ["table1", "table2", "table3", "table4", "points_table3", "assemble_table3"]
+__all__ = ["table1", "table2", "table4", "points_table3", "assemble_table3"]
 
 
 def table1(scale: float = 1.0) -> list[ExperimentResult]:
@@ -108,6 +108,7 @@ def _table3_cells() -> list[tuple[bool, str]]:
 
 
 def points_table3(scale: float = 1.0) -> list[Point]:
+    """Table 3 organization matrix: every cell builds and runs."""
     return [
         Point.sim("table3", (cached, org), TraceSpec(2, scale * 0.2), org, cached=cached)
         for cached, org in _table3_cells()
@@ -133,11 +134,6 @@ def assemble_table3(scale: float, values: dict) -> list[ExperimentResult]:
             ],
         )
     ]
-
-
-def table3(scale: float = 1.0) -> list[ExperimentResult]:
-    """Table 3 organization matrix: every cell builds and runs."""
-    return assemble_table3(scale, run_points(points_table3(scale)))
 
 
 def table4(scale: float = 1.0) -> list[ExperimentResult]:

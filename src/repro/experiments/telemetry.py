@@ -21,9 +21,9 @@ workers finish) and writes two artifacts atomically:
   :class:`~repro.obs.metrics.Histogram`), provenance and cache totals,
   and aggregate throughput.
 
-Records never influence values: the instrumented evaluator wraps the
-exact serial evaluation path, so a campaign with telemetry produces
-byte-identical figures to one without.
+Records never influence values: the campaign engine builds one for
+every unit and drops it when no recorder is passed, so a campaign with
+telemetry produces byte-identical figures to one without.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -96,27 +95,21 @@ def _backend_of(point: Point) -> str:
 def evaluate_point(
     point: Point, resume: bool = False
 ) -> Tuple[PointValue, PointRecord]:
-    """Evaluate one point with telemetry (in whatever process).
+    """Compute one point with telemetry (in whatever process).
 
-    With ``resume`` the point-result store is consulted first and the
-    computed value persisted after a miss, so an interrupted campaign
-    picks up where it stopped.  The returned record carries the
-    provenance either way.
+    With ``resume`` the computed value is persisted to the point-result
+    store, so an interrupted campaign picks up where it stopped.  The
+    campaign engine serves points already in the store (see
+    :func:`stored_record`) before it calls this.
     """
     key = result_store.point_key(point)
     before = trace_cache.stats()
     t0 = time.perf_counter()
-
-    value = result_store.load_value(key) if resume else None
-    provenance = "stored" if value is not None else "computed"
-    if value is None:
-        value = run_point(point)
-        if resume:
-            result_store.store_value(key, value)
-
+    value = run_point(point)
+    if resume:
+        result_store.store_value(key, value)
     wall = time.perf_counter() - t0
-    # Events *this run* simulated: a store hit did no kernel work.
-    events = int(dict(value.extras).get("events", 0.0)) if provenance == "computed" else 0
+    events = int(dict(value.extras).get("events", 0.0))
     record = PointRecord(
         exp_id=point.exp_id,
         key=list(point.key),
@@ -124,7 +117,7 @@ def evaluate_point(
         org=point.org,
         backend=_backend_of(point),
         config_hash=key,
-        provenance=provenance,
+        provenance="computed",
         wall_s=wall,
         events=events,
         events_per_s=(events / wall) if (events and wall > 0) else 0.0,
@@ -178,21 +171,6 @@ def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class CampaignRecorder:
@@ -292,12 +270,12 @@ class CampaignRecorder:
             doc = {"record": "point"}
             doc.update({k: _jsonable(v) for k, v in asdict(rec).items()})
             lines.append(json.dumps(doc, sort_keys=True))
-        _atomic_write_text(self.manifest_path, "\n".join(lines) + "\n")
+        with trace_cache.atomic_open(self.manifest_path) as fh:
+            fh.write("\n".join(lines) + "\n")
 
         summary = self._summary(meta)
-        _atomic_write_text(
-            self.summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        )
+        with trace_cache.atomic_open(self.summary_path) as fh:
+            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return summary
 
 

@@ -35,6 +35,7 @@ point to attribute cache traffic to the point that caused it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -42,7 +43,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional
+from typing import IO, Iterator, Optional
 
 import numpy as np
 
@@ -51,10 +52,12 @@ from repro.trace.synthetic import SyntheticTraceConfig, generate_trace
 
 __all__ = [
     "CacheStats",
+    "atomic_open",
     "cache_dir",
     "cached_generate",
     "clear_memory_cache",
     "config_key",
+    "env_dir",
     "memory_cache_size",
     "reset_stats",
     "stats",
@@ -64,14 +67,43 @@ __all__ = [
 _FORMAT_VERSION = 1
 
 
+def env_dir(var: str, default_name: str) -> Optional[Path]:
+    """The directory environment variable *var* names, or ``None``.
+
+    Unset means ``~/.cache/repro/<default_name>``; ``off``, ``0``,
+    ``none`` or empty means disabled.
+    """
+    raw = os.environ.get(var)
+    if raw is None:
+        return Path.home() / ".cache" / "repro" / default_name
+    if raw.strip().lower() in ("off", "0", "none", ""):
+        return None
+    return Path(raw).expanduser()
+
+
+@contextlib.contextmanager
+def atomic_open(path: Path, mode: str = "w") -> Iterator[IO]:
+    """Write *path* through a temp file that replaces it on success.
+
+    Readers never see a partial file, and concurrent writers race
+    benignly: the last ``os.replace`` wins.  Raises ``OSError``; callers
+    that must never fail the run catch it.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=path.suffix + ".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def cache_dir() -> Optional[Path]:
     """The on-disk cache directory, or ``None`` when disabled."""
-    raw = os.environ.get("REPRO_TRACE_CACHE")
-    if raw is not None:
-        if raw.strip().lower() in ("off", "0", "none", ""):
-            return None
-        return Path(raw).expanduser()
-    return Path.home() / ".cache" / "repro" / "traces"
+    return env_dir("REPRO_TRACE_CACHE", "traces")
 
 
 def memory_cache_size() -> int:
@@ -210,18 +242,8 @@ def _disk_store(path: Path, trace: Trace) -> None:
         }
     )
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=path.parent)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, records=trace.records, meta=np.array(meta))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_open(path, "wb") as fh:
+            np.savez(fh, records=trace.records, meta=np.array(meta))
     except OSError:
         # A read-only or full cache directory must never fail the run.
         pass

@@ -8,10 +8,11 @@ from repro.experiments.parallel import (
     CampaignError,
     default_jobs,
     run_campaign,
-    run_points_parallel,
+    run_points,
 )
-from repro.experiments.points import Point, TraceSpec, run_points
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.points import Point, TraceSpec
+from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+from repro.experiments.telemetry import CampaignRecorder
 
 #: Small enough to keep the suite fast, large enough that the sweeps
 #: produce distinct values per cell.
@@ -42,7 +43,7 @@ def test_parallel_campaign_json_byte_identical(tmp_path):
 
 def test_run_points_parallel_matches_serial():
     points = get_experiment("fig8").points(SCALE)
-    parallel = run_points_parallel(points, jobs=2)
+    parallel = run_points(points, jobs=2)
     serial = run_points(points)
     assert parallel.keys() == serial.keys()
     # repr-compare: the hit-ratio fields are NaN for pure-sim points,
@@ -61,17 +62,21 @@ def test_progress_hook_sees_every_unit():
     assert all(c[1] == total for c in calls)
 
 
-def test_failed_point_raises_campaign_error_not_hang():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_point_raises_campaign_error_not_hang(jobs):
     bad = Point.sim("bogus", ("only",), TraceSpec(2, 0.02), "no_such_org")
     with pytest.raises(CampaignError, match="bogus"):
-        run_points_parallel([bad], jobs=2)
+        run_points([bad], jobs=jobs)
 
 
-def test_duplicate_point_keys_rejected():
+@pytest.mark.parametrize("recorded", [False, True], ids=["plain", "recorded"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_duplicate_point_keys_rejected(jobs, recorded, tmp_path):
     spec = TraceSpec(2, 0.02)
     dupes = [Point.sim("x", ("same",), spec, "base"), Point.sim("x", ("same",), spec, "raid5")]
+    recorder = CampaignRecorder(tmp_path / "m.jsonl") if recorded else None
     with pytest.raises(ValueError, match="duplicate"):
-        run_points_parallel(dupes, jobs=2)
+        run_points(dupes, jobs=jobs, recorder=recorder)
 
 
 def test_default_jobs_positive():
@@ -85,10 +90,10 @@ def test_run_contract_holds_for_every_decomposed_experiment():
 
 
 def test_decomposed_run_equals_assembled_points():
-    """run(scale) == assemble(scale, run_points(points(scale))) for a
-    representative decomposed experiment."""
+    """run_experiment(id, scale) == assemble(scale, run_points(points(
+    scale))) for a representative decomposed experiment."""
     exp = get_experiment("fig8")
-    direct = [r.to_dict() for r in exp.run(SCALE)]
+    direct = [r.to_dict() for r in run_experiment("fig8", SCALE)]
     assembled = [
         r.to_dict() for r in exp.assemble(SCALE, run_points(exp.points(SCALE)))
     ]

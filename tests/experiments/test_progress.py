@@ -2,7 +2,7 @@
 
 import io
 
-from repro.experiments.parallel import ProgressPrinter, _format_eta, stderr_progress
+from repro.experiments.parallel import ProgressPrinter, _format_eta
 
 
 class FakeTTY(io.StringIO):
@@ -101,9 +101,3 @@ class TestTty:
         # The second (shorter) line must blank out the first one's tail.
         last = stream.getvalue().rsplit("\r", 1)[-1]
         assert last.endswith(" ")
-
-
-def test_module_level_hook_is_a_printer():
-    """Backwards-compat: the old function name is now a shared instance."""
-    assert isinstance(stderr_progress, ProgressPrinter)
-    assert callable(stderr_progress)

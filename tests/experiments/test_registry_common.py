@@ -11,6 +11,7 @@ from repro.experiments.common import (
     get_trace,
     make_config,
 )
+from repro.experiments.registry import Experiment
 from repro.experiments.__main__ import main
 
 
@@ -43,6 +44,15 @@ class TestRegistry:
     def test_run_experiment_dispatch(self):
         results = run_experiment("table4")
         assert results[0].exp_id == "table4"
+
+    @pytest.mark.parametrize(
+        "form",
+        [{}, {"points": list}, {"run": list, "points": list, "assemble": dict}],
+        ids=["none", "points-only", "both"],
+    )
+    def test_experiment_takes_exactly_one_form(self, form):
+        with pytest.raises(ValueError, match="either run, or points and assemble"):
+            Experiment("x", "t", **form)
 
 
 class TestSeriesAndResult:
@@ -125,6 +135,11 @@ class TestCLI:
         assert main([]) == 0
         assert "fig19" in capsys.readouterr().out
 
+    def test_serial_progress_reports_units(self, capsys):
+        assert main(["fig8", "--scale", "0.01", "--progress"]) == 0
+        err = capsys.readouterr().err
+        assert "[1/14]" in err and "[14/14]" in err
+
     def test_run_and_json(self, tmp_path, capsys):
         out_json = tmp_path / "r.json"
         assert main(["table4", "--json", str(out_json)]) == 0
@@ -148,22 +163,16 @@ class TestDriverShapes:
         assert len(f7.series[0].xs) == 143
 
     def test_fig11_shape(self):
-        from repro.experiments.fig11_hit_ratios import run
-
-        results = run(self.SCALE)
+        results = run_experiment("fig11", self.SCALE)
         assert len(results) == 2
         assert len(results[0].series) == 4
 
     def test_fig8_shape(self):
-        from repro.experiments.fig08_striping_unit import run
-
-        results = run(self.SCALE)
+        results = run_experiment("fig8", self.SCALE)
         assert [s.label for s in results[0].series] == ["RAID5"]
         assert results[0].series[0].xs == [1, 2, 4, 8, 16, 32, 64]
 
     def test_fig16_shape(self):
-        from repro.experiments.fig15_16_parity_cache import run_fig16
-
-        results = run_fig16(self.SCALE)
+        results = run_experiment("fig16", self.SCALE)
         assert len(results) == 2
         assert {s.label for s in results[0].series} == {"RAID5", "RAID4-PC"}

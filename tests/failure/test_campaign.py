@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from repro.experiments.parallel import CampaignError, run_campaign, run_points_parallel
-from repro.experiments.points import Point, TraceSpec, run_points
+from repro.experiments.parallel import CampaignError, run_campaign, run_points
+from repro.experiments.points import Point, TraceSpec, with_backend
 from repro.experiments.registry import get_experiment
 from repro.experiments.result_store import point_key
 from repro.failure import DiskFailure, FailureSchedule
@@ -62,7 +62,7 @@ class TestFailureCampaigns:
     def test_scrub_points_parallel_match_serial(self):
         points = get_experiment("ext-scrub").points(SCALE)
         serial = run_points(points)
-        parallel = run_points_parallel(points, jobs=2)
+        parallel = run_points(points, jobs=2)
         assert parallel.keys() == serial.keys()
         for key in serial:
             assert repr(parallel[key]) == repr(serial[key])
@@ -73,6 +73,20 @@ class TestFailureCampaigns:
         assert extras["rebuild_ms"] > 0
         assert extras["lost_requests"] == 0.0
         assert "degraded_reads" in extras and "latent_outstanding" in extras
+
+    def test_analytic_backend_keeps_failure_points_on_the_des(self):
+        healthy = Point.sim("t", ("h",), SPEC, "raid5")
+        degraded = rebuild_point(0.0)
+        retargeted, kept = with_backend([healthy, degraded], "analytic")
+        assert dict(retargeted.overrides)["backend"] == "analytic"
+        assert kept == degraded
+
+    def test_rebuild_rate_campaign_on_analytic_backend_equals_des(self):
+        ids = ["ext-rebuild-rate"]
+        des = run_campaign(ids, SCALE)
+        analytic = run_campaign(ids, SCALE, backend="analytic")
+        as_dicts = lambda c: [r.to_dict() for r in c["ext-rebuild-rate"]]
+        assert as_dicts(analytic) == as_dicts(des)
 
     def test_tradeoff_curve_covers_all_orgs(self):
         """The rebuild-rate sweep produces one curve per redundant
@@ -98,4 +112,4 @@ class TestFailFast:
             failures=FailureSchedule(events=(DiskFailure(0.0, disk=99),)),
         )
         with pytest.raises(CampaignError, match="ext-bad"):
-            run_points_parallel([rebuild_point(0.0), bad], jobs=2)
+            run_points([rebuild_point(0.0), bad], jobs=2)

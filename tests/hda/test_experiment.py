@@ -1,10 +1,11 @@
 """The ``ext-hda`` campaign and its points-engine plumbing.
 
-Checks the three contracts the experiment rides on: the run ==
-assemble(run_points(points)) decomposition (what makes ``--jobs N``
-byte-identical), the result-store hash extension (HDA points get their
-own hashes, legacy points keep their historical ones), and the trace
-plumbing (``TraceSpec.hda`` reaches the generator; trace 1 rejects it).
+Checks the three contracts the experiment rides on: the
+run_experiment == assemble(run_points(points)) decomposition (what
+makes ``--jobs N`` byte-identical), the result-store hash extension
+(HDA points get their own hashes, legacy points keep their historical
+ones), and the trace plumbing (``TraceSpec.hda`` reaches the generator;
+trace 1 rejects it).
 """
 
 import math
@@ -13,8 +14,9 @@ import pytest
 
 from repro.experiments import ext_hda
 from repro.experiments.common import get_trace
-from repro.experiments.points import Point, TraceSpec, run_points
-from repro.experiments.registry import get_experiment
+from repro.experiments.parallel import run_points
+from repro.experiments.points import Point, TraceSpec
+from repro.experiments.registry import get_experiment, run_experiment
 from repro.experiments.result_store import point_key
 from repro.layout import POLICIES
 
@@ -32,7 +34,7 @@ class TestCampaign:
 
     def test_run_equals_assemble_of_run_points(self):
         exp = get_experiment("ext-hda")
-        serial = [r.to_dict() for r in exp.run(SCALE)]
+        serial = [r.to_dict() for r in run_experiment("ext-hda", SCALE)]
         decomposed = [
             r.to_dict()
             for r in exp.assemble(SCALE, run_points(exp.points(SCALE)))
@@ -49,7 +51,7 @@ class TestCampaign:
                 assert not math.isnan(extras[name])
 
     def test_first_fit_strands_the_fast_disks(self):
-        results = ext_hda.run(SCALE)
+        results = run_experiment("ext-hda", SCALE)
         util = next(r for r in results if "utilization" in r.title)
         for mix in ext_hda.MIXES:
             fast = util.series_by_label(f"{mix.key} fast")
