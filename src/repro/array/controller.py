@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Generator, Sequence
 from repro.channel.bus import Channel
 from repro.des import Environment, Event
 from repro.disk.drive import Disk
-from repro.layout.common import Layout
+from repro.layout.common import Layout, Run
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.config import SystemConfig
@@ -69,3 +69,21 @@ class ArrayController(ABC):
     def _channel_transfer(self, nblocks: int) -> Generator[Event, None, float]:
         """Move *nblocks* worth of data over the array channel."""
         return self.channel.transfer(nblocks * self.block_bytes)
+
+    def _nearer_copy(self, run: Run) -> Disk:
+        """Shortest-seek mirror routing: the copy of *run* whose arm is
+        nearer its start, or on a tie the one with the shorter queue.
+
+        Only for mirrored layouts (``self.layout.mirror_of``).
+        """
+        a = self.disks[run.disk]
+        b = self.disks[self.layout.mirror_of(run.disk)]
+        da, db = a.seek_distance_to(run.start), b.seek_distance_to(run.start)
+        if da != db:
+            chosen = a if da < db else b
+        else:
+            chosen = a if a.pending <= b.pending else b
+        if self.probe is not None:
+            alt, s_c, s_a = (b, da, db) if chosen is a else (a, db, da)
+            self.probe.on_mirror_route(self, run, chosen, alt, s_c, s_a)
+        return chosen

@@ -138,18 +138,7 @@ class UncachedMirrorController(_UncachedController):
         self.mlayout: MirrorLayout = layout
 
     def _pick_read_disk(self, run: Run) -> Disk:
-        a = self.disks[run.disk]
-        b = self.disks[self.mlayout.mirror_of(run.disk)]
-        da, db = a.seek_distance_to(run.start), b.seek_distance_to(run.start)
-        if da != db:
-            chosen = a if da < db else b
-        else:
-            # Tie: the shorter queue wins.
-            chosen = a if a.pending <= b.pending else b
-        if self.probe is not None:
-            alt, s_c, s_a = (b, da, db) if chosen is a else (a, db, da)
-            self.probe.on_mirror_route(self, run, chosen, alt, s_c, s_a)
-        return chosen
+        return self._nearer_copy(run)
 
     def _execute_group(self, group: WriteGroup) -> Generator[Event, None, None]:
         assert group.mode is WriteMode.PLAIN

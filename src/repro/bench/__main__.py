@@ -154,17 +154,6 @@ def cmd_show(args: argparse.Namespace) -> int:
     for r in rows:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)))
 
-    cache_totals: dict = {}
-    for p in points:
-        for k, v in (p.get("trace_cache") or {}).items():
-            cache_totals[k] = cache_totals.get(k, 0) + v
-    if cache_totals:
-        print()
-        print(
-            "trace cache: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(cache_totals.items()) if v)
-        )
-
     slowest = sorted(points, key=lambda p: -p["wall_s"])[: args.slowest]
     if slowest:
         print()

@@ -30,7 +30,6 @@ from repro.experiments.ascii_plot import render_chart
 from repro.experiments.parallel import ProgressPrinter, default_jobs, run_campaign
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.telemetry import CampaignRecorder
-from repro.experiments.trace_cache import stats
 
 __all__ = ["main"]
 
@@ -149,7 +148,6 @@ def main(argv: list[str] | None = None) -> int:
             backend=args.backend,
             resume=args.resume,
             elapsed_s=round(campaign_elapsed, 4),
-            trace_cache_parent=stats().as_dict(),
         )
         print(
             f"[manifest: {recorder.manifest_path} — {summary['points']} point(s), "

@@ -16,19 +16,24 @@ N to 20 for both traces), the logical space is padded: the database
 still occupies 10 disks' worth of addresses but is laid out over an
 ``N``-wide array, exactly what the equal-capacity rule implies when the
 array is wider than the database.
+
+Each process generates a base trace — one generator recipe, ``(trace,
+base scale, hda overrides)`` — once and keeps it in a constant-size
+in-process memo; padding and the trace-speed transform are cheap and
+run on every call.  The memo holds exactly what
+:func:`~repro.trace.generate_trace` returned, so no answer depends on
+whether a recipe was generated or remembered.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
-import numpy as np
-
-from repro.experiments.trace_cache import cached_generate, memory_cache_size
 from repro.sim import Organization, RunResult, SystemConfig, run_trace
 from repro.trace import (
     Trace,
+    generate_trace,
     scale_speed,
     slice_arrays,
     trace1_config,
@@ -54,25 +59,20 @@ T1_BASE_SCALE = 0.04
 T2_BASE_SCALE = 0.5
 
 
-# Generation goes through the content-keyed cache in
-# :mod:`repro.experiments.trace_cache` (disk-backed, shared across the
-# parallel engine's workers).  The old ``lru_cache(maxsize=32)`` here
-# could pin 32 full traces in RAM; this LRU of *final* experiment
-# traces is bounded to a handful of entries and only dodges the cheap
-# per-point slice/pad/speed transforms.
-_final_traces: "OrderedDict[tuple, Trace]" = OrderedDict()
+#: Base traces the memo holds.  Every base recipe of ``all`` fits: seven
+#: from the decomposed experiments' trace specs and one for ext-rebuild.
+_MEMO_SIZE = 8
 
 
-def _trace1_cached(scale: float) -> Trace:
-    full = cached_generate(trace1_config(scale=scale))
-    return slice_arrays(full, 0, T1_DISKS)
-
-
-def _trace2_cached(scale: float, hda: tuple = ()) -> Trace:
+@lru_cache(maxsize=_MEMO_SIZE)
+def _base_trace(which: int, scale: float, hda: tuple) -> Trace:
+    """Generate one base trace; Trace 1 comes back sliced to T1_DISKS."""
+    if which == 1:
+        return slice_arrays(generate_trace(trace1_config(scale=scale)), 0, T1_DISKS)
     cfg = trace2_config(scale=scale)
     if hda:
         cfg = replace(cfg, **dict(hda))
-    return cached_generate(cfg)
+    return generate_trace(cfg)
 
 
 def _pad_disks(trace: Trace, ndisks: int) -> Trace:
@@ -98,6 +98,9 @@ def get_trace(
 ) -> Trace:
     """Build the experiment trace.
 
+    A repeated recipe that needs neither padding nor speed scaling
+    returns the memo's object itself.
+
     Parameters
     ----------
     which:
@@ -117,30 +120,18 @@ def get_trace(
         ``n``-padding) because an HDA point sizes it explicitly.
     """
     hda = tuple(hda)
-    key = (which, round(scale, 9), round(speed, 9), n) + ((hda,) if hda else ())
-    cached = _final_traces.get(key)
-    if cached is not None:
-        _final_traces.move_to_end(key)
-        return cached
-
     if which == 1:
         if hda:
             raise ValueError("hda overrides are only supported for trace 2")
-        trace = _trace1_cached(round(T1_BASE_SCALE * scale, 6))
+        trace = _base_trace(1, round(T1_BASE_SCALE * scale, 6), ())
     elif which == 2:
-        trace = _trace2_cached(round(T2_BASE_SCALE * scale, 6), hda)
+        trace = _base_trace(2, round(T2_BASE_SCALE * scale, 6), hda)
         if not hda and n > trace.ndisks:
             trace = _pad_disks(trace, n)
     else:
         raise ValueError(f"trace must be 1 or 2, got {which}")
     if speed != 1.0:
         trace = scale_speed(trace, speed)
-
-    cap = memory_cache_size()
-    if cap > 0:
-        _final_traces[key] = trace
-        while len(_final_traces) > cap:
-            _final_traces.popitem(last=False)
     return trace
 
 

@@ -11,9 +11,9 @@ deterministically:
 * values are placed by each point's ``key`` and assembled by the
   driver's ``assemble`` hook, so completion order cannot perturb the
   output — ``--jobs N`` is byte-identical to a serial run;
-* traces are materialized per worker through the shared on-disk trace
-  cache, so N workers generate each workload once per machine, not once
-  per point;
+* each worker materializes traces through the in-process memo of
+  :func:`~repro.experiments.common.get_trace`, so it generates each base
+  trace once, not once per point;
 * with ``resume``, points already in the result store are served in the
   parent and never reach a worker;
 * a unit that raises (or a crashed worker) surfaces a

@@ -10,8 +10,9 @@ over worker processes:
 * a :class:`TraceSpec` names the workload *by construction recipe*
   (trace number, scale, speed, array size) instead of carrying a
   materialized :class:`~repro.trace.record.Trace` — the spec pickles in
-  bytes, and each worker materializes it through the shared
-  content-keyed trace cache;
+  bytes, and each worker materializes it through
+  :func:`~repro.experiments.common.get_trace`, which generates each base
+  trace once per process;
 * a :class:`Point` is one cell: the spec plus the organization and the
   ``response_time``/``simulate_hit_ratios`` keyword overrides, tagged
   with a hashable ``key`` the driver uses to place the value back into
@@ -20,10 +21,11 @@ over worker processes:
   :class:`PointValue`.
 
 Determinism: evaluating a point touches no shared mutable state beyond
-the trace caches (content-keyed, so a hit and a miss materialize
-bit-identical traces), and every simulation seeds its own RNGs — so any
-execution order, in any process layout, yields the same values.  That
-is what makes ``--jobs N`` output byte-identical to a serial run.
+the per-process trace memo (which holds exactly what the generator
+returned, so a hit and a miss materialize bit-identical traces), and
+every simulation seeds its own RNGs — so any execution order, in any
+process layout, yields the same values.  That is what makes
+``--jobs N`` output byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class TraceSpec:
     hda: Tuple[Tuple[str, Any], ...] = ()
 
     def materialize(self):
-        """Build the trace (through the shared trace cache)."""
+        """Build the trace (through the per-process trace memo)."""
         from repro.experiments.common import get_trace
 
         return get_trace(

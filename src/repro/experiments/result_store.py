@@ -1,16 +1,14 @@
 """Content-keyed point-result store: memoize campaign *outputs*.
 
-The trace cache (:mod:`repro.experiments.trace_cache`) memoizes the
-expensive *inputs* of a campaign; this module does the same for the
-outputs.  Every :class:`~repro.experiments.points.Point` has a stable
-content hash over everything that determines its value — the trace
-recipe, the evaluator kind, the organization and every keyword override
-(including the solver backend) plus a format version — and the store
-maps that hash to the evaluated
-:class:`~repro.experiments.points.PointValue` as a small JSON file.
+Every :class:`~repro.experiments.points.Point` has a stable content
+hash over everything that determines its value — the trace recipe, the
+evaluator kind, the organization and every keyword override (including
+the solver backend) plus a format version — and the store maps that
+hash to the evaluated :class:`~repro.experiments.points.PointValue` as
+a small JSON file.
 
-Because point evaluation is deterministic (seeded RNGs, content-keyed
-traces), a stored value is *the* value: serving it instead of
+Because point evaluation is deterministic (seeded RNGs, traces built
+from their recipe), a stored value is *the* value: serving it instead of
 recomputing cannot change campaign output.  That gives two behaviours
 for free:
 
@@ -31,20 +29,27 @@ Environment variables
     Store directory.  Defaults to ``~/.cache/repro/results``.  Set to
     ``off`` (or ``0``/``none``) to disable the store even when a
     campaign asks to resume.
+
+:func:`atomic_open` is also how the campaign manifest and summary are
+written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import IO, Iterator, Optional
 
 from repro.experiments.points import Point, PointValue
-from repro.experiments.trace_cache import atomic_open, env_dir
 
 __all__ = [
+    "atomic_open",
+    "env_dir",
     "load_value",
     "point_key",
     "store_dir",
@@ -61,6 +66,40 @@ _VALUE_FIELDS = (
     "write_hit_ratio",
     "physical_disks",
 )
+
+
+def env_dir(var: str, default_name: str) -> Optional[Path]:
+    """The directory environment variable *var* names, or ``None``.
+
+    Unset means ``~/.cache/repro/<default_name>``; ``off``, ``0``,
+    ``none`` or empty means disabled.
+    """
+    raw = os.environ.get(var)
+    if raw is None:
+        return Path.home() / ".cache" / "repro" / default_name
+    if raw.strip().lower() in ("off", "0", "none", ""):
+        return None
+    return Path(raw).expanduser()
+
+
+@contextlib.contextmanager
+def atomic_open(path: Path, mode: str = "w") -> Iterator[IO]:
+    """Write *path* through a temp file that replaces it on success.
+
+    Readers never see a partial file, and concurrent writers race
+    benignly: the last ``os.replace`` wins.  Raises ``OSError``; callers
+    that must never fail the run catch it.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=path.suffix + ".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def store_dir() -> Optional[Path]:

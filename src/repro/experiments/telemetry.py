@@ -5,9 +5,8 @@ PRs 5–6 made campaigns parallel and fast; this module makes them
 :class:`~repro.experiments.points.Point` or a whole-experiment unit —
 emits a structured :class:`PointRecord`: the content hash of its
 configuration, the solver backend, wall time, kernel events simulated
-(and events/s), the trace-cache traffic it caused, which OS process
-evaluated it, and whether the value was computed or served from the
-point-result store.
+(and events/s), which OS process evaluated it, and whether the value
+was computed or served from the point-result store.
 
 A :class:`CampaignRecorder` collects the records (in whatever order
 workers finish) and writes two artifacts atomically:
@@ -18,8 +17,8 @@ workers finish) and writes two artifacts atomically:
   manifests (only the per-record wall/pid fields differ);
 * a **summary** JSON next to it — point-latency histograms (per
   backend, via the mergeable log-bucket
-  :class:`~repro.obs.metrics.Histogram`), provenance and cache totals,
-  and aggregate throughput.
+  :class:`~repro.obs.metrics.Histogram`), provenance totals and
+  aggregate throughput.
 
 Records never influence values: the campaign engine builds one for
 every unit and drops it when no recorder is passed, so a campaign with
@@ -32,11 +31,11 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from repro.experiments import result_store, trace_cache
+from repro.experiments import result_store
 from repro.experiments.points import Point, PointValue, run_point
 
 __all__ = [
@@ -69,7 +68,6 @@ class PointRecord:
     events: int
     events_per_s: float
     worker_pid: int
-    trace_cache: Dict[str, int] = field(default_factory=dict)
     mean_response_ms: float = math.nan
 
     def identity(self) -> tuple:
@@ -103,7 +101,6 @@ def evaluate_point(
     :func:`stored_record`) before it calls this.
     """
     key = result_store.point_key(point)
-    before = trace_cache.stats()
     t0 = time.perf_counter()
     value = run_point(point)
     if resume:
@@ -122,7 +119,6 @@ def evaluate_point(
         events=events,
         events_per_s=(events / wall) if (events and wall > 0) else 0.0,
         worker_pid=os.getpid(),
-        trace_cache=trace_cache.stats().delta(before).as_dict(),
         mean_response_ms=value.mean_response_ms,
     )
     return value, record
@@ -207,14 +203,11 @@ class CampaignRecorder:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        cache_totals: Dict[str, int] = {}
         for rec in self.records:
             registry.counter("points", provenance=rec.provenance).inc()
             registry.histogram(
                 "point_wall_s", lo=1e-5, hi=1e4, backend=rec.backend
             ).observe(rec.wall_s)
-            for k, v in rec.trace_cache.items():
-                cache_totals[k] = cache_totals.get(k, 0) + v
 
         latency = {}
         for name, labels, metric in registry:
@@ -248,7 +241,6 @@ class CampaignRecorder:
             "wall_s": round(time.perf_counter() - self._t0, 4),
             "events": events,
             "events_per_s": round(events / computed_wall) if computed_wall else 0,
-            "trace_cache": cache_totals,
             "point_latency": latency,
             **meta,
         }
@@ -270,11 +262,11 @@ class CampaignRecorder:
             doc = {"record": "point"}
             doc.update({k: _jsonable(v) for k, v in asdict(rec).items()})
             lines.append(json.dumps(doc, sort_keys=True))
-        with trace_cache.atomic_open(self.manifest_path) as fh:
+        with result_store.atomic_open(self.manifest_path) as fh:
             fh.write("\n".join(lines) + "\n")
 
         summary = self._summary(meta)
-        with trace_cache.atomic_open(self.summary_path) as fh:
+        with result_store.atomic_open(self.summary_path) as fh:
             fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return summary
 

@@ -8,9 +8,11 @@ Heterogeneous configs (``config.vas`` non-empty) build one array per
 Virtual Array instead: each VA gets its own layout, its own channel,
 and physical disks whose model comes from the allocation policy's
 placement over the disk pool (:meth:`SystemConfig.resolve_disk_params`).
-Routing is VA-first — the logical address space is the concatenation of
-the VA spans, which may differ in size — while the homogeneous path
-keeps its closed-form ``divmod`` routing bit-for-bit.
+A uniform system is ``narrays`` copies of one such array description,
+so one loop builds both.  Routing is VA-first — the logical address
+space is the concatenation of the VA spans, which may differ in size —
+while the homogeneous path keeps its closed-form ``divmod`` routing
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -145,62 +147,30 @@ def build_system(
     if narrays < 1:
         raise ValueError("need at least one array")
     if config.heterogeneous:
-        return _build_heterogeneous(env, config, narrays, controller_factory)
-    geometry = config.disk.geometry(config.block_bytes)
-    if config.blocks_per_disk > geometry.total_blocks:
-        raise ValueError(
-            f"database slice of {config.blocks_per_disk} blocks exceeds the "
-            f"disk's {geometry.total_blocks}"
-        )
-    seek_model = config.disk.seek_model()
-    phase_rng = np.random.default_rng(config.phase_seed)
-
-    controllers: list[ArrayController] = []
-    for ai in range(narrays):
-        layout = config.make_layout()
-        disks = [
-            Disk(
-                env,
-                geometry,
-                seek_model,
-                name=f"a{ai}.d{di}",
-                scheduler=(
-                    SSTFScheduler(geometry) if config.disk_scheduler == "sstf" else None
-                ),
-                phase=0.0 if config.spindle_sync else float(phase_rng.random()),
+        if narrays != len(config.vas):
+            raise ValueError(
+                f"heterogeneous config defines {len(config.vas)} VAs but "
+                f"{narrays} arrays were requested"
             )
-            for di in range(layout.ndisks)
+        # One array per Virtual Array, disks placed by the allocation policy.
+        arrays = [
+            (config.va_view(vi), params)
+            for vi, params in enumerate(config.resolve_disk_params())
         ]
-        channel = Channel(env, config.channel_mb_per_s, name=f"a{ai}.chan")
-        make = controller_factory if controller_factory is not None else _make_controller
-        controllers.append(make(env, layout, disks, channel, config))
-    return ArraySystem(env=env, config=config, controllers=controllers)
-
-
-def _build_heterogeneous(
-    env: Environment,
-    config: SystemConfig,
-    narrays: int,
-    controller_factory=None,
-) -> ArraySystem:
-    """One array per Virtual Array, disks placed by the allocation policy."""
-    if narrays != len(config.vas):
-        raise ValueError(
-            f"heterogeneous config defines {len(config.vas)} VAs but "
-            f"{narrays} arrays were requested"
-        )
-    assigned = config.resolve_disk_params()
+        spans = config.va_spans
+    else:
+        arrays = [(config, [config.disk] * config.disks_per_array)] * narrays
+        spans = ()
     models: dict = {}  # DiskParams -> (geometry, seek_model), built once
     phase_rng = np.random.default_rng(config.phase_seed)
+    make = controller_factory if controller_factory is not None else _make_controller
 
     controllers: list[ArrayController] = []
-    for vi, va in enumerate(config.vas):
-        vcfg = config.va_view(vi)
-        layout = vcfg.make_layout()
-        params_list = assigned[vi]
+    for ai, (acfg, params_list) in enumerate(arrays):
+        layout = acfg.make_layout()
         if len(params_list) != layout.ndisks:  # pragma: no cover - guard
             raise ValueError(
-                f"VA {vi} placement has {len(params_list)} disks, "
+                f"array {ai} has {len(params_list)} disks, "
                 f"layout needs {layout.ndisks}"
             )
         disks = []
@@ -210,17 +180,22 @@ def _build_heterogeneous(
                 cached = (params.geometry(config.block_bytes), params.seek_model())
                 models[params] = cached
             geometry, seek_model = cached
-            if vcfg.blocks_per_disk > geometry.total_blocks:
+            if acfg.blocks_per_disk > geometry.total_blocks:
+                owner = (
+                    f"VA {ai} ({config.vas[ai].label})"
+                    if config.heterogeneous
+                    else "database slice"
+                )
                 raise ValueError(
-                    f"VA {vi} ({va.label}) needs {vcfg.blocks_per_disk} blocks "
-                    f"per disk but its assigned disk holds {geometry.total_blocks}"
+                    f"{owner} needs {acfg.blocks_per_disk} blocks per disk, "
+                    f"which exceeds its disk's {geometry.total_blocks}"
                 )
             disks.append(
                 Disk(
                     env,
                     geometry,
                     seek_model,
-                    name=f"a{vi}.d{di}",
+                    name=f"a{ai}.d{di}",
                     scheduler=(
                         SSTFScheduler(geometry)
                         if config.disk_scheduler == "sstf"
@@ -229,12 +204,9 @@ def _build_heterogeneous(
                     phase=0.0 if config.spindle_sync else float(phase_rng.random()),
                 )
             )
-        channel = Channel(env, config.channel_mb_per_s, name=f"a{vi}.chan")
-        make = controller_factory if controller_factory is not None else _make_controller
-        controllers.append(make(env, layout, disks, channel, vcfg))
-    return ArraySystem(
-        env=env, config=config, controllers=controllers, spans=config.va_spans
-    )
+        channel = Channel(env, config.channel_mb_per_s, name=f"a{ai}.chan")
+        controllers.append(make(env, layout, disks, channel, acfg))
+    return ArraySystem(env=env, config=config, controllers=controllers, spans=spans)
 
 
 def _make_controller(env, layout, disks, channel, config: SystemConfig) -> ArrayController:

@@ -52,6 +52,19 @@ def test_run_points_parallel_matches_serial():
         assert repr(parallel[key]) == repr(serial[key])
 
 
+def test_campaign_without_resume_writes_nothing_under_home(tmp_path, monkeypatch):
+    """Traces live in each process's memo: a campaign that does not
+    resume leaves no file in the user's home directory."""
+    from repro.experiments import common
+
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    common._base_trace.cache_clear()  # make the campaign generate its traces
+    run_campaign(IDS, SCALE, jobs=2)
+    assert list(home.rglob("*")) == []
+
+
 def test_progress_hook_sees_every_unit():
     calls = []
     run_campaign(

@@ -18,14 +18,8 @@ SCALE = 0.01
 
 
 @pytest.fixture(autouse=True)
-def isolated_stores(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+def isolated_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "results"))
-    from repro.experiments.trace_cache import clear_memory_cache
-
-    clear_memory_cache()
-    yield
-    clear_memory_cache()
 
 
 def some_points(exp_id="fig8"):
@@ -140,6 +134,30 @@ class TestResume:
 
         as_dicts = lambda c: {e: [r.to_dict() for r in rs] for e, rs in c.items()}
         assert as_dicts(cold) == as_dicts(warm)
+
+    def test_unusable_store_dir_does_not_fail_the_run(self, tmp_path, monkeypatch):
+        """A store that cannot be created is skipped, never fatal.
+
+        The store path lies below a regular file, so ``mkdir`` fails
+        with ``NotADirectoryError`` for every user, root included.
+        """
+        from repro.experiments.parallel import run_campaign
+        from repro.experiments.telemetry import CampaignRecorder, read_manifest
+
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(blocker / "results"))
+        plain = run_campaign(["fig8"], SCALE, jobs=1)
+
+        rec = CampaignRecorder(tmp_path / "m.jsonl")
+        resumed = run_campaign(["fig8"], SCALE, jobs=1, recorder=rec, resume=True)
+        rec.finalize()
+        _, points = read_manifest(rec.manifest_path)
+        assert points and all(p["provenance"] == "computed" for p in points)
+        assert blocker.read_text() == "a file, not a directory\n"
+
+        as_dicts = lambda c: {e: [r.to_dict() for r in rs] for e, rs in c.items()}
+        assert as_dicts(resumed) == as_dicts(plain)
 
     def test_without_resume_store_is_not_consulted(self, tmp_path):
         from repro.experiments.parallel import run_campaign

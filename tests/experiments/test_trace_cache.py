@@ -1,178 +1,148 @@
-"""The two-layer (memory LRU + on-disk npz) trace cache."""
+"""The per-process trace memo behind ``get_trace``."""
 
 import numpy as np
 import pytest
 
-from repro.experiments import trace_cache
-from repro.experiments.trace_cache import (
-    cache_dir,
-    cached_generate,
-    clear_memory_cache,
-    config_key,
-    memory_cache_size,
+from repro.experiments import common
+from repro.experiments.common import (
+    T1_BASE_SCALE,
+    T1_DISKS,
+    T2_BASE_SCALE,
+    _pad_disks,
+    get_trace,
 )
-from repro.trace.synthetic import generate_trace, trace2_config
+from repro.experiments.registry import EXPERIMENTS
+from repro.trace import (
+    generate_trace,
+    scale_speed,
+    slice_arrays,
+    trace1_config,
+    trace2_config,
+)
+
+SCALE = 0.02
 
 
 @pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    """Every test gets an empty disk cache and an empty memory LRU."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-    clear_memory_cache()
+def empty_memo():
+    """Every test starts with an empty memo and zeroed counters."""
+    common._base_trace.cache_clear()
     yield
-    clear_memory_cache()
+    common._base_trace.cache_clear()
 
 
-def small_cfg(scale=0.01, seed=None):
-    cfg = trace2_config(scale=scale)
-    if seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
+def memo():
+    return common._base_trace.cache_info()
 
 
-def test_cached_generate_matches_direct_generation():
-    cfg = small_cfg()
-    direct = generate_trace(cfg)
-    cached = cached_generate(cfg)
-    assert np.array_equal(cached.records, direct.records)
-    assert (cached.ndisks, cached.blocks_per_disk, cached.name) == (
-        direct.ndisks,
-        direct.blocks_per_disk,
-        direct.name,
+def direct_trace1(scale=SCALE):
+    full = generate_trace(trace1_config(scale=round(T1_BASE_SCALE * scale, 6)))
+    return slice_arrays(full, 0, T1_DISKS)
+
+
+def direct_trace2(scale=SCALE):
+    return generate_trace(trace2_config(scale=round(T2_BASE_SCALE * scale, 6)))
+
+
+def assert_same_trace(got, want):
+    assert np.array_equal(got.records, want.records)
+    assert (got.ndisks, got.blocks_per_disk, got.name) == (
+        want.ndisks,
+        want.blocks_per_disk,
+        want.name,
     )
 
 
-def test_disk_round_trip_survives_memory_clear():
-    cfg = small_cfg()
-    first = cached_generate(cfg)
-    files = list(cache_dir().glob("*.npz"))
-    assert len(files) == 1
-
-    clear_memory_cache()
-    second = cached_generate(cfg)  # must come from disk, not regeneration
-    assert np.array_equal(first.records, second.records)
-    # Same file, untouched (no rewrite on a disk hit).
-    assert list(cache_dir().glob("*.npz")) == files
+def test_cached_generate_matches_direct_generation():
+    assert_same_trace(get_trace(2, SCALE), direct_trace2())
+    assert_same_trace(get_trace(1, SCALE), direct_trace1())
+    # A remembered recipe is still exactly the generator's output.
+    assert_same_trace(get_trace(2, SCALE), direct_trace2())
 
 
 def test_memory_hit_returns_same_object():
-    cfg = small_cfg()
-    assert cached_generate(cfg) is cached_generate(cfg)
+    assert get_trace(2, SCALE) is get_trace(2, SCALE)
+    assert get_trace(1, SCALE) is get_trace(1, SCALE)
+
+
+def test_trace1_array_sizes_share_one_generation():
+    """Trace 1 is never padded, so every N reads the one sliced base."""
+    at5 = get_trace(1, SCALE, n=5)
+    at20 = get_trace(1, SCALE, n=20)
+    assert at5 is at20
+    assert at5.ndisks == T1_DISKS
+    assert memo().misses == 1
+
+
+def test_padded_and_speed_scaled_traces_match_direct_transforms():
+    assert_same_trace(
+        get_trace(2, SCALE, n=20), _pad_disks(direct_trace2(), 20)
+    )
+    assert_same_trace(
+        get_trace(2, SCALE, speed=2.0, n=15),
+        scale_speed(_pad_disks(direct_trace2(), 15), 2.0),
+    )
+    assert_same_trace(
+        get_trace(1, SCALE, speed=0.5), scale_speed(direct_trace1(), 0.5)
+    )
+    # The transforms run per call; the base trace was generated once each.
+    assert memo().misses == 2
 
 
 def test_config_key_covers_every_knob():
-    base = small_cfg()
-    assert config_key(base) == config_key(small_cfg())
-    assert config_key(base) != config_key(small_cfg(seed=999))
-    assert config_key(base) != config_key(small_cfg(scale=0.02))
+    """Trace, scale and HDA overrides each name a different base trace."""
+    hda = (("seed", 999),)
+    traces = [
+        get_trace(2, SCALE),
+        get_trace(1, SCALE),
+        get_trace(2, 2 * SCALE),
+        get_trace(2, SCALE, hda=hda),
+    ]
+    assert memo().misses == len(traces)
+    assert len({id(t) for t in traces}) == len(traces)
+    assert not np.array_equal(traces[0].records, traces[3].records)
+    # Speed and N are applied to the base, not keyed into the memo.
+    get_trace(2, SCALE, speed=2.0, n=20)
+    assert memo().misses == len(traces)
 
 
-def test_disabled_disk_cache_writes_nothing(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-    assert cache_dir() is None
-    cfg = small_cfg()
-    trace = cached_generate(cfg)
-    assert np.array_equal(trace.records, generate_trace(cfg).records)
-
-
-def test_corrupt_cache_file_regenerates():
-    cfg = small_cfg()
-    cached_generate(cfg)
-    (path,) = cache_dir().glob("*.npz")
-    path.write_bytes(b"not an npz archive")
-    clear_memory_cache()
-    trace = cached_generate(cfg)
-    assert np.array_equal(trace.records, generate_trace(cfg).records)
-
-
-def test_memory_lru_is_bounded(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_MEMCACHE", "2")
-    assert memory_cache_size() == 2
-    for seed in (1, 2, 3):
-        cached_generate(small_cfg(seed=seed))
-    assert len(trace_cache._memory) == 2
-
-
-def test_memory_cache_can_be_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_MEMCACHE", "0")
-    cached_generate(small_cfg())
-    assert len(trace_cache._memory) == 0
-
-
-def test_readonly_cache_dir_does_not_fail_the_run(monkeypatch, tmp_path):
-    blocked = tmp_path / "blocked"
-    blocked.mkdir()
-    blocked.chmod(0o500)  # no write permission
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(blocked / "traces"))
-    try:
-        trace = cached_generate(small_cfg())
-        assert len(trace) > 0
-    finally:
-        blocked.chmod(0o700)
+def test_memory_lru_is_bounded():
+    """The memo has a constant size that holds every base trace of
+    ``all``: each decomposed experiment's trace recipes plus the one
+    ext-rebuild generates for itself (Trace 2 at half the scale)."""
+    recipes = {(2, round(T2_BASE_SCALE * 0.5, 6), ())}
+    for exp in EXPERIMENTS.values():
+        if exp.points is not None:
+            for point in exp.points(1.0):
+                base = T1_BASE_SCALE if point.spec.which == 1 else T2_BASE_SCALE
+                recipes.add(
+                    (point.spec.which, round(base * point.spec.scale, 6), point.spec.hda)
+                )
+    size = memo().maxsize
+    assert size is not None
+    assert len(recipes) <= size
 
 
 class TestStats:
-    """Hit/miss/eviction counters surfaced via stats()."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_counters(self):
-        trace_cache.reset_stats()
-        yield
-        trace_cache.reset_stats()
+    """The memo's hit/miss counters (``functools.lru_cache`` info)."""
 
     def test_cold_lookup_counts_miss_generate_store(self):
-        cached_generate(small_cfg())
-        s = trace_cache.stats()
-        assert s.disk_misses == 1
-        assert s.generated == 1
-        assert s.disk_stores == 1
-        assert s.memory_hits == 0
+        get_trace(2, SCALE)
+        info = memo()
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
     def test_memory_hit_counted(self):
-        cfg = small_cfg()
-        cached_generate(cfg)
-        cached_generate(cfg)
-        s = trace_cache.stats()
-        assert s.memory_hits == 1
-        assert s.generated == 1
+        get_trace(2, SCALE)
+        get_trace(2, SCALE, n=20)
+        info = memo()
+        assert (info.misses, info.hits) == (1, 1)
 
-    def test_disk_hit_counted_after_memory_clear(self):
-        cfg = small_cfg()
-        cached_generate(cfg)
-        clear_memory_cache()
-        cached_generate(cfg)
-        s = trace_cache.stats()
-        assert s.disk_hits == 1
-        assert s.generated == 1  # no regeneration
-
-    def test_eviction_counted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_MEMCACHE", "1")
-        cached_generate(small_cfg(seed=1))
-        cached_generate(small_cfg(seed=2))
-        assert trace_cache.stats().memory_evictions == 1
-
-    def test_stats_snapshot_and_delta(self):
-        before = trace_cache.stats()
-        cached_generate(small_cfg())
-        after = trace_cache.stats()
-        assert before.generated == 0  # snapshot, not a live view
-        d = after.delta(before)
-        assert d.generated == 1 and d.disk_misses == 1
-
-    def test_derived_ratios_and_dict(self):
-        cfg = small_cfg()
-        cached_generate(cfg)
-        cached_generate(cfg)
-        s = trace_cache.stats()
-        assert s.lookups == 2
-        assert s.hit_ratio == pytest.approx(0.5)
-        d = s.as_dict()
-        assert d["memory_hits"] == 1 and d["generated"] == 1
-
-    def test_reset_stats_zeroes_everything(self):
-        cached_generate(small_cfg())
-        trace_cache.reset_stats()
-        s = trace_cache.stats()
-        assert s.lookups == 0 and s.generated == 0
+    def test_eviction_counted(self):
+        """Past its size the memo drops the least recent base trace,
+        which the next lookup must generate again."""
+        size = memo().maxsize
+        for i in range(size + 1):
+            get_trace(2, 0.002 * (i + 1))
+        assert memo().currsize == size
+        get_trace(2, 0.002)
+        assert memo().misses == size + 2
