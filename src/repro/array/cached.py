@@ -35,6 +35,11 @@ from repro.layout.raid4 import Raid4Layout
 
 __all__ = ["CachedController"]
 
+#: The decoupled destage policy's small destages per destage period, and
+#: the oldest dirty blocks each one writes back.
+DECOUPLED_BATCHES_PER_PERIOD = 4
+DECOUPLED_BATCH_BLOCKS = 24
+
 
 class CachedController(ArrayController):
     """Controller with a non-volatile LRU cache and background destage."""
@@ -222,9 +227,7 @@ class CachedController(ArrayController):
         period = self.config.destage_period_ms
         while True:
             yield env.timeout(period)
-            runs = plan_destage_runs(
-                self.cache, self.layout, self.config.destage_max_blocks
-            )
+            runs = plan_destage_runs(self.cache, self.layout)
             if not runs:
                 continue
             self.destage_cycles += 1
@@ -246,11 +249,10 @@ class CachedController(ArrayController):
         once per period.
         """
         env = self.env
-        cfg = self.config
-        interval = cfg.destage_period_ms / cfg.decoupled_batches_per_period
+        interval = self.config.destage_period_ms / DECOUPLED_BATCHES_PER_PERIOD
         while True:
             yield env.timeout(interval)
-            candidates = self.cache.oldest_dirty(cfg.decoupled_batch_blocks)
+            candidates = self.cache.oldest_dirty(DECOUPLED_BATCH_BLOCKS)
             if not candidates:
                 continue
             runs = plan_destage_runs(self.cache, self.layout, blocks=candidates)

@@ -46,7 +46,6 @@ class DestageRun:
 def plan_destage_runs(
     cache: LRUCache,
     layout: Layout,
-    max_blocks: int | None = None,
     blocks: list[int] | None = None,
 ) -> list[DestageRun]:
     """Snapshot dirty blocks and coalesce them into per-disk runs.
@@ -57,9 +56,6 @@ def plan_destage_runs(
 
     Parameters
     ----------
-    max_blocks:
-        Optional cap on blocks planned in one cycle, bounding the burst a
-        single destage cycle can create.
     blocks:
         Destage only these blocks (already-clean or in-flight entries are
         skipped); ``None`` plans every dirty block.
@@ -74,8 +70,6 @@ def plan_destage_runs(
             and e.state is BlockState.DIRTY
             and not e.destaging
         ]
-    if max_blocks is not None:
-        dirty = dirty[:max_blocks]
     if not dirty:
         return []
 

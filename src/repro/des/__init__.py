@@ -1,10 +1,13 @@
 """Discrete-event simulation kernel.
 
 A compact, deterministic, generator-coroutine DES kernel in the style of
-simpy (which is not available in this offline environment).  Simulation
-*processes* are Python generators that ``yield`` :class:`~repro.des.events.Event`
-instances; the :class:`~repro.des.environment.Environment` advances a virtual
-clock and resumes processes when the events they wait on are triggered.
+simpy, which is not a dependency.  Simulation *processes* are Python
+generators that ``yield`` :class:`~repro.des.events.Event` instances; the
+:class:`~repro.des.environment.Environment` advances a virtual clock and
+resumes processes when the events they wait on are processed.  The kernel
+holds only what the simulator runs: unlike simpy's, its processes cannot
+be interrupted, and a condition (``AllOf``, ``AnyOf``, ``&``, ``|``)
+succeeds with ``None`` instead of a mapping of its sub-events' values.
 
 Determinism: events scheduled for the same simulated time are processed in
 schedule order (a monotonically increasing sequence number breaks ties), so a
@@ -27,15 +30,7 @@ Example
 """
 
 from repro.des.environment import Environment
-from repro.des.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Interrupt,
-    Timeout,
-)
+from repro.des.events import AllOf, AnyOf, Condition, Event, Timeout
 from repro.des.process import Process
 from repro.des.resources import (
     PriorityStore,
@@ -50,10 +45,8 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "ConditionValue",
     "Environment",
     "Event",
-    "Interrupt",
     "PriorityStore",
     "Process",
     "Release",

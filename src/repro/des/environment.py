@@ -17,13 +17,18 @@ before the clock reached that time, so their sequence numbers are smaller
 than those of anything scheduled at it, and the dispatch order is exactly
 ``(time, sequence)``: the queue split saves heap pushes and pops, not
 events.
+
+One private loop dispatches every event.  :meth:`Environment.step` and
+the three forms of :meth:`Environment.run` differ only in when it stops:
+after one event, when the queues are empty, once a given event has been
+processed, or before the first event due after a given time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Optional, Union
+from typing import Any, Callable, Generator, Optional, Sequence, Union
 
 from repro.des.events import Event, Timeout
 from repro.des.process import Process
@@ -37,6 +42,10 @@ EventHook = Callable[[float, Event], None]
 #: Steady state needs about one per concurrently sleeping process; the cap
 #: only bounds pathological churn.
 _TIMEOUT_POOL_CAP = 1024
+
+_INF = float("inf")
+#: The ``stop`` of :meth:`Environment.step`: true from the first event on.
+_ONCE = (True,)
 
 
 class EmptySchedule(Exception):
@@ -142,66 +151,16 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._ready:
             return self._now
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
-        """Process the next event.
+        """Process the next event, re-raising its unhandled failure.
 
-        Takes the head of the ready queue or, when that is empty, advances
-        the clock to the heap's earliest time and moves every entry due
-        then to the ready queue; then runs the event's callbacks.  If the
-        event failed and no handler defused the failure, the exception is
-        re-raised here so that programming errors inside processes surface
-        instead of being swallowed.  Raises :class:`EmptySchedule` when
-        both queues are empty.
-
-        The dispatch body is intentionally duplicated inside the
-        :meth:`run` hot loops; any semantic change here must be mirrored
-        there (the kernel test-suite pins the shared behavior).
+        Raises :class:`EmptySchedule` when both queues are empty.
         """
-        ready = self._ready
-        if ready:
-            event = ready.popleft()
-        else:
-            queue = self._queue
-            if not queue:
-                raise EmptySchedule()
-            now, _, event = heappop(queue)
-            self._now = now
-            while queue and queue[0][0] == now:
-                ready.append(heappop(queue)[2])
-
-        if self._event_hooks is not None:
-            for hook in self._event_hooks:
-                hook(self._now, event)
-
-        if type(event) is Timeout:
-            proc = event._proc
-            callbacks = event.callbacks
-            event.callbacks = None
-            if proc is not None:
-                # The fast-lane slot is semantically ``callbacks[0]``.
-                event._proc = None
-                proc._resume(event)
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                elif len(self._timeout_pool) < _TIMEOUT_POOL_CAP:
-                    self._timeout_pool.append(event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            return  # timeouts always succeed; no failure to propagate
-
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None, "event processed twice"
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            exc = event._exc
-            assert exc is not None
-            raise exc
+        if not self._ready and not self._queue:
+            raise EmptySchedule()
+        self._loop(_ONCE, _INF)
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -214,91 +173,94 @@ class Environment:
             a number
                 dispatch every event due at or before that time, the
                 ready ones included, and set the clock to exactly
-                ``until``;
+                ``until``; a NaN or past time raises :class:`ValueError`
+                before anything is dispatched;
             an :class:`Event`
                 run until that event has been processed and return its
                 value (re-raising its exception if it failed).
-
-        The ``None`` and :class:`Event` forms inline the pop-and-dispatch
-        body of :meth:`step` (saving a method call and re-binding per
-        event); pop order and callback order are identical to repeated
-        :meth:`step` calls.
         """
-        if until is None or isinstance(until, Event):
-            if until is None:
-                flag: list[bool] = []
-                stop = None
+        if until is None:
+            self._loop((), _INF)
+            return None
+        if isinstance(until, Event):
+            if until.callbacks is None:  # already processed
+                return until.value
+            stopped: list[Event] = []
+            until.callbacks.append(stopped.append)
+            self._loop(stopped, _INF)
+            if not stopped:
+                raise RuntimeError(f"no more events; {until!r} never triggered")
+            return until.value
+        at = float(until)
+        if not at >= self._now:  # also rejects NaN
+            raise ValueError(f"until ({at}) must be >= now ({self._now})")
+        self._loop((), at)
+        self._now = at
+        return None
+
+    def _loop(self, stop: Sequence[Any], limit: float) -> None:
+        """Dispatch events in ``(time, sequence)`` order.
+
+        Takes the head of the ready queue or, when that is empty, advances
+        the clock to the heap's earliest time and moves every entry due
+        then to the ready queue; then runs the event's callbacks.  Returns
+        once *stop* is non-empty after an event, when both queues are
+        empty, or when the next event is due after *limit*.  A failed
+        event that no handler defused is re-raised, so that programming
+        errors inside processes surface instead of being swallowed.
+        """
+        # Local bindings.  ``resume`` is the unbound method, called as
+        # ``resume(proc, event)`` to avoid allocating a bound method per
+        # fast-lane event.
+        ready = self._ready
+        popleft = ready.popleft
+        queue = self._queue
+        pool = self._timeout_pool
+        pop = heappop
+        timeout_t = Timeout
+        resume = Process._resume
+        while True:
+            if ready:
+                event = popleft()
+            elif queue and queue[0][0] <= limit:
+                now, _, event = pop(queue)
+                self._now = now
+                while queue and queue[0][0] == now:
+                    ready.append(pop(queue)[2])
             else:
-                stop = until
-                if stop.callbacks is None:  # already processed
-                    return stop.value
-                flag = []
-                stop.callbacks.append(lambda _e: flag.append(True))
+                return
 
-            # Hot loop: local bindings, inlined dispatch.  ``resume`` is
-            # the unbound method, called as ``resume(proc, event)`` to
-            # avoid allocating a bound method per fast-lane event.
-            ready = self._ready
-            popleft = ready.popleft
-            queue = self._queue
-            pool = self._timeout_pool
-            pop = heappop
-            timeout_t = Timeout
-            resume = Process._resume
-            while not flag:
-                if ready:
-                    event = popleft()
-                elif queue:
-                    now, _, event = pop(queue)
-                    self._now = now
-                    while queue and queue[0][0] == now:
-                        ready.append(pop(queue)[2])
-                elif stop is None:
-                    return None
-                else:
-                    raise RuntimeError(f"no more events; {stop!r} never triggered")
+            hooks = self._event_hooks
+            if hooks is not None:
+                for hook in hooks:
+                    hook(self._now, event)
 
-                hooks = self._event_hooks
-                if hooks is not None:
-                    for hook in hooks:
-                        hook(self._now, event)
-
-                if type(event) is timeout_t:
-                    proc = event._proc
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if proc is not None:
-                        event._proc = None
-                        resume(proc, event)
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(event)
-                        elif len(pool) < _TIMEOUT_POOL_CAP:
-                            pool.append(event)
-                    else:
+            if type(event) is timeout_t:
+                # Timeouts always succeed; no failure to propagate.
+                proc = event._proc
+                callbacks = event.callbacks
+                event.callbacks = None
+                if proc is not None:
+                    # The fast-lane slot is semantically ``callbacks[0]``.
+                    event._proc = None
+                    resume(proc, event)
+                    if callbacks:
                         for callback in callbacks:
                             callback(event)
-                    continue
-
+                    elif len(pool) < _TIMEOUT_POOL_CAP:
+                        pool.append(event)
+                else:
+                    for callback in callbacks:
+                        callback(event)
+            else:
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
-
                 if not event._ok and not event._defused:
-                    exc = event._exc
-                    assert exc is not None
-                    raise exc
+                    raise event._exc
 
-            assert stop is not None
-            return stop.value
-
-        at = float(until)
-        if at < self._now:
-            raise ValueError(f"until ({at}) must be >= now ({self._now})")
-        while self._ready or (self._queue and self._queue[0][0] <= at):
-            self.step()
-        self._now = at
-        return None
+            if stop:
+                return
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
@@ -335,15 +297,3 @@ class Environment:
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Launch *generator* as a simulation :class:`Process`."""
         return Process(self, generator)
-
-    def all_of(self, events) -> Event:
-        """Event triggering once all of *events* have triggered."""
-        from repro.des.events import AllOf
-
-        return AllOf(self, events)
-
-    def any_of(self, events) -> Event:
-        """Event triggering once any of *events* has triggered."""
-        from repro.des.events import AnyOf
-
-        return AnyOf(self, events)

@@ -12,6 +12,11 @@ states:
     queues.
 ``processed``
     the environment has invoked the callbacks; ``callbacks`` is ``None``.
+
+A :class:`Timeout` is due a fixed delay after its creation.  A
+:class:`Condition` (``a & b``, ``a | b``, :class:`AllOf`, :class:`AnyOf`)
+waits on several events at once and succeeds with ``None``; its waiter
+reads the sub-events' own values.
 """
 
 from __future__ import annotations
@@ -26,10 +31,8 @@ __all__ = [
     "Event",
     "Timeout",
     "Condition",
-    "ConditionValue",
     "AllOf",
     "AnyOf",
-    "Interrupt",
 ]
 
 
@@ -112,8 +115,9 @@ class Event:
         """Set a failure outcome and schedule the event immediately.
 
         The failure propagates to every waiting process; if nobody handles
-        it (``defused``), :meth:`Environment.step` re-raises it, ending the
-        simulation loudly rather than silently dropping an error.
+        it (``defused``), the environment re-raises it from ``run`` or
+        ``step``, ending the simulation loudly rather than silently
+        dropping an error.
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
@@ -123,18 +127,6 @@ class Event:
         self._exc = exception
         self.env.schedule(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of *event* onto this event and schedule it.
-
-        Used to chain events (e.g. forwarding a sub-operation's outcome).
-        """
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self._exc = event._exc
-        self.env.schedule(self)
 
     # -- composition ----------------------------------------------------
     def __and__(self, other: "Event") -> "Condition":
@@ -187,50 +179,13 @@ class Timeout(Event):
         return f"<Timeout({self.delay}) object at 0x{id(self):x}>"
 
 
-class ConditionValue:
-    """Ordered mapping of the events that triggered inside a condition."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(key)
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        """Return a plain ``{event: value}`` dict."""
-        return {event: event._value for event in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ConditionValue {self.todict()!r}>"
-
-
 class Condition(Event):
     """An event that triggers when a predicate over sub-events holds.
 
     Used through the ``&`` / ``|`` operators or the :class:`AllOf` /
-    :class:`AnyOf` helpers.  The condition's value is a
-    :class:`ConditionValue` collecting the triggered sub-events in
-    trigger order.
+    :class:`AnyOf` helpers.  The condition succeeds with ``None``; a
+    waiter reads each sub-event's own ``value``.  The first sub-event to
+    fail fails the condition with its exception.
     """
 
     __slots__ = ("_evaluate", "_events", "_count")
@@ -258,16 +213,9 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-        if not self._events and not self.triggered:
+        if not self._events:
             # An empty condition is trivially satisfied.
-            self.succeed(ConditionValue())
-
-    def _collect_values(self) -> ConditionValue:
-        value = ConditionValue()
-        for event in self._events:
-            if event.callbacks is None and event._ok:
-                value.events.append(event)
-        return value
+            self.succeed()
 
     def _check(self, event: "Event") -> None:
         if self._value is not PENDING or self._exc is not None:
@@ -278,18 +226,6 @@ class Condition(Event):
             self.fail(event._exc)  # type: ignore[arg-type]
         elif self._evaluate(self._events, self._count):
             self.succeed(None)
-
-    def _build_value(self, event: "Event") -> None:
-        if event._ok:
-            self._value = self._collect_values()
-
-    def succeed(self, value: Any = None) -> "Event":  # noqa: D102
-        super().succeed(value)
-        # Collect values lazily at processing time so that sub-events that
-        # trigger at the same instant are included.
-        assert self.callbacks is not None
-        self.callbacks.insert(0, self._build_value)
-        return self
 
     @staticmethod
     def all_events(events: list["Event"], count: int) -> bool:
@@ -318,12 +254,3 @@ class AnyOf(Condition):
 
     def __init__(self, env: "Environment", events: Iterable["Event"]) -> None:
         super().__init__(env, Condition.any_events, events)
-
-
-class Interrupt(Exception):
-    """Exception thrown into a process by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]

@@ -6,9 +6,8 @@
     host channel and track-buffer pools.
 
 :class:`Store` / :class:`PriorityStore`
-    Producer/consumer buffers of Python objects.  Disk service loops pull
-    :class:`~repro.disk.request.DiskRequest` items from a
-    :class:`PriorityStore`.
+    Producer/consumer buffers of Python objects.  The simulator does not
+    use them: each disk queues its requests in :mod:`repro.disk.scheduler`.
 """
 
 from __future__ import annotations
@@ -35,8 +34,9 @@ class Request(Event):
             ...
 
     and have the claim released automatically: a granted claim is
-    released, and one still queued (the waiter was interrupted or failed
-    at the ``yield``) is withdrawn.
+    released, and one still queued (the waiter left the block without
+    being granted, e.g. its generator was closed at the ``yield``) is
+    withdrawn.
     """
 
     __slots__ = ("resource", "priority", "time")
@@ -212,10 +212,7 @@ class Store:
 class PriorityStore(Store):
     """Store whose items are retrieved lowest-priority-value first.
 
-    Items are inserted with an explicit priority; ties are FIFO.  Disk
-    queues use this: priority 0 for synchronous accesses, negative values
-    for parity accesses under the */PR* synchronization policies, and
-    positive values for background destage writes.
+    Items are inserted with an explicit priority; ties are FIFO.
     """
 
     def __init__(self, env: "Environment") -> None:

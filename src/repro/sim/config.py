@@ -218,8 +218,6 @@ class SystemConfig:
     cached: bool = False
     cache_mb: float = 16.0
     destage_period_ms: float = 1000.0
-    #: Cap on blocks destaged per cycle (None = everything dirty).
-    destage_max_blocks: int | None = None
     #: Write-back policy (§3.4 compares the first two; the third is the
     #: decoupling the paper suggests investigating):
     #: ``periodic``   — background destage of all dirty blocks each period
@@ -229,9 +227,6 @@ class SystemConfig:
     #: ``decoupled``  — frequent small destages of the oldest dirty blocks
     #:                  plus a periodic full flush that frees old copies.
     destage_policy: str = "periodic"
-    #: decoupled policy: destages per period and blocks per destage.
-    decoupled_batches_per_period: int = 4
-    decoupled_batch_blocks: int = 24
     #: RAID4 parity caching (§4.4); RAID4 is only studied cached.
     parity_caching: bool = True
     #: Synchronize all spindles (paper: "No spindle synchronization is
@@ -280,16 +275,12 @@ class SystemConfig:
             raise ValueError("cache_mb must be positive")
         if self.destage_period_ms <= 0:
             raise ValueError("destage period must be positive")
-        if self.destage_max_blocks is not None and self.destage_max_blocks < 1:
-            raise ValueError("destage_max_blocks must be >= 1")
         if not 0.0 < self.rmw_threshold <= 1.0:
             raise ValueError("rmw_threshold must be in (0, 1]")
         if self.destage_policy not in ("periodic", "lru_demand", "decoupled"):
             raise ValueError(f"unknown destage policy {self.destage_policy!r}")
         if self.disk_scheduler not in ("fcfs", "sstf"):
             raise ValueError(f"unknown disk scheduler {self.disk_scheduler!r}")
-        if self.decoupled_batches_per_period < 1 or self.decoupled_batch_blocks < 1:
-            raise ValueError("decoupled destage parameters must be >= 1")
         SyncPolicy.parse(self.sync_policy)  # validate early
         if self.allocation not in POLICIES:
             raise ValueError(

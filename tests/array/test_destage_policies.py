@@ -40,10 +40,6 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             SystemConfig(destage_policy="bogus")
 
-    def test_decoupled_parameters_validated(self):
-        with pytest.raises(ValueError):
-            SystemConfig(destage_policy="decoupled", decoupled_batch_blocks=0)
-
 
 class TestLruDemandPolicy:
     def test_no_background_writebacks(self):

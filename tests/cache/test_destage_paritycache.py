@@ -32,14 +32,6 @@ class TestPlanDestageRuns:
         # A second plan skips in-flight blocks.
         assert plan_destage_runs(cache, layout) == []
 
-    def test_respects_max_blocks(self):
-        cache = LRUCache(64)
-        layout = BaseLayout(4, 240)
-        for b in range(20):
-            cache.write(b)
-        runs = plan_destage_runs(cache, layout, max_blocks=5)
-        assert sum(r.nblocks for r in runs) == 5
-
     def test_raid5_su1_groups_per_disk(self):
         """With a 1-block striping unit, logically consecutive dirty
         blocks land on different disks -> one run per disk."""

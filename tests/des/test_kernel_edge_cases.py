@@ -75,12 +75,13 @@ class TestConditionEdgeCases:
             return "c"
 
         def proc(env):
-            result = yield AllOf(env, [env.process(child(env)), env.timeout(1, "t")])
-            return len(result)
+            events = [env.process(child(env)), env.timeout(1, "t")]
+            yield AllOf(env, events)
+            return (env.now, [ev.processed for ev in events])
 
         p = env.process(proc(env))
         env.run()
-        assert p.value == 2
+        assert p.value == (3.0, [True, True])
 
     def test_anyof_remaining_events_still_fire(self, env):
         late_fired = []

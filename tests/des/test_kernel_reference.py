@@ -1,13 +1,16 @@
 """The ready-queue kernel dispatches exactly as the heap-only kernel.
 
 :class:`HeapOnlyEnvironment` is the reference: every event, due now or
-later, goes on the ``(time, sequence)`` heap, and :meth:`step` pops it
-from there.  Hypothesis draws small programs of sleeping, shared-event,
-condition, resource, spawning and interrupting processes; each process
-logs ``(now, label, outcome)`` on every resume, and both kernels must
-produce the same log, the same clock and the same sequence counter when
-driven by :meth:`run`, by repeated :meth:`step`, by ``run(until=t)`` and
-by ``run(until=process)``.
+later, goes on the ``(time, sequence)`` heap, and its own :meth:`step`
+pops it from there; its :meth:`run` loops on that :meth:`step`.
+Hypothesis draws small programs of sleeping, shared-event, condition,
+resource and spawning processes; each process logs ``(now, label,
+outcome)`` on every resume, and both kernels must produce the same log,
+the same clock and the same sequence counter when driven by
+:meth:`run`, by repeated :meth:`step`, by ``run(until=t)``, by
+``run(until=process)``, and by all three in turn, which makes the
+kernel's one dispatch loop stop and restart under each of its stop
+conditions back to back.
 """
 
 from heapq import heappop, heappush
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import AllOf, AnyOf, Environment, Event, Interrupt, Resource, Timeout
+from repro.des import AllOf, AnyOf, Environment, Event, Resource, Timeout
 from repro.des.environment import _TIMEOUT_POOL_CAP, EmptySchedule
 from repro.validate import InvariantViolation, ValidationMonitor
 
@@ -131,7 +134,6 @@ ops = st.one_of(
     ),
     st.tuples(st.just("use"), st.integers(0, 2), delays),
     st.tuples(st.just("spawn"), st.integers(0, 7), st.booleans()),
-    st.tuples(st.just("interrupt"), st.integers(0, 7)),
 )
 programs = st.fixed_dictionaries(
     {
@@ -170,8 +172,6 @@ class World:
             label = f"{name}.{i}"
             try:
                 outcome = yield from self.perform(op, label, depth)
-            except Interrupt as irq:
-                outcome = f"interrupt {irq.cause}"
             except Boom as exc:
                 outcome = f"boom {exc}"
             log.append((env.now, label, outcome))
@@ -198,28 +198,22 @@ class World:
             if op[2] is not None:
                 events.append(self.shared[op[2]])
             cond = AllOf if kind == "all_of" else AnyOf
-            value = yield cond(env, events)
-            return len(value)
+            yield cond(env, events)
+            return [ev.processed for ev in events]
         if kind == "use":
             with self.resource.request(priority=op[1]) as req:
                 yield req
                 self.log.append((env.now, label, "granted"))
                 yield env.timeout(op[2])
             return "released"
-        if kind == "spawn":
-            if depth >= MAX_DEPTH:
-                return "too deep"
-            child = self.spawn(op[1] % len(self.bodies), f"{label}/c", depth + 1)
-            if op[2]:
-                value = yield child
-                return value
-            return "spawned"
-        assert kind == "interrupt"
-        target = self.procs[op[1] % len(self.procs)]
-        if target.is_alive and target is not env.active_process:
-            target.interrupt(label)
-            return "sent"
-        return "skipped"
+        assert kind == "spawn"
+        if depth >= MAX_DEPTH:
+            return "too deep"
+        child = self.spawn(op[1] % len(self.bodies), f"{label}/c", depth + 1)
+        if op[2]:
+            value = yield child
+            return value
+        return "spawned"
 
 
 def _outcome(env, program, drive):
@@ -229,7 +223,7 @@ def _outcome(env, program, drive):
         error = None
     except Exception as exc:  # the same failure must end both runs
         # Other messages name objects by address.
-        message = str(exc) if isinstance(exc, (Boom, Interrupt)) else ""
+        message = str(exc) if isinstance(exc, Boom) else ""
         error = (type(exc).__name__, message)
     return world.log, error, env.now, env._seq
 
@@ -262,20 +256,56 @@ def _by_run_until_event(env, world):
     env.run()
 
 
+def _by_turns(turns):
+    """``step()``, ``run(until=t)`` and ``run(until=process)`` in turn."""
+
+    def drive(env, world):
+        for kind, arg in turns:
+            if kind == "step":
+                try:
+                    env.step()
+                except EmptySchedule:
+                    world.log.append((env.now, "empty", None))
+                    continue
+                world.log.append((env.now, "stepped", env.peek()))
+            elif kind == "until":
+                env.run(until=max(arg, env.now))
+                world.log.append((env.now, "until", env.peek()))
+            else:
+                proc = world.procs[arg % len(world.procs)]
+                world.log.append((env.now, "joined", env.run(until=proc)))
+        env.run()
+
+    return drive
+
+
 def _assert_same(program, drive):
     want = _outcome(HeapOnlyEnvironment(), program, drive)
     assert _outcome(Environment(), program, drive) == want
 
 
-until_times = st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0]), max_size=5).map(
-    sorted
+until_time = st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0])
+until_times = st.lists(until_time, max_size=5).map(sorted)
+turns = st.lists(
+    st.one_of(
+        st.tuples(st.just("step"), st.none()),
+        st.tuples(st.just("until"), until_time),
+        st.tuples(st.just("join"), st.integers(0, 7)),
+    ),
+    max_size=8,
 )
 
 
 @settings(deadline=None)
-@given(programs, until_times)
-def test_ready_queue_dispatches_as_the_heap_only_kernel(program, times):
-    for drive in (_by_run, _by_step, _by_run_until(times), _by_run_until_event):
+@given(programs, until_times, turns)
+def test_ready_queue_dispatches_as_the_heap_only_kernel(program, times, turns):
+    for drive in (
+        _by_run,
+        _by_step,
+        _by_run_until(times),
+        _by_run_until_event,
+        _by_turns(turns),
+    ):
         _assert_same(program, drive)
 
 

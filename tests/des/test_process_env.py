@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, Event, Interrupt, Process
+from repro.des import Environment, Event, Process
 from repro.des.environment import EmptySchedule
 
 
@@ -196,103 +196,6 @@ class TestNonGeneratorProcess:
         assert env._seq == 0
 
 
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        def victim(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as i:
-                return ("interrupted", i.cause, env.now)
-
-        def attacker(env, p):
-            yield env.timeout(5)
-            p.interrupt("because")
-
-        p = env.process(victim(env))
-        env.process(attacker(env, p))
-        env.run()
-        assert p.value == ("interrupted", "because", 5.0)
-
-    def test_interrupt_terminated_process_raises(self, env):
-        def victim(env):
-            yield env.timeout(1)
-
-        p = env.process(victim(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        def proc(env):
-            with pytest.raises(RuntimeError):
-                env.active_process.interrupt()
-            yield env.timeout(1)
-
-        env.process(proc(env))
-        env.run()
-
-    def test_resume_waiting_after_interrupt(self, env):
-        """A process can re-wait on its original target after interrupt."""
-
-        def victim(env):
-            target = env.timeout(10)
-            try:
-                yield target
-            except Interrupt:
-                pass
-            yield target  # keep waiting
-            return env.now
-
-        def attacker(env, p):
-            yield env.timeout(3)
-            p.interrupt()
-
-        p = env.process(victim(env))
-        env.process(attacker(env, p))
-        env.run()
-        assert p.value == 10.0
-
-    def test_two_interrupts_in_one_instant_arrive_in_turn(self, env):
-        """The second interrupt reaches the wait the first one led to."""
-        log = []
-
-        def victim(env):
-            for _ in range(3):
-                try:
-                    yield env.timeout(10)
-                    log.append(("slept", env.now))
-                except Interrupt as i:
-                    log.append((i.cause, env.now))
-
-        def attacker(env, p):
-            yield env.timeout(1)
-            p.interrupt("first")
-            p.interrupt("second")
-
-        p = env.process(victim(env))
-        env.process(attacker(env, p))
-        env.run()
-        assert log == [("first", 1.0), ("second", 1.0), ("slept", 11.0)]
-        assert p.processed and p.ok
-
-    def test_interrupt_of_a_process_ended_by_an_earlier_one_is_dropped(self, env):
-        def victim(env):
-            try:
-                yield env.timeout(10)
-            except Interrupt as i:
-                return i.cause
-
-        def attacker(env, p):
-            yield env.timeout(1)
-            p.interrupt("first")
-            p.interrupt("second")
-
-        p = env.process(victim(env))
-        env.process(attacker(env, p))
-        env.run()
-        assert p.value == "first" and env.now == 10.0
-
-
 class TestEnvironmentRun:
     def test_run_until_time(self, env):
         ticks = []
@@ -311,6 +214,16 @@ class TestEnvironmentRun:
         env.run(until=5)
         with pytest.raises(ValueError):
             env.run(until=1)
+
+    def test_run_until_nan_raises_before_dispatching(self, env):
+        """A NaN horizon would make the clock NaN for every later event."""
+        timeout = env.timeout(5.0)
+        with pytest.raises(ValueError, match="until \\(nan\\)"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0 and env._seq == 1
+        assert not timeout.processed and env.peek() == 5.0
+        env.run()
+        assert env.now == 5.0
 
     def test_run_until_event_returns_value(self, env):
         def proc(env):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, Interrupt, PriorityStore, Resource, Store
+from repro.des import Environment, PriorityStore, Resource, Store
 
 
 @pytest.fixture
@@ -155,35 +155,26 @@ class TestResource:
         # The cancelled request must not block the patient waiter.
         assert granted == [5.0]
 
-    def test_interrupted_waiter_withdraws_its_claim(self, env):
+    def test_waiter_giving_up_withdraws_its_claim(self, env):
         """Leaving ``with res.request()`` while still queued cancels the
-        claim, so the waiter sees its ``Interrupt`` and nothing leaks."""
+        claim instead of releasing one it never held, so nothing leaks."""
         res = Resource(env)
-        caught = []
+        log = []
 
         def holder(env):
             with res.request() as req:
                 yield req
                 yield env.timeout(5)
 
-        def waiter(env):
-            try:
-                with res.request() as req:
-                    yield req
-                    yield env.timeout(1)
-            except Interrupt as exc:
-                caught.append((env.now, exc.cause))
+        def impatient(env):
+            with res.request() as req:
+                yield req | env.timeout(2)
+                log.append((env.now, req.triggered))
 
         env.process(holder(env))
-        victim = env.process(waiter(env))
-
-        def interrupter(env):
-            yield env.timeout(2)
-            victim.interrupt("give up")
-
-        env.process(interrupter(env))
+        env.process(impatient(env))
         env.run()
-        assert caught == [(2.0, "give up")]
+        assert log == [(2.0, False)]
         assert res.count == 0
         assert res.queue_length == 0
 
