@@ -37,10 +37,9 @@ def bench_experiment(exp_id: str, scale: float) -> dict:
     from repro.experiments.points import with_backend
     from repro.experiments.registry import get_experiment
 
-    exp = get_experiment(exp_id)
-    if exp.points is None:
-        raise SystemExit(f"{exp_id} has no point decomposition")
-    points = exp.points(scale)
+    points = get_experiment(exp_id).points(scale)
+    if not points:
+        raise SystemExit(f"{exp_id} simulates nothing")
 
     # Materialize every trace first so neither timed pass pays
     # generation cost (a repeated sweep hits the warm cache too).

@@ -3,8 +3,8 @@
 from functools import partial
 
 from repro.experiments import run_experiment
-from repro.experiments.extensions import run_rebuild
 
+run_rebuild = partial(run_experiment, "ext-rebuild")
 run_destage_policies = partial(run_experiment, "ext-destage")
 run_parity_grain = partial(run_experiment, "ext-parity-grain")
 run_scheduler = partial(run_experiment, "ext-scheduler")

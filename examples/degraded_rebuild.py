@@ -13,10 +13,7 @@ Run:  python examples/degraded_rebuild.py
 
 import numpy as np
 
-from repro.failure import DegradedParityController, RebuildProcess
-from repro.channel import Channel
-from repro.des import Environment
-from repro.disk import Disk
+from repro.failure import FailureSchedule
 from repro.sim import Organization, SystemConfig, run_trace
 from repro.trace import TRACE_DTYPE, Trace
 
@@ -44,39 +41,21 @@ def main():
     healthy = run_trace(config, trace, keep_samples=False)
     print(f"healthy array:      mean rt {healthy.mean_response_ms:6.2f} ms")
 
-    # Same workload with disk 2 failed and a rebuild running.
-    env = Environment()
-    layout = config.make_layout()
-    geometry = config.disk.geometry()
-    seek = config.disk.seek_model()
-    disks = [Disk(env, geometry, seek, name=f"d{i}") for i in range(layout.ndisks)]
-    ctrl = DegradedParityController(
-        env, layout, disks, Channel(env), config, failed_disk=2, spare=True
+    # Same workload with disk 2 failed from the start, a hot spare at
+    # once, and a rebuild of the active slice running underneath.
+    degraded = run_trace(
+        config,
+        trace,
+        keep_samples=False,
+        failures=FailureSchedule.single_failure(
+            disk=2, spare_after_ms=0.0, rebuild_blocks=USED_BLOCKS
+        ),
     )
-    rebuild = RebuildProcess(ctrl, chunk_blocks=6, used_blocks=USED_BLOCKS)
-
-    times = []
-
-    def source(env):
-        for rec in trace.records:
-            t = float(rec["time"])
-            if t > env.now:
-                yield env.timeout(t - env.now)
-            env.process(one(env, int(rec["lblock"]), bool(rec["is_write"])))
-
-    def one(env, lb, w):
-        t0 = env.now
-        yield from ctrl.handle(lb, 1, w)
-        times.append(env.now - t0)
-
-    env.process(source(env))
-    env.run(until=rebuild.process)
-    env.run(until=env.now + 60_000)
-
-    print(f"during rebuild:     mean rt {np.mean(times):6.2f} ms "
-          f"({ctrl.degraded_reads} degraded reads, "
-          f"{ctrl.degraded_writes} degraded writes)")
-    print(f"rebuild duration:   {rebuild.duration_ms / 1000.0:6.1f} s "
+    report = degraded.failures
+    print(f"during rebuild:     mean rt {degraded.mean_response_ms:6.2f} ms "
+          f"({report.degraded_reads} degraded reads, "
+          f"{report.degraded_writes} degraded writes)")
+    print(f"rebuild duration:   {report.rebuild_duration_ms / 1000.0:6.1f} s "
           f"for {USED_BLOCKS} blocks/disk")
     print()
     print("Degraded reads cost a whole-group reconstruction (max over")

@@ -95,13 +95,12 @@ def main(argv: list[str] | None = None) -> int:
     ids = [exp.exp_id for exp in experiments]
     if args.backend != "des":
         for exp in experiments:
-            if exp.run is not None:
-                why = "has no point decomposition; running on"
-            elif any(point.des_only for point in exp.points(args.scale)):
-                why = "simulates failure scenarios; running those points on"
-            else:
-                continue
-            print(f"note: {exp.exp_id} {why} the DES backend", file=sys.stderr)
+            if any(point.des_only for point in exp.points(args.scale)):
+                print(
+                    f"note: {exp.exp_id} simulates failure scenarios; running "
+                    f"those points on the DES backend",
+                    file=sys.stderr,
+                )
 
     jobs = default_jobs() if args.jobs <= 0 else args.jobs
     recorder = CampaignRecorder(args.manifest) if args.manifest else None

@@ -59,8 +59,8 @@ T1_BASE_SCALE = 0.04
 T2_BASE_SCALE = 0.5
 
 
-#: Base traces the memo holds.  Every base recipe of ``all`` fits: seven
-#: from the decomposed experiments' trace specs and one for ext-rebuild.
+#: Base traces the memo holds: every base recipe of ``all``'s points
+#: fits (eight, ext-rebuild's Trace 2 at half the scale among them).
 _MEMO_SIZE = 8
 
 

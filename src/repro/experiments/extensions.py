@@ -17,22 +17,15 @@ These exercise the features the paper mentions but does not evaluate:
 
 from __future__ import annotations
 
-from repro.failure import DegradedParityController, RebuildProcess
-from repro.channel import Channel
-from repro.des import Environment
-from repro.disk.drive import Disk
-from repro.experiments.common import (
-    ExperimentResult,
-    Series,
-    get_trace,
-    make_config,
-)
+from repro.experiments.common import ExperimentResult, Series
 from repro.experiments.points import Point, TraceSpec
-from repro.sim import run_trace
+from repro.failure import FailureSchedule
+from repro.trace import trace2_config
 
 __all__ = [
-    "run_rebuild",
     "run_reliability",
+    "points_rebuild",
+    "assemble_rebuild",
     "points_destage",
     "assemble_destage",
     "points_parity_grain",
@@ -77,56 +70,39 @@ def run_reliability(scale: float = 1.0) -> list[ExperimentResult]:
     ]
 
 
-def run_rebuild(scale: float = 1.0) -> list[ExperimentResult]:
-    """Degraded and rebuilding RAID5 arrays vs array size (Trace 2)."""
-    sizes = [5, 10, 15]
-    healthy, degraded, rebuild_ms = [], [], []
-    for n in sizes:
-        trace = get_trace(2, scale * 0.5, n=n)
-        cfg = make_config("raid5", trace, n=n)
+#: Array sizes of ``ext-rebuild``.
+REBUILD_SIZES = (5, 10, 15)
 
-        healthy.append(run_trace(cfg, trace, keep_samples=False).mean_response_ms)
+#: Blocks per disk the ``ext-rebuild`` rebuild sweeps: the active slice,
+#: to keep runtimes proportional.
+_REBUILD_SLICE = 40_000
 
-        # Degraded + rebuilding run: one array, failed disk 0, hot spare.
-        env = Environment()
-        layout = cfg.make_layout()
-        geometry = cfg.disk.geometry(cfg.block_bytes)
-        seek = cfg.disk.seek_model()
-        disks = [
-            Disk(env, geometry, seek, name=f"d{i}") for i in range(layout.ndisks)
-        ]
-        ctrl = DegradedParityController(
-            env, disks=disks, layout=layout, channel=Channel(env), config=cfg,
-            failed_disk=0, spare=True,
+
+def points_rebuild(scale: float = 1.0) -> list[Point]:
+    """Healthy vs degraded and rebuilding RAID5 arrays vs N (Trace 2)."""
+    failure = FailureSchedule.single_failure(
+        disk=0,
+        spare_after_ms=0.0,
+        rebuild_blocks=min(trace2_config().blocks_per_disk, _REBUILD_SLICE),
+    )
+    return [
+        Point.sim(
+            "ext-rebuild", (n, state), TraceSpec(2, scale * 0.5, n=n), "raid5", n=n, **kw
         )
-        # Rebuild only the active slice to keep runtimes proportional.
-        used = min(layout.blocks_per_disk, 40_000)
-        rebuild = RebuildProcess(ctrl, chunk_blocks=6, used_blocks=used)
+        for n in REBUILD_SIZES
+        for state, kw in (("healthy", {}), ("rebuild", {"failures": failure}))
+    ]
 
-        times = []
 
-        def source(env, trace=trace, ctrl=ctrl, times=times):
-            per_array = ctrl.layout.logical_blocks
-            for rec in trace.records:
-                t = float(rec["time"])
-                if t > env.now:
-                    yield env.timeout(t - env.now)
-                env.process(
-                    one(env, int(rec["lblock"]) % per_array, int(rec["nblocks"]),
-                        bool(rec["is_write"]))
-                )
+def assemble_rebuild(scale: float, values: dict) -> list[ExperimentResult]:
+    sizes = list(REBUILD_SIZES)
 
-        def one(env, lb, k, w, ctrl=ctrl, times=times):
-            t0 = env.now
-            yield from ctrl.handle(lb, min(k, 16), w)
-            times.append(env.now - t0)
+    def mean_ms(state):
+        return [values[(n, state)].mean_response_ms for n in sizes]
 
-        env.process(source(env))
-        env.run(until=rebuild.process)
-        env.run(until=env.now + 120_000.0)
-        degraded.append(sum(times) / max(len(times), 1))
-        rebuild_ms.append(rebuild.duration_ms or float("nan"))
-
+    rebuild_s = [
+        dict(values[(n, "rebuild")].extras)["rebuild_ms"] / 1000.0 for n in sizes
+    ]
     return [
         ExperimentResult(
             exp_id="ext-rebuild",
@@ -134,11 +110,15 @@ def run_rebuild(scale: float = 1.0) -> list[ExperimentResult]:
             xlabel="array size N",
             ylabel="ms",
             series=[
-                Series("healthy rt", sizes, healthy),
-                Series("during rebuild rt", sizes, degraded),
-                Series("rebuild duration/1000", sizes, [r / 1000.0 for r in rebuild_ms]),
+                Series("healthy rt", sizes, mean_ms("healthy")),
+                Series("during rebuild rt", sizes, mean_ms("rebuild")),
+                Series("rebuild duration/1000", sizes, rebuild_s),
             ],
-            notes="rebuild sweeps a fixed 40k-block slice per disk",
+            notes=(
+                f"disk 0 of the first array fails at t=0, a spare arrives at "
+                f"once, and the rebuild sweeps a fixed {_REBUILD_SLICE // 1000}k-block "
+                f"slice per disk"
+            ),
         )
     ]
 

@@ -1,10 +1,9 @@
 """Campaign engine: every experiment runs through :func:`run_campaign`.
 
-The registry describes each experiment either as independent
+The registry describes each experiment as independent
 :class:`~repro.experiments.points.Point` work units (config + trace
-spec, nothing heavyweight) plus an ``assemble`` merge, or as one whole
-unit (pure-computation tables, the bespoke rebuild scenario).  One unit
-loop evaluates them, in this process (``jobs <= 1``) or over a
+spec, nothing heavyweight) plus an ``assemble`` merge.  One point loop
+evaluates them, in this process (``jobs <= 1``) or over a
 ``ProcessPoolExecutor`` (``jobs > 1``), and merges the values
 deterministically:
 
@@ -16,9 +15,9 @@ deterministically:
   trace once, not once per point;
 * with ``resume``, points already in the result store are served in the
   parent and never reach a worker;
-* a unit that raises (or a crashed worker) surfaces a
-  :class:`CampaignError` naming the failed unit, in both modes; under a
-  pool the remaining work is cancelled first instead of hanging it.
+* a point that raises (or a crashed worker) surfaces a
+  :class:`CampaignError` naming the failed point, in both modes; under
+  a pool the remaining work is cancelled first instead of hanging it.
 """
 
 from __future__ import annotations
@@ -27,18 +26,17 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.experiments import result_store
 from repro.experiments.common import ExperimentResult
 from repro.experiments.points import Point, PointValue, with_backend
-from repro.experiments.registry import Experiment, get_experiment
+from repro.experiments.registry import get_experiment
 from repro.experiments.telemetry import (
     CampaignRecorder,
     PointRecord,
     evaluate_point,
     stored_record,
-    whole_unit_record,
 )
 
 __all__ = [
@@ -126,84 +124,61 @@ class ProgressPrinter:
             print(text, file=self.stream, flush=True)
 
 
-#: A work unit: a point, or the id of an experiment that runs whole.
-Unit = Union[Point, str]
-
-
-def _label(unit: Unit) -> str:
-    return unit.label() if isinstance(unit, Point) else unit
-
-
-def _evaluate(unit: Unit, scale: float, resume: bool) -> Tuple[Any, PointRecord]:
-    """Evaluate one unit, in whatever process, into ``(value, record)``.
-
-    Module-level so the pool can send it to workers by import path.
-    """
-    if isinstance(unit, Point):
-        return evaluate_point(unit, resume=resume)
-    t0 = time.perf_counter()
-    results = get_experiment(unit).run(scale)
-    return results, whole_unit_record(unit, time.perf_counter() - t0)
-
-
-def _failure(unit: Unit, exc: Exception) -> CampaignError:
+def _failure(point: Point, exc: Exception) -> CampaignError:
     return CampaignError(
-        f"campaign unit '{_label(unit)}' failed: {type(exc).__name__}: {exc}"
+        f"campaign unit '{point.label()}' failed: {type(exc).__name__}: {exc}"
     )
 
 
 def _run_units(
-    units: Sequence[Unit],
+    points: Sequence[Point],
     jobs: int,
     progress: Optional[ProgressHook],
     recorder: Optional[CampaignRecorder],
     resume: bool,
-    scale: float = 1.0,
-) -> List[Any]:
-    """Evaluate *units* into their values, in unit order.
+) -> List[PointValue]:
+    """Evaluate *points* into their values, in point order.
 
     ``jobs <= 1`` evaluates in this process, in order; ``jobs > 1``
-    submits the same evaluator to a pool of that many workers.  *scale*
-    is passed to whole-experiment units.
+    submits the same evaluator to a pool of that many workers.
     """
-    values: List[Any] = [None] * len(units)
+    values: List[Optional[PointValue]] = [None] * len(points)
     done = 0
 
-    def finish(i: int, value: Any, record: PointRecord) -> None:
+    def finish(i: int, value: PointValue, record: PointRecord) -> None:
         nonlocal done
         values[i] = value
         if recorder is not None:
             recorder.add(record)
         done += 1
         if progress is not None:
-            progress(done, len(units), _label(units[i]))
+            progress(done, len(points), points[i].label())
 
-    pending = range(len(units))
+    pending = range(len(points))
     if resume:
-        # Without this pre-check a warm re-run would start its whole
-        # units behind one pool round trip per stored point.
+        # Without this pre-check a warm re-run would wait one pool
+        # round trip per stored point.
         pending = []
-        for i, unit in enumerate(units):
-            if isinstance(unit, Point):
-                t0 = time.perf_counter()
-                key = result_store.point_key(unit)
-                value = result_store.load_value(key)
-                if value is not None:
-                    finish(i, value, stored_record(unit, key, value, time.perf_counter() - t0))
-                    continue
+        for i, point in enumerate(points):
+            t0 = time.perf_counter()
+            key = result_store.point_key(point)
+            value = result_store.load_value(key)
+            if value is not None:
+                finish(i, value, stored_record(point, key, value, time.perf_counter() - t0))
+                continue
             pending.append(i)
 
     if jobs <= 1:
         for i in pending:
             try:
-                value, record = _evaluate(units[i], scale, resume)
+                value, record = evaluate_point(points[i], resume)
             except Exception as exc:
-                raise _failure(units[i], exc) from exc
+                raise _failure(points[i], exc) from exc
             finish(i, value, record)
         return values
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(_evaluate, units[i], scale, resume): i for i in pending}
+        futures = {pool.submit(evaluate_point, points[i], resume): i for i in pending}
         for fut in as_completed(futures):
             i = futures[fut]
             try:
@@ -211,7 +186,7 @@ def _run_units(
             except Exception as exc:
                 for other in futures:
                     other.cancel()
-                raise _failure(units[i], exc) from exc
+                raise _failure(points[i], exc) from exc
             finish(i, value, record)
     return values
 
@@ -259,41 +234,34 @@ def run_campaign(
     exp_ids:
         Experiment ids, already resolved against the registry.
     jobs:
-        ``<= 1`` evaluates every unit in this process, in order;
-        ``> 1`` fans the units out over that many worker processes.
+        ``<= 1`` evaluates every point in this process, in order;
+        ``> 1`` fans the points out over that many worker processes.
         The results are byte-identical either way.
     progress:
-        Optional ``hook(done, total, label)`` called per finished unit.
+        Optional ``hook(done, total, label)`` called per finished point.
     backend:
         Evaluate simulation points on ``"des"`` (default) or the
-        ``"analytic"`` fast solver.  Whole-unit experiments and
-        failure-scenario points always run on the DES.
+        ``"analytic"`` fast solver.  Failure-scenario points always
+        run on the DES.
     recorder:
         Optional :class:`~repro.experiments.telemetry.CampaignRecorder`
-        collecting one telemetry record per unit (the caller finalizes
+        collecting one telemetry record per point (the caller finalizes
         it into the manifest).
     resume:
         Serve previously computed points from the content-keyed result
         store and persist fresh values into it, so interrupted or
         repeated campaigns only compute what is missing.
     """
-    plan: List[Tuple[Experiment, Optional[List[Point]]]] = []
-    units: List[Unit] = []
+    plan = []
     for exp in map(get_experiment, exp_ids):
-        if exp.run is not None:
-            plan.append((exp, None))
-            units.append(exp.exp_id)
-        else:
-            points = with_backend(exp.points(scale), backend)
-            _check_unique(points)
-            plan.append((exp, points))
-            units.extend(points)
+        points = with_backend(exp.points(scale), backend)
+        _check_unique(points)
+        plan.append((exp, points))
 
-    values = iter(_run_units(units, jobs, progress, recorder, resume, scale))
-    out: Dict[str, List[ExperimentResult]] = {}
-    for exp, points in plan:
-        if points is None:
-            out[exp.exp_id] = next(values)
-        else:
-            out[exp.exp_id] = exp.assemble(scale, {p.key: next(values) for p in points})
-    return out
+    values = iter(
+        _run_units([p for _, points in plan for p in points], jobs, progress, recorder, resume)
+    )
+    return {
+        exp.exp_id: exp.assemble(scale, {p.key: next(values) for p in points})
+        for exp, points in plan
+    }

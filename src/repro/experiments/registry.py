@@ -1,25 +1,24 @@
 """Registry of all experiments (one per paper table/figure).
 
-An experiment is registered in one of two forms.  Most decompose into
-independent work units and register
+Every experiment registers
 
 ``points(scale) -> list[Point]``
     the independent (trace x organization x sweep-value) cells, and
 ``assemble(scale, values: dict[key, PointValue]) -> list[ExperimentResult]``
     the pure merge of evaluated cells back into figures.
 
-The rest (pure-computation tables, bespoke scenarios) register
-``run(scale) -> list[ExperimentResult]`` and run as one whole unit.
-Either way they run through
-:func:`repro.experiments.parallel.run_campaign`, serially or over
-worker processes.
+The pure-computation artifacts (the parameter tables, the skew
+histograms, the reliability table) have no cells: their ``points`` is
+empty and their ``assemble`` computes the result.  All of them run
+through :func:`repro.experiments.parallel.run_campaign`, serially or
+over worker processes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.experiments.points import Point, PointValue
 
@@ -50,39 +49,43 @@ class Experiment:
 
     exp_id: str
     title: str
-    #: Whole-unit experiments only (None for decomposed ones).
-    run: Optional[Callable[[float], list[ExperimentResult]]] = None
+    #: Point decomposition (empty for pure computations).
+    points: Callable[[float], List[Point]]
+    assemble: Callable[[float, Dict[tuple, PointValue]], List[ExperimentResult]]
     #: Rough relative cost (1 = seconds, 3 = minutes at default scale).
     cost: int = 2
-    #: Point decomposition (decomposed experiments only).
-    points: Optional[Callable[[float], List[Point]]] = None
-    assemble: Optional[
-        Callable[[float, Dict[tuple, PointValue]], List[ExperimentResult]]
-    ] = None
 
-    def __post_init__(self) -> None:
-        form = (self.run is not None, self.points is not None, self.assemble is not None)
-        if form not in ((True, False, False), (False, True, True)):
-            raise ValueError(
-                f"{self.exp_id}: register either run, or points and assemble"
-            )
+
+def _no_points(scale: float) -> List[Point]:
+    return []
+
+
+def _computed(
+    compute: Callable[[float], List[ExperimentResult]]
+) -> Callable[[float, Dict[tuple, PointValue]], List[ExperimentResult]]:
+    """``assemble`` for an experiment that simulates nothing."""
+    return lambda scale, values: compute(scale)
 
 
 EXPERIMENTS: dict[str, Experiment] = {
     e.exp_id: e
     for e in [
-        # Whole-unit experiments (pure computation or bespoke scenarios).
-        Experiment("table1", "Disk and channel parameters", tables.table1, cost=1),
-        Experiment("table2", "Trace characteristics", tables.table2, cost=1),
+        Experiment("table1", "Disk and channel parameters", cost=1,
+                   points=_no_points, assemble=_computed(tables.table1)),
+        Experiment("table2", "Trace characteristics", cost=1,
+                   points=_no_points, assemble=_computed(tables.table2)),
         Experiment("table3", "Organization matrix smoke", cost=2,
                    points=tables.points_table3, assemble=tables.assemble_table3),
-        Experiment("table4", "Default parameters", tables.table4, cost=1),
+        Experiment("table4", "Default parameters", cost=1,
+                   points=_no_points, assemble=_computed(tables.table4)),
         Experiment("fig4", "Synchronization policies vs N", cost=3,
                    points=fig04_sync.points, assemble=fig04_sync.assemble),
         Experiment("fig5", "Array size, uncached orgs", cost=3,
                    points=fig05_array_size.points, assemble=fig05_array_size.assemble),
-        Experiment("fig6", "Disk access skew, Base", fig06_07_skew.run_fig6, cost=1),
-        Experiment("fig7", "Disk access skew, RAID5", fig06_07_skew.run_fig7, cost=1),
+        Experiment("fig6", "Disk access skew, Base", cost=1,
+                   points=_no_points, assemble=_computed(fig06_07_skew.run_fig6)),
+        Experiment("fig7", "Disk access skew, RAID5", cost=1,
+                   points=_no_points, assemble=_computed(fig06_07_skew.run_fig7)),
         Experiment("fig8", "Striping unit, uncached RAID5", cost=2,
                    points=fig08_striping_unit.points, assemble=fig08_striping_unit.assemble),
         Experiment("fig9", "Parity placement, ParStripe", cost=3,
@@ -113,7 +116,8 @@ EXPERIMENTS: dict[str, Experiment] = {
                    points=fig17_19_parity_cache_params.points_fig19,
                    assemble=fig17_19_parity_cache_params.assemble_fig19),
         # Extensions beyond the paper's figures.
-        Experiment("ext-rebuild", "Degraded mode + rebuild vs N", extensions.run_rebuild, cost=3),
+        Experiment("ext-rebuild", "Degraded mode + rebuild vs N", cost=3,
+                   points=extensions.points_rebuild, assemble=extensions.assemble_rebuild),
         Experiment("ext-destage", "Destage policy comparison", cost=3,
                    points=extensions.points_destage, assemble=extensions.assemble_destage),
         Experiment("ext-parity-grain", "Fine-grained parity striping", cost=2,
@@ -122,7 +126,8 @@ EXPERIMENTS: dict[str, Experiment] = {
                    points=extensions.points_spindle, assemble=extensions.assemble_spindle),
         Experiment("ext-scheduler", "FCFS vs SSTF disk scheduling", cost=2,
                    points=extensions.points_scheduler, assemble=extensions.assemble_scheduler),
-        Experiment("ext-reliability", "MTTDL / storage overhead", extensions.run_reliability, cost=1),
+        Experiment("ext-reliability", "MTTDL / storage overhead", cost=1,
+                   points=_no_points, assemble=_computed(extensions.run_reliability)),
         Experiment("ext-rebuild-rate", "Rebuild rate vs foreground p95", cost=3,
                    points=ext_failure.points_rebuild_rate, assemble=ext_failure.assemble_rebuild_rate),
         Experiment("ext-scrub", "Scrub interval vs latent-error exposure", cost=2,

@@ -1,12 +1,11 @@
 """Campaign telemetry: per-point records, manifest and summary.
 
 PRs 5–6 made campaigns parallel and fast; this module makes them
-*observable*.  Every work unit the engine executes — a decomposed
-:class:`~repro.experiments.points.Point` or a whole-experiment unit —
-emits a structured :class:`PointRecord`: the content hash of its
-configuration, the solver backend, wall time, kernel events simulated
-(and events/s), which OS process evaluated it, and whether the value
-was computed or served from the point-result store.
+*observable*.  Every :class:`~repro.experiments.points.Point` the
+engine executes emits a structured :class:`PointRecord`: the content
+hash of its configuration, the solver backend, wall time, kernel events
+simulated (and events/s), which OS process evaluated it, and whether
+the value was computed or served from the point-result store.
 
 A :class:`CampaignRecorder` collects the records (in whatever order
 workers finish) and writes two artifacts atomically:
@@ -21,7 +20,7 @@ workers finish) and writes two artifacts atomically:
   aggregate throughput.
 
 Records never influence values: the campaign engine builds one for
-every unit and drops it when no recorder is passed, so a campaign with
+every point and drops it when no recorder is passed, so a campaign with
 telemetry produces byte-identical figures to one without.
 """
 
@@ -46,7 +45,6 @@ __all__ = [
     "evaluate_point",
     "read_manifest",
     "stored_record",
-    "whole_unit_record",
 ]
 
 MANIFEST_SCHEMA = "repro-campaign/1"
@@ -55,11 +53,11 @@ SUMMARY_SCHEMA = "repro-campaign-summary/1"
 
 @dataclass
 class PointRecord:
-    """Telemetry for one executed campaign unit."""
+    """Telemetry for one executed campaign point."""
 
     exp_id: str
     key: List  # the point key, JSON-ified (tuple -> list)
-    kind: str  # "sim" | "hitratio" | "whole"
+    kind: str  # "sim" | "hitratio"
     org: str
     backend: str
     config_hash: str
@@ -142,23 +140,6 @@ def stored_record(
         events_per_s=0.0,
         worker_pid=os.getpid(),
         mean_response_ms=value.mean_response_ms,
-    )
-
-
-def whole_unit_record(exp_id: str, wall_s: float, backend: str = "des") -> PointRecord:
-    """Record for an experiment that has no point decomposition."""
-    return PointRecord(
-        exp_id=exp_id,
-        key=["whole"],
-        kind="whole",
-        org="",
-        backend=backend,
-        config_hash="",
-        provenance="computed",
-        wall_s=wall_s,
-        events=0,
-        events_per_s=0.0,
-        worker_pid=os.getpid(),
     )
 
 

@@ -9,9 +9,10 @@ gracefully instead of crashing, background :class:`RebuildProcess` /
 per-run :class:`FailureReport` summarizing the outcome.
 
 Entry point: ``run_trace(config, workload, failures=FailureSchedule(...))``
-— see :mod:`repro.sim.runner`.  The experiment drivers ``ext-rebuild-rate``
-and ``ext-scrub`` sweep the two scenario knobs (rebuild rate, scrub
-interval) as registered campaigns.
+— see :mod:`repro.sim.runner`.  The experiment drivers ``ext-rebuild``
+(array size), ``ext-rebuild-rate`` and ``ext-scrub`` sweep the scenario
+knobs (array size, rebuild rate, scrub interval) as registered
+campaigns.
 """
 
 from repro.failure.degraded import (

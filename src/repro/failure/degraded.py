@@ -11,10 +11,15 @@ implements that regime for the uncached organizations:
   other N-1 data blocks plus parity for the parity organizations, the
   mirror partner for mirrors) and XOR-reconstructing, so the response
   is the max over N concurrent accesses.
-* **Degraded writes** — a write to a surviving disk updates parity
-  normally; a write to the failed disk updates *only* the parity (read
-  the other N-1 blocks, XOR with the new data, rewrite parity), so the
-  data is recoverable even though its disk is gone.
+* **Degraded writes** — a write group that touches a failed block is
+  re-planned without it, parity block by parity block (the cases of
+  Thomasian's RAID5 tutorial): a failed parity block leaves a data-only
+  write; a failed written member makes a reconstruct-write of the
+  survivors (read the unwritten members, write the rest and the
+  parity); a failed unwritten member makes a read-modify-write; a full
+  stripe drops the failed member.  The re-planned groups run through
+  the healthy executors and claim track buffers the healthy way, one
+  per run.
 * **Rebuild** — a background process sweeps the failed disk's blocks in
   physical order, reconstructing each onto a hot spare at background
   priority.  A watermark tracks progress: requests below it use the
@@ -61,7 +66,7 @@ from repro.des import AllOf, Event
 from repro.disk.drive import Disk
 from repro.disk.request import AccessKind, DiskRequest, Priority
 from repro.failure.errors import FailureScheduleError
-from repro.layout.common import Layout, PhysicalAddress, Run, WriteGroup, WriteMode
+from repro.layout.common import Layout, PhysicalAddress, Run, WriteGroup, WriteMode, merge_runs
 from repro.layout.mirror import MirrorLayout
 from repro.layout.paritystripe import ParityStripingLayout
 from repro.layout.striped import StripedParityLayout
@@ -117,6 +122,11 @@ def reconstruction_sources(layout: Layout, disk: int, pblock: int) -> list[Physi
         return sources
 
     raise TypeError(f"no redundancy to reconstruct from in {type(layout).__name__}")
+
+
+def _disk_runs(addresses: list[PhysicalAddress]) -> list[Run]:
+    """*addresses* merged into runs, disk by disk."""
+    return merge_runs(sorted(addresses, key=lambda a: (a.disk, a.block)))
 
 
 class _DegradedMixin:
@@ -287,6 +297,11 @@ class _DegradedMixin:
         for run in group.data_runs + group.parity_runs:
             self._clear_latent_run(run.disk, run.start, run.end)
 
+    def _degrade(self, group: WriteGroup) -> list[WriteGroup]:
+        """The groups that carry out *group* on the live blocks; the
+        mirror and base executors route around a failed disk themselves."""
+        return [group]
+
     def _write_group(self, group: WriteGroup) -> Generator[Event, None, None]:
         # A write refreshes the medium under it: clear covered latent
         # errors (and un-lose rebuild-lost blocks) before the plan runs.
@@ -295,7 +310,12 @@ class _DegradedMixin:
         # have to reconstruct the unreadable old data first.
         if self.latent or self.lost_blocks:
             self._clear_group_latent(group)
-        yield from super()._write_group(group)
+        groups = self._degrade(group)
+        if len(groups) == 1:
+            yield from super()._write_group(groups[0])
+            return
+        write_group = super()._write_group
+        yield AllOf(self.env, [self.env.process(write_group(g)) for g in groups])
 
 
 class DegradedParityController(_DegradedMixin, UncachedParityController):
@@ -361,94 +381,56 @@ class DegradedParityController(_DegradedMixin, UncachedParityController):
             self._repair_latent(disk, pblock, how="access")
 
     # -- writes ----------------------------------------------------------------
-    def _group_buffers(self, group: WriteGroup) -> int:
-        # The degraded update needs source-read buffers beyond the
-        # group's nominal claim.  They MUST be part of the single atomic
-        # upfront acquire in ``_write_group``: claiming them
-        # incrementally inside ``_degraded_update`` (hold-and-wait) can
-        # deadlock the pool once several degraded updates run
-        # concurrently.
-        base = super()._group_buffers(group)
-        if self.failed_disk is None:
-            return base
-        extra = 0
-        for run in group.data_runs:
-            for pb in range(run.start, run.end):
-                if self._is_failed(run.disk, pb):
-                    sources = [
-                        src
-                        for src in reconstruction_sources(self.layout, run.disk, pb)
-                        if not self.layout.is_parity_block(src.disk, src.block)
-                    ]
-                    # One buffer per source read, minus the data block's
-                    # own buffer already counted in the base claim.
-                    extra += max(len(sources) - 1, 0)
-        return base + extra
+    def _degrade(self, group: WriteGroup) -> list[WriteGroup]:
+        """Re-plan *group* so that no access reaches a failed block.
 
-    def _rmw(self, group: WriteGroup) -> Generator[Event, None, None]:
-        touches_failed = any(
-            self._is_failed(run.disk, pb)
-            for run in group.data_runs + group.parity_runs
-            for pb in range(run.start, run.end)
-        )
-        if not touches_failed:
-            yield from super()._rmw(group)
-            return
-        self._note_degraded("write")
-        yield from self._degraded_update(group)
-
-    def _degraded_update(self, group: WriteGroup) -> Generator[Event, None, None]:
-        """Update with a failed member in the redundancy group.
-
-        Failed data block  -> read the other N-1 data blocks, then
-        rewrite the parity with the reconstructed delta.
-        Failed parity block -> write the data plainly (no parity left
-        to maintain for that group).
-
-        Buffers are NOT acquired here — ``_group_buffers`` already folded
-        the source-read claims into ``_write_group``'s atomic acquire.
+        A group with no failed block comes back as is.  Otherwise each
+        parity block is planned from its members (the data blocks it
+        protects) by the cases of the module notes, in the group's own
+        mode where none of them applies.  Consecutive parity blocks
+        planned alike share one group, whose blocks merge into runs.
         """
-        env = self.env
-        done = []
-        reads: list[DiskRequest] = []
-
-        for run in group.data_runs:
-            for pb in range(run.start, run.end):
-                if self._is_failed(run.disk, pb):
-                    # Read every surviving source except the parity (the
-                    # parity is rewritten), then gate the parity write.
-                    sources = [
-                        src
-                        for src in reconstruction_sources(self.layout, run.disk, pb)
-                        if not self.layout.is_parity_block(src.disk, src.block)
-                    ]
-                    for src in sources:
-                        reads.append(
-                            self.disks[src.disk].submit(
-                                DiskRequest(AccessKind.READ, src.block)
-                            )
-                        )
-                else:
-                    req = self.disks[run.disk].submit(
-                        DiskRequest(AccessKind.RMW, pb, 1)
-                    )
-                    reads.append(req)
-                    done.append(req.done)
-
-        gate = AllOf(env, [r.read_complete for r in reads]) if reads else None
+        failed = self.failed_disk
+        if failed is None or not any(
+            run.disk == failed and self._is_failed(failed, run.end - 1)
+            for run in group.data_runs + group.read_runs + group.parity_runs
+        ):
+            return [group]
+        self._note_degraded("write")
+        gone = self._is_failed
+        written = {
+            (run.disk, pb) for run in group.data_runs for pb in range(run.start, run.end)
+        }
+        planned: list[tuple[tuple[WriteMode, bool], list, list, list]] = []
         for run in group.parity_runs:
             for pb in range(run.start, run.end):
-                if self._is_failed(run.disk, pb):
-                    continue  # parity disk itself failed: nothing to update
-                req = self.disks[run.disk].submit(
-                    DiskRequest(AccessKind.RMW, pb, 1, data_ready=gate)
-                )
-                done.append(req.done)
-
-        if done:
-            yield AllOf(env, done)
-        elif reads:
-            yield AllOf(env, [r.done for r in reads])
+                members = reconstruction_sources(self.layout, run.disk, pb)
+                data = [m for m in members if (m.disk, m.block) in written]
+                rest = [m for m in members if (m.disk, m.block) not in written]
+                parity = [PhysicalAddress(run.disk, pb)]
+                if gone(run.disk, pb):
+                    mode, rest, parity = WriteMode.FULL, [], []
+                elif any(gone(m.disk, m.block) for m in data):
+                    data = [m for m in data if not gone(m.disk, m.block)]
+                    mode = WriteMode.RECONSTRUCT if rest else WriteMode.FULL
+                elif any(gone(m.disk, m.block) for m in rest):
+                    mode, rest = WriteMode.RMW, []
+                else:
+                    mode = group.mode
+                    if mode is not WriteMode.RECONSTRUCT:
+                        rest = []
+                kind = (mode, bool(parity))
+                if not planned or planned[-1][0] != kind:
+                    planned.append((kind, [], [], []))
+                _, kind_data, kind_reads, kind_parity = planned[-1]
+                kind_data += data
+                kind_reads += rest
+                kind_parity += parity
+        return [
+            WriteGroup(mode, _disk_runs(data), _disk_runs(reads), _disk_runs(parity))
+            for (mode, _), data, reads, parity in planned
+            if data or parity
+        ]
 
 
 class DegradedMirrorController(_DegradedMixin, UncachedMirrorController):

@@ -7,7 +7,8 @@ simulator's physics:
   :class:`InvariantChecker` s to the probe taps of
   :data:`repro.obs.probes.TAPS` and hooks the kernel's event loop;
 * the stock checkers guard request conservation, parity-group
-  consistency, cache accounting and resource sanity;
+  consistency, cache accounting, resource sanity and the failed disk
+  (no access may reach a block a disk failure took);
 * :func:`verify_replay` enforces the determinism contract (same seed ⇒
   bit-identical results);
 * :mod:`repro.validate.golden` snapshots results for regression
@@ -20,6 +21,7 @@ off, so the default path is unaffected.
 from repro.validate.cache_accounting import CacheAccountingChecker
 from repro.validate.checker import CheckContext, InvariantChecker, InvariantViolation
 from repro.validate.conservation import RequestConservationChecker
+from repro.validate.failed_disk import FailedDiskChecker
 from repro.validate.golden import (
     GoldenMismatch,
     compare_snapshots,
@@ -36,6 +38,7 @@ from repro.validate.resources import ResourceSanityChecker
 __all__ = [
     "CacheAccountingChecker",
     "CheckContext",
+    "FailedDiskChecker",
     "InvariantChecker",
     "InvariantViolation",
     "RequestConservationChecker",

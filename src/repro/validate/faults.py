@@ -22,6 +22,7 @@ __all__ = [
     "inflate_cache_hits",
     "inflate_channel_busy",
     "leak_track_buffer",
+    "write_through_failed_disk",
 ]
 
 
@@ -182,3 +183,22 @@ def leak_track_buffer():
         yield
     finally:
         TrackBufferPool.release = orig
+
+
+@contextmanager
+def write_through_failed_disk():
+    """Degraded parity arrays run write groups as planned for a healthy
+    array, so a write reaches the failed disk.  Trips ``failed-disk``.
+    """
+    from repro.failure.degraded import DegradedParityController
+
+    orig = DegradedParityController._degrade
+
+    def faulty(self, group):
+        return [group]
+
+    DegradedParityController._degrade = faulty
+    try:
+        yield
+    finally:
+        DegradedParityController._degrade = orig

@@ -25,6 +25,7 @@ def default_checkers() -> list[InvariantChecker]:
     """One instance of each stock checker."""
     from repro.validate.cache_accounting import CacheAccountingChecker
     from repro.validate.conservation import RequestConservationChecker
+    from repro.validate.failed_disk import FailedDiskChecker
     from repro.validate.parity import ParityConsistencyChecker
     from repro.validate.resources import ResourceSanityChecker
 
@@ -33,6 +34,7 @@ def default_checkers() -> list[InvariantChecker]:
         ParityConsistencyChecker(),
         CacheAccountingChecker(),
         ResourceSanityChecker(),
+        FailedDiskChecker(),
     ]
 
 
@@ -42,8 +44,9 @@ class ValidationMonitor:
     Parameters
     ----------
     checkers:
-        The checkers to run; ``None`` selects the four stock checkers
-        (conservation, parity, cache accounting, resource sanity).
+        The checkers to run; ``None`` selects the five stock checkers
+        (conservation, parity, cache accounting, resource sanity,
+        failed disk).
     """
 
     def __init__(self, checkers: Optional[Iterable[InvariantChecker]] = None) -> None:

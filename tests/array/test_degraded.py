@@ -154,7 +154,10 @@ class TestDegradedParity:
         assert ctrl.degraded_writes == 1
         assert ctrl.disks[1].completed == 0  # failed disk untouched
         parity = ctrl.layout.parity_of(lb)
-        assert ctrl.disks[parity.disk].rmws == 1
+        # Reconstruct-write: the new parity comes from the other data
+        # blocks, so it is written, not read-modify-written.
+        assert ctrl.disks[parity.disk].writes == 1
+        assert ctrl.disks[parity.disk].rmws == 0
 
     def test_write_with_failed_parity_disk_is_plain(self):
         env, ctrl = build_degraded("raid5", failed=1)
@@ -162,8 +165,9 @@ class TestDegradedParity:
         daddr = ctrl.layout.map_block(lb)
         run_one(env, ctrl, lb, 1, True)
         assert ctrl.degraded_writes == 1
-        # Data disk still updated (RMW), failed parity skipped.
+        # Data disk still written, failed parity skipped.
         assert ctrl.disks[daddr.disk].completed == 1
+        assert ctrl.disks[daddr.disk].writes == 1
         assert ctrl.disks[1].completed == 0
 
     def test_parity_striping_degraded_read(self):

@@ -17,9 +17,9 @@ from repro.experiments.telemetry import CampaignRecorder
 #: Small enough to keep the suite fast, large enough that the sweeps
 #: produce distinct values per cell.
 SCALE = 0.01
-#: One decomposed experiment (fig8: striping-unit sweep) and one
-#: whole-unit experiment (fig6: pure trace statistics) — covers both
-#: scheduling paths of the engine.
+#: One simulated experiment (fig8: striping-unit sweep) and one pure
+#: computation (fig6: trace statistics, no points, computed in its
+#: assemble).
 IDS = ["fig8", "fig6"]
 
 
@@ -70,7 +70,7 @@ def test_progress_hook_sees_every_unit():
     run_campaign(
         IDS, SCALE, jobs=2, progress=lambda done, total, label: calls.append((done, total))
     )
-    total = len(get_experiment("fig8").points(SCALE)) + 1  # + fig6 whole unit
+    total = len(get_experiment("fig8").points(SCALE))  # fig6 has no points
     assert [c[0] for c in calls] == list(range(1, total + 1))
     assert all(c[1] == total for c in calls)
 
@@ -97,9 +97,9 @@ def test_default_jobs_positive():
 
 
 def test_run_contract_holds_for_every_decomposed_experiment():
-    """points/assemble must be provided together (registry invariant)."""
+    """Every experiment is points plus assemble (registry invariant)."""
     for exp in EXPERIMENTS.values():
-        assert (exp.points is None) == (exp.assemble is None)
+        assert callable(exp.points) and callable(exp.assemble)
 
 
 def test_decomposed_run_equals_assembled_points():

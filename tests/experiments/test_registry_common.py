@@ -51,7 +51,8 @@ class TestRegistry:
         ids=["none", "points-only", "both"],
     )
     def test_experiment_takes_exactly_one_form(self, form):
-        with pytest.raises(ValueError, match="either run, or points and assemble"):
+        """points plus assemble, nothing else (no whole-run form)."""
+        with pytest.raises(TypeError):
             Experiment("x", "t", **form)
 
 

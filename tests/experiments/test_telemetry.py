@@ -14,7 +14,7 @@ from repro.experiments.telemetry import (
 )
 
 SCALE = 0.01
-IDS = ["fig8", "fig6"]  # one decomposed, one whole-unit experiment
+IDS = ["fig8", "fig6"]  # one simulated experiment, one with no points
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +34,7 @@ def run_with_manifest(tmp_path, name, jobs):
 def test_manifest_covers_every_point(tmp_path):
     _, recorder, summary = run_with_manifest(tmp_path, "m", jobs=1)
     header, points = read_manifest(recorder.manifest_path)
-    expected = len(get_experiment("fig8").points(SCALE)) + 1  # + fig6 whole
+    expected = len(get_experiment("fig8").points(SCALE))  # fig6 has no points
     assert header["schema"] == MANIFEST_SCHEMA
     assert header["points"] == expected
     assert len(points) == expected
@@ -107,8 +107,8 @@ def test_summary_totals_and_latency(tmp_path):
     assert summary["events_per_s"] > 0
     assert "des" in summary["point_latency"]
     latency = summary["point_latency"]["des"]
-    # fig8's decomposed points and fig6's whole-unit record all run on
-    # the des backend, so every record lands in the same histogram.
+    # fig8's points all run on the des backend, so every record lands
+    # in the same histogram.
     assert latency["count"] == summary["points"]
     assert latency["p95_s"] >= latency["p50_s"] > 0
     assert latency["buckets"]

@@ -108,16 +108,14 @@ def test_config_key_covers_every_knob():
 
 def test_memory_lru_is_bounded():
     """The memo has a constant size that holds every base trace of
-    ``all``: each decomposed experiment's trace recipes plus the one
-    ext-rebuild generates for itself (Trace 2 at half the scale)."""
-    recipes = {(2, round(T2_BASE_SCALE * 0.5, 6), ())}
+    ``all``: the trace recipes of every experiment's points."""
+    recipes = set()
     for exp in EXPERIMENTS.values():
-        if exp.points is not None:
-            for point in exp.points(1.0):
-                base = T1_BASE_SCALE if point.spec.which == 1 else T2_BASE_SCALE
-                recipes.add(
-                    (point.spec.which, round(base * point.spec.scale, 6), point.spec.hda)
-                )
+        for point in exp.points(1.0):
+            base = T1_BASE_SCALE if point.spec.which == 1 else T2_BASE_SCALE
+            recipes.add(
+                (point.spec.which, round(base * point.spec.scale, 6), point.spec.hda)
+            )
     size = memo().maxsize
     assert size is not None
     assert len(recipes) <= size

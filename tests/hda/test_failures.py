@@ -43,11 +43,15 @@ class TestCrossVAIsolation:
 
     def test_degraded_va_response_degrades(self):
         healthy = _run()
-        failed = _run(failures=FailureSchedule.single_failure(at_ms=0.0, disk=1,
-                                                              array=1))
-        # RAID5 reads of the dead disk reconstruct from the survivors —
-        # strictly more arm work, so the VA's mean cannot improve.
-        assert failed.va_response[1].mean > healthy.va_response[1].mean
+        for disk in range(4):
+            failed = _run(failures=FailureSchedule.single_failure(at_ms=0.0, disk=disk,
+                                                                  array=1))
+            # RAID5 reads of the dead disk reconstruct from the survivors —
+            # strictly more arm work, so the read mean cannot improve (the
+            # mirror VA is bit-identical, so the change is the RAID5 VA's).
+            # Writes may get faster: a write to the dead disk or to its
+            # parity skips that disk's read-modify-write.
+            assert failed.read_response.mean > healthy.read_response.mean
 
 
 class TestParityCheckerScope:

@@ -50,6 +50,14 @@ def test_sync_policies():
 
 
 @pytest.mark.slow
+def test_degraded_rebuild():
+    out = run_example("degraded_rebuild.py")
+    assert "during rebuild" in out
+    assert "degraded writes" in out
+    assert "rebuild duration" in out
+
+
+@pytest.mark.slow
 def test_hda_allocation():
     out = run_example("hda_allocation.py", "--scale", "0.05")
     assert "first_fit" in out

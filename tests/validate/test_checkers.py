@@ -10,6 +10,7 @@ Two halves, and both matter:
 
 import pytest
 
+from repro.failure import FailureSchedule
 from repro.sim import run_trace
 from repro.validate import InvariantViolation, faults
 from tests.validate.workload import config, make_trace
@@ -58,10 +59,10 @@ class TestCleanRuns:
 class TestMutationSmoke:
     """Each fault breaks one invariant; its checker must catch it."""
 
-    def _expect(self, fault, cfg, match):
+    def _expect(self, fault, cfg, match, **kw):
         with fault:
             with pytest.raises(InvariantViolation, match=match):
-                run_trace(cfg, TRACE, warmup_fraction=0.1, validate=True)
+                run_trace(cfg, TRACE, warmup_fraction=0.1, validate=True, **kw)
 
     def test_dropped_parity_uncached(self):
         self._expect(
@@ -126,6 +127,14 @@ class TestMutationSmoke:
             "resource-sanity",
         )
 
+    def test_write_through_failed_disk(self):
+        self._expect(
+            faults.write_through_failed_disk(),
+            config(org="raid5"),
+            "failed-disk",
+            failures=FailureSchedule.single_failure(disk=1),
+        )
+
     @pytest.mark.parametrize(
         "fault",
         [
@@ -135,6 +144,7 @@ class TestMutationSmoke:
             faults.inflate_cache_hits,
             faults.inflate_channel_busy,
             faults.leak_track_buffer,
+            faults.write_through_failed_disk,
         ],
     )
     def test_faults_restore_on_exit(self, fault):

@@ -59,6 +59,7 @@ class TestLifecycle:
             "parity-consistency",
             "cache-accounting",
             "resource-sanity",
+            "failed-disk",
         }
 
     def test_custom_checkers_are_used(self):
