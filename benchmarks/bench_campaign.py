@@ -152,11 +152,12 @@ def bench_streaming(n_requests=1_000_000, chunk_requests=65536):
     while draining the generator — the evidence that trace memory stays
     O(chunk) instead of O(n_requests).  ``bounded`` asserts the peak is
     under an absolute budget proportional to the chunk size — 512 bytes
-    per chunked request covers the generator's scratch columns plus the
-    address loop's Python-list expansion (~32 bytes per boxed float) —
-    and independent of ``n_requests``: a materialized million-request
-    run would hold the full record array (and its list expansions) at
-    once and keeps growing with the trace.
+    per chunked request covers the generator's ten float64 draw columns
+    (80 bytes a request), the address core's masks and index arrays,
+    and the record chunk, with room for the rings of recent addresses
+    it carries — and independent of ``n_requests``: a materialized
+    million-request run would hold the full record array at once and
+    keeps growing with the trace.
     """
     import tracemalloc
 

@@ -226,6 +226,16 @@ class _DegradedMixin:
             return False
         return not (self.has_spare and pblock < self.rebuilt_upto)
 
+    def _live_end(self, disk: int, start: int, end: int) -> int:
+        """End of the writable part of blocks ``[start, end)`` of
+        *disk*: all of it on a live drive, none on a failed one, and on
+        a spare the blocks below the rebuild watermark."""
+        if disk != self.failed_disk:
+            return end
+        if not self.has_spare:
+            return start
+        return max(start, min(end, self.rebuilt_upto))
+
     def _is_unreadable(self, disk: int, pblock: int) -> bool:
         """True if a read of this block cannot return data directly:
         failed drive, latent sector error, or lost during rebuild."""
@@ -338,17 +348,15 @@ class DegradedParityController(_DegradedMixin, UncachedParityController):
             pb for pb in range(run.start, run.end) if self._is_unreadable(run.disk, pb)
         ]
         self._note_degraded("read")
-        procs = []
-        healthy = [
-            pb for pb in range(run.start, run.end)
+        # The readable blocks, as the maximal runs between the
+        # unreadable ones.
+        healthy = merge_runs([
+            PhysicalAddress(run.disk, pb)
+            for pb in range(run.start, run.end)
             if not self._is_unreadable(run.disk, pb)
-        ]
-        if healthy:
-            procs.append(
-                self.env.process(
-                    super()._read_run(Run(run.disk, healthy[0], len(healthy)))
-                )
-            )
+        ])
+        read_run = super()._read_run
+        procs = [self.env.process(read_run(part)) for part in healthy]
         for pb in degraded:
             procs.append(self.env.process(self._reconstruct_read(run.disk, pb)))
         yield AllOf(self.env, procs)
@@ -483,11 +491,15 @@ class DegradedMirrorController(_DegradedMixin, UncachedMirrorController):
         done = []
         for run in group.data_runs:
             for disk_idx in (run.disk, self.mlayout.mirror_of(run.disk)):
-                if self._is_failed(disk_idx, run.start):
+                # A run across the rebuild watermark writes the spare
+                # below it; the blocks above wait for the rebuild.
+                end = self._live_end(disk_idx, run.start, run.end)
+                if end < run.end:
                     self._note_degraded("write")
+                if end == run.start:
                     continue
                 req = self.disks[disk_idx].submit(
-                    DiskRequest(AccessKind.WRITE, run.start, run.nblocks)
+                    DiskRequest(AccessKind.WRITE, run.start, end - run.start)
                 )
                 done.append(req.done)
         yield AllOf(self.env, done)

@@ -24,6 +24,17 @@ bursty transaction arrivals       2-state modulated Poisson process
 
 Presets :func:`trace1_config` and :func:`trace2_config` are calibrated
 against Table 2 and the qualitative skew/locality descriptions in §3.1.
+
+Every random stream is drawn up front as an array, one value per
+request, and :func:`_fill_addresses` turns the columns into addresses
+with array arithmetic.  A request's choice among the mechanisms above
+depends only on its own draws and on how many requests and reads came
+before it, so each mechanism computes on its own rows; sequential runs
+follow per-disk cursor chains, and re-references and write-after-read
+copies resolve through their sources.  :func:`generate_trace` makes one
+call for the whole trace and :class:`TraceStream` one per chunk, with a
+:class:`_WorkloadState` carrying the cursors, the recent addresses and
+the counts from chunk to chunk.
 """
 
 from __future__ import annotations
@@ -147,6 +158,8 @@ class SyntheticTraceConfig:
             raise ValueError("hot_spot_fraction must be in (0, 1]")
         if self.max_request_blocks < 1:
             raise ValueError("max_request_blocks must be >= 1")
+        if self.rehit_window < 1 or self.recent_read_window < 1:
+            raise ValueError("rehit_window and recent_read_window must be >= 1")
         if self.burst_rate_multiplier < 1.0:
             raise ValueError("burst multiplier must be >= 1")
         if not 0.0 <= self.burst_fraction < 1.0:
@@ -332,14 +345,19 @@ def _va_disk_cdfs(
 
 
 class _WorkloadState:
-    """Mutable generator state carried across requests (and chunks).
+    """Generator state carried from one chunk of requests to the next.
 
-    Holds everything the address loop and the chunked arrival process
-    thread from one request to the next: per-disk cursors and hot-region
-    origins, the temporal-locality ring buffers, the arrival clock and
-    the burst-episode position.  The full-trace and streaming paths share
-    this state (and :func:`_fill_addresses`), so their per-request
-    arithmetic is the same code.
+    Per-disk hot-region origins and sequential cursors, the
+    update-intensive run origins, the counts of requests and of reads
+    generated so far, and two rings of past addresses: request ``g``'s
+    address sits in slot ``g % len(history)`` and the address of read
+    ``k`` (counting reads only) in slot ``k % len(recent_reads)``, so
+    the rings hold the last ``rehit_window`` addresses and the last
+    ``recent_read_window`` reads (a trace shorter than a window sizes
+    its ring to the trace).  The arrival clock and the burst-episode
+    position are the streaming path's own carry.  The full-trace and
+    streaming paths share this state and :func:`_fill_addresses`, so
+    their address arithmetic is the same code.
     """
 
     __slots__ = (
@@ -347,10 +365,10 @@ class _WorkloadState:
         "hot_start",
         "cursors",
         "hw_origins",
+        "requests",
+        "reads",
         "history",
-        "hist_pos",
         "recent_reads",
-        "rr_pos",
         "t_last",
         "in_burst",
         "burst_left",
@@ -359,19 +377,21 @@ class _WorkloadState:
     def __init__(
         self,
         cfg: SyntheticTraceConfig,
-        hot_start: list,
-        cursors: list,
-        hw_origins: list,
+        hot_start: np.ndarray,
+        cursors: np.ndarray,
+        hw_origins: np.ndarray,
     ) -> None:
         bpd = cfg.blocks_per_disk
         self.hot_size = max(1, int(bpd * cfg.hot_spot_fraction))
         self.hot_start = hot_start
         self.cursors = cursors
         self.hw_origins = hw_origins
-        self.history: list[int] = []  # recent block addresses (ring buffer)
-        self.hist_pos = 0
-        self.recent_reads: list[int] = []
-        self.rr_pos = 0
+        self.requests = 0
+        self.reads = 0
+        self.history = np.empty(min(cfg.rehit_window, cfg.n_requests), np.int64)
+        self.recent_reads = np.empty(
+            min(cfg.recent_read_window, cfg.n_requests), np.int64
+        )
         # Arrival-process carry (used by the streaming path only).
         self.t_last = 0.0
         self.in_burst = False
@@ -388,119 +408,150 @@ class _WorkloadState:
         if cfg.hot_write_runs:
             span = cfg.ndisks * bpd - cfg.hot_write_run_blocks
             hw_origins = (rng.random(cfg.hot_write_runs) * span).astype(np.int64)
-        return cls(cfg, hot_start.tolist(), cursors.tolist(), hw_origins.tolist())
+        return cls(cfg, hot_start, cursors, hw_origins)
+
+
+def _ring_store(ring: np.ndarray, start: int, values: np.ndarray) -> None:
+    """Write ``values[i]`` to slot ``(start + i) % len(ring)``; when
+    *values* outnumber the slots, only its last ``len(ring)`` land."""
+    size = len(ring)
+    if len(values) > size:
+        start += len(values) - size
+        values = values[-size:]
+    head = start % size
+    first = min(size - head, len(values))
+    ring[head : head + first] = values[:first]
+    ring[: len(values) - first] = values[first:]
 
 
 def _fill_addresses(
     cfg: SyntheticTraceConfig,
     state: _WorkloadState,
-    sizes_l: list,
-    is_write_l: list,
-    u_mode_l: list,
-    u_hot_l: list,
-    u_pos_l: list,
-    u_war_l: list,
-    u_hw_l: list,
-    pick_l: list,
-    stack_l: list,
-    disks_l: list,
-) -> list:
-    """The address loop: one logical address per request, given the
-    pre-drawn random streams, mutating *state* in place.
+    sizes: np.ndarray,
+    is_write: np.ndarray,
+    u_mode: np.ndarray,
+    u_hot: np.ndarray,
+    u_pos: np.ndarray,
+    u_war: np.ndarray,
+    u_hw: np.ndarray,
+    pick: np.ndarray,
+    stack: np.ndarray,
+    disks: np.ndarray,
+) -> np.ndarray:
+    """One logical address per request, given the pre-drawn random
+    columns, advancing *state* past them.
 
-    Inputs are plain Python lists — a scalar ndarray index allocates a
-    numpy scalar each access, which would dominate the loop's cost, and
-    Python float arithmetic is the same IEEE double arithmetic as the
-    numpy scalar ops it replaces, so every address is bit-identical.
+    Each request takes the first of five branches whose test passes:
+    an update-intensive hot-write run, a write-after-read copy of a
+    recent read, a re-reference copy of the request a lognormal stack
+    distance back, a sequential continuation of its disk's cursor, or
+    a fresh hot-spot or uniform address.  Every test reads only the
+    request's own columns and two counts known in advance (requests and
+    reads before it), so the branches are boolean masks and each
+    computes on its own rows.  Every float product and float-to-int
+    truncation is the one a per-request Python computation makes, on
+    the same IEEE doubles, so the addresses equal the per-request
+    reference in ``tests/trace/test_address_reference.py`` bit for bit.
     """
-    n = len(sizes_l)
+    n = len(sizes)
     bpd = cfg.blocks_per_disk
-    hot_size = state.hot_size
-    hot_start_l = state.hot_start
-    cursors_l = state.cursors
-    hw_origins_l = state.hw_origins
-    n_hw = len(hw_origins_l)
-    history = state.history
-    hist_cap = cfg.rehit_window
-    hist_pos = state.hist_pos
-    recent_reads = state.recent_reads
-    rr_cap = cfg.recent_read_window
-    rr_pos = state.rr_pos
-    lblocks = [0] * n
+    g0, r0 = state.requests, state.reads
+    single = sizes == 1
+    is_read = ~is_write
+    read_rows = np.flatnonzero(is_read)
+    reads_before = np.cumsum(is_read) - is_read + r0
 
-    rehit_p = cfg.rehit_prob
-    seq_p = cfg.rehit_prob + cfg.sequential_prob
-    war_p = cfg.write_after_read_prob
-    hw_w = cfg.hot_write_weight
-    hw_run = cfg.hot_write_run_blocks
-    hot_w = cfg.hot_spot_weight
+    hw = is_write & single & (u_hw < cfg.hot_write_weight)
+    hw &= len(state.hw_origins) > 0
+    war = is_write & single & ~hw & (u_war < cfg.write_after_read_prob)
+    war &= reads_before > 0
+    # stack >= 0, so ``stack < min(g, window)`` also says the history is
+    # not empty, and it equals ``int(stack) < min(g, window)`` without
+    # converting a draw too large for an integer.
+    history_len = np.minimum(np.arange(g0, g0 + n), cfg.rehit_window)
+    rehit = single & ~(hw | war) & (u_mode < cfg.rehit_prob) & (stack < history_len)
+    fresh = ~(hw | war | rehit)
+    seq = fresh & single & (u_mode < cfg.rehit_prob + cfg.sequential_prob)
+    hot = fresh & ~seq & (u_hot < cfg.hot_spot_weight)
+    uniform = fresh & ~seq & ~hot
 
-    for i in range(n):
-        size = sizes_l[i]
-        addr = -1
+    addr = np.empty(n, np.int64)
+    rows = np.flatnonzero(hw)
+    n_hw = len(state.hw_origins)
+    run = (u_hw[rows] / cfg.hot_write_weight * n_hw).astype(np.int64)
+    offset = (u_pos[rows] * cfg.hot_write_run_blocks).astype(np.int64)
+    addr[rows] = state.hw_origins[np.minimum(run, n_hw - 1)] + offset
+    rows = np.flatnonzero(hot)
+    d = disks[rows]
+    offset = (u_pos[rows] * state.hot_size).astype(np.int64)
+    addr[rows] = d * bpd + state.hot_start[d] + offset
+    rows = np.flatnonzero(uniform)
+    addr[rows] = disks[rows] * bpd + (u_pos[rows] * bpd).astype(np.int64)
 
-        if is_write_l[i] and size == 1 and n_hw and u_hw_l[i] < hw_w:
-            # Update-intensive page: hammer a short hot run.
-            run = int(u_hw_l[i] / hw_w * n_hw)
-            addr = hw_origins_l[min(run, n_hw - 1)] + int(u_pos_l[i] * hw_run)
-        elif (
-            is_write_l[i]
-            and size == 1
-            and u_war_l[i] < war_p
-            and recent_reads
-        ):
-            # DB2 pattern: update a block the transaction just read.
-            addr = recent_reads[int(pick_l[i] * len(recent_reads))]
-        elif (
-            u_mode_l[i] < rehit_p
-            and history
-            and size == 1
-            and int(stack_l[i]) < len(history)
-        ):
-            # Temporal re-reference at a lognormal stack distance;
-            # history is a ring buffer and hist_pos-1 is the most recent.
-            depth = int(stack_l[i])
-            addr = history[(hist_pos - 1 - depth) % len(history)]
-        else:
-            disk = disks_l[i]
-            base = disk * bpd
-            if u_mode_l[i] < seq_p and size == 1:
-                # Sequential continuation preserves seek affinity.
-                cur = (cursors_l[disk] + 1) % bpd
-                cursors_l[disk] = cur
-                addr = base + cur
-            elif u_hot_l[i] < hot_w:
-                addr = base + hot_start_l[disk] + int(u_pos_l[i] * hot_size)
-            else:
-                addr = base + int(u_pos_l[i] * bpd)
-                cursors_l[disk] = addr - base
+    # Sequential continuation: each disk's cursor steps by one per
+    # sequential request and restarts at each uniform address.  Sorted
+    # stably by disk, the cursor events form one segment per restart,
+    # plus one per disk for the steps before its first restart, which
+    # continue the carried cursor.
+    rows = np.flatnonzero(seq | uniform)
+    if rows.size:
+        rows = rows[np.argsort(disks[rows], kind="stable")]
+        d = disks[rows]
+        restart = uniform[rows]
+        new_disk = np.ones(len(rows), bool)
+        new_disk[1:] = d[1:] != d[:-1]
+        head = restart | new_disk
+        heads = np.flatnonzero(head)
+        head_of = np.cumsum(head) - 1
+        origin = np.where(
+            restart[heads], addr[rows[heads]] - d[heads] * bpd, state.cursors[d[heads]] + 1
+        )
+        cursor = (origin[head_of] + np.arange(len(rows)) - heads[head_of]) % bpd
+        step = ~restart
+        addr[rows[step]] = d[step] * bpd + cursor[step]
+        last = np.flatnonzero(np.append(new_disk[1:], True))
+        state.cursors[d[last]] = cursor[last]
 
-        # Clamp so the request stays inside its logical disk.
-        disk = addr // bpd
-        limit = (disk + 1) * bpd
-        if addr + size > limit:
-            addr = limit - size
+    # Clamp so the request stays inside its logical disk: only fresh
+    # requests span several blocks, and a one-block request always fits.
+    rows = np.flatnonzero(~single)
+    a = addr[rows]
+    addr[rows] = np.minimum(a, (a // bpd + 1) * bpd - sizes[rows])
 
-        lblocks[i] = addr
+    # Copies.  ``src`` is the row a copy takes its address from, or -1
+    # once the address is known; a source before this chunk is read from
+    # the rings.
+    src = np.full(n, -1, np.int64)
+    rows = np.flatnonzero(rehit)
+    source = g0 + rows - 1 - stack[rows].astype(np.int64)
+    carried = source < g0
+    addr[rows[carried]] = state.history[source[carried] % len(state.history)]
+    src[rows[~carried]] = source[~carried] - g0
+    # A write-after-read copies the read in ring slot p; once the ring
+    # has wrapped, slot p holds the latest read whose ordinal is p
+    # modulo the window.
+    rows = np.flatnonzero(war)
+    before = reads_before[rows]
+    window = cfg.recent_read_window
+    p = (pick[rows] * np.minimum(before, window)).astype(np.int64)
+    ordinal = p + window * ((before - 1 - p) // window)
+    carried = ordinal < r0
+    addr[rows[carried]] = state.recent_reads[ordinal[carried] % len(state.recent_reads)]
+    src[rows[~carried]] = read_rows[ordinal[~carried] - r0]
+    # Pointer doubling: a copy of a copy follows its source's pointer,
+    # so a chain of length L resolves in log2(L) rounds.
+    rows = np.flatnonzero(src >= 0)
+    while rows.size:
+        s = src[rows]
+        addr[rows] = addr[s]
+        src[rows] = src[s]
+        rows = rows[src[rows] >= 0]
 
-        # Update histories.
-        if len(history) < hist_cap:
-            history.append(addr)
-            hist_pos = len(history) % hist_cap
-        else:
-            history[hist_pos] = addr
-            hist_pos = (hist_pos + 1) % hist_cap
-        if not is_write_l[i]:
-            if len(recent_reads) < rr_cap:
-                recent_reads.append(addr)
-                rr_pos = len(recent_reads) % rr_cap
-            else:
-                recent_reads[rr_pos] = addr
-                rr_pos = (rr_pos + 1) % rr_cap
-
-    state.hist_pos = hist_pos
-    state.rr_pos = rr_pos
-    return lblocks
+    _ring_store(state.history, g0, addr)
+    _ring_store(state.recent_reads, r0, addr[read_rows])
+    state.requests += n
+    state.reads += len(read_rows)
+    return addr
 
 
 def generate_trace(cfg: SyntheticTraceConfig) -> Trace:
@@ -520,7 +571,7 @@ def generate_trace(cfg: SyntheticTraceConfig) -> Trace:
     else:
         disk_cdf = _disk_cdf(cfg, rng)
 
-    # Pre-drawn random streams for the address loop.
+    # Pre-drawn random streams for the address computation.
     u_mode = rng.random(n)  # rehit / sequential / fresh choice
     u_disk = rng.random(n)
     u_hot = rng.random(n)
@@ -548,16 +599,16 @@ def generate_trace(cfg: SyntheticTraceConfig) -> Trace:
     lblocks = _fill_addresses(
         cfg,
         state,
-        sizes.tolist(),
-        is_write.tolist(),
-        u_mode.tolist(),
-        u_hot.tolist(),
-        u_pos.tolist(),
-        u_war.tolist(),
-        u_hw.tolist(),
-        pick_idx.tolist(),
-        stack_draw.tolist(),
-        disks_of.tolist(),
+        sizes,
+        is_write,
+        u_mode,
+        u_hot,
+        u_pos,
+        u_war,
+        u_hw,
+        pick_idx,
+        stack_draw,
+        disks_of,
     )
 
     records = np.empty(n, dtype=TRACE_DTYPE)
@@ -620,8 +671,10 @@ class TraceStream:
 
     Yields the workload as a sequence of :data:`TRACE_DTYPE` record
     arrays instead of materializing all ``n_requests`` at once, so
-    multi-million-request campaigns run in bounded memory and numpy
-    block generation overlaps simulation.
+    multi-million-request campaigns run in bounded memory.  A consumer
+    that pulls a chunk when it runs out of requests (``run_trace``
+    does) generates it there, between two requests: generation and
+    simulation take turns, they do not overlap.
 
     Determinism: a stream is bit-for-bit reproducible for a given
     ``(config, chunk_requests)`` pair, and :meth:`chunks` is
@@ -693,16 +746,16 @@ class TraceStream:
             lblocks = _fill_addresses(
                 cfg,
                 state,
-                sizes.tolist(),
-                is_write.tolist(),
-                u_mode.tolist(),
-                u_hot.tolist(),
-                u_pos.tolist(),
-                u_war.tolist(),
-                u_hw.tolist(),
-                pick_idx.tolist(),
-                stack_draw.tolist(),
-                disks_of.tolist(),
+                sizes,
+                is_write,
+                u_mode,
+                u_hot,
+                u_pos,
+                u_war,
+                u_hw,
+                pick_idx,
+                stack_draw,
+                disks_of,
             )
 
             records = np.empty(count, dtype=TRACE_DTYPE)

@@ -12,6 +12,7 @@ from repro.failure.degraded import (
 from repro.channel import Channel
 from repro.des import Environment
 from repro.disk import Disk
+from repro.disk.request import AccessKind
 from repro.layout import (
     BaseLayout,
     MirrorLayout,
@@ -19,7 +20,9 @@ from repro.layout import (
     Raid4Layout,
     Raid5Layout,
 )
+from repro.layout.common import PhysicalAddress
 from repro.sim import Organization, SystemConfig
+from repro.validate import ValidationMonitor
 
 BPD = 240
 
@@ -113,6 +116,19 @@ def run_one(env, ctrl, lb, k, is_write):
     return out["rt"]
 
 
+def spy_submits(disk):
+    """Record ``(kind, start, nblocks)`` of every access *disk* is sent."""
+    issued = []
+    submit = disk.submit
+
+    def spy(req):
+        issued.append((req.kind, req.start_block, req.nblocks))
+        return submit(req)
+
+    disk.submit = spy
+    return issued
+
+
 class TestDegradedParity:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -170,6 +186,21 @@ class TestDegradedParity:
         assert ctrl.disks[daddr.disk].writes == 1
         assert ctrl.disks[1].completed == 0
 
+    def test_read_around_an_unreadable_block_inside_the_run(self):
+        """A latent error at pblock 12 inside a read of pblocks
+        [10, 14): the readable blocks are read as the runs [10, 12) and
+        [13, 14), and block 12 is reconstructed."""
+        env, ctrl = build_degraded("parity_striping", failed=None)
+        lb = ctrl.layout.logical_of(2, 10)
+        assert ctrl.layout.map_block(lb + 3) == PhysicalAddress(2, 13)
+        ctrl.inject_latent(2, 12)
+        issued = spy_submits(ctrl.disks[2])
+        run_one(env, ctrl, lb, 4, False)
+        reads = [(start, n) for kind, start, n in issued if kind is AccessKind.READ]
+        assert sorted(reads) == [(10, 2), (13, 1)]
+        assert ctrl.degraded_reads == 1
+        assert ctrl.latent_repaired_access == 1
+
     def test_parity_striping_degraded_read(self):
         env, ctrl = build_degraded("parity_striping", failed=2)
         lb = next(
@@ -193,6 +224,21 @@ class TestDegradedMirror:
         run_one(env, ctrl, 0, 1, True)
         assert ctrl.disks[1].writes == 1
         assert ctrl.disks[0].writes == 0
+        assert ctrl.degraded_writes == 1
+
+    def test_write_across_rebuild_watermark(self):
+        """Disk 0's spare is rebuilt up to pblock 100: a 4-block write at
+        pblock 98 writes [98, 100) on the spare, all four blocks on the
+        partner, and counts as degraded."""
+        env, ctrl = build_degraded("mirror", failed=0, spare=True)
+        ctrl.rebuilt_upto = 100
+        monitor = ValidationMonitor().attach(env, [ctrl])
+        spare = spy_submits(ctrl.disks[0])
+        partner = spy_submits(ctrl.disks[1])
+        run_one(env, ctrl, 98, 4, True)
+        monitor.finalize()
+        assert spare == [(AccessKind.WRITE, 98, 2)]
+        assert partner == [(AccessKind.WRITE, 98, 4)]
         assert ctrl.degraded_writes == 1
 
     def test_other_pairs_unaffected(self):

@@ -4,7 +4,8 @@ from hypothesis import settings
 
 #: A deeper budget for Hypothesis tests that do not pin ``max_examples``,
 #: selected with ``--hypothesis-profile=kernel-deep``.  CI runs the kernel
-#: tests under it; the default profile keeps tier-1 fast.
+#: tests and the trace generator's tests (``tests/des``, ``tests/trace``)
+#: under it; the default profile keeps tier-1 fast.
 settings.register_profile("kernel-deep", max_examples=3000, deadline=None)
 
 

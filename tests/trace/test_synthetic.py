@@ -58,6 +58,8 @@ class TestConfigValidation:
             ("multiblock_fraction", -0.1),
             ("hot_spot_fraction", 0.0),
             ("max_request_blocks", 0),
+            ("rehit_window", 0),
+            ("recent_read_window", 0),
             ("burst_rate_multiplier", 0.5),
             ("burst_fraction", 1.0),
         ],
