@@ -13,7 +13,10 @@ from repro.analytic.solver import (
     AnalyticSaturationError,
     AnalyticTally,
     AnalyticUnsupportedError,
+    UNMODELLED_FIELDS,
+    check_supported,
     solve_trace,
+    unsupported,
 )
 from repro.analytic.validation import (
     CAMPAIGN_TOLERANCE,
@@ -36,8 +39,11 @@ __all__ = [
     "Moments",
     "RequestClass",
     "TOLERANCE_BANDS",
+    "UNMODELLED_FIELDS",
+    "check_supported",
     "decompose",
     "hda_tolerance",
     "solve_trace",
     "tolerance_for",
+    "unsupported",
 ]

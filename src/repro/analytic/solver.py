@@ -22,12 +22,16 @@ simulating a single event:
 
 A workload pushing any disk or the channel to utilization ≥ 1 has no
 steady state; the solver raises :class:`AnalyticSaturationError` (a
-``ValueError``) naming the saturated resource.
+``ValueError``) naming the saturated resource.  What the model cannot
+represent — a failure schedule, or a config that sets one of
+:data:`UNMODELLED_FIELDS` away from its default — is refused with
+:class:`AnalyticUnsupportedError` naming it (:func:`unsupported`).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -48,8 +52,26 @@ __all__ = [
     "AnalyticSaturationError",
     "AnalyticTally",
     "AnalyticUnsupportedError",
+    "UNMODELLED_FIELDS",
+    "check_supported",
     "solve_trace",
+    "unsupported",
 ]
+
+#: :class:`SystemConfig` fields the model has no equations for, so it
+#: accepts only their defaults: FCFS disk queues, unsynchronized
+#: spindles, periodic destage (which matters only to a cache), the RMW
+#: threshold, track buffers per disk and the SI hold bound.
+UNMODELLED_FIELDS = (
+    "disk_scheduler",
+    "spindle_sync",
+    "destage_policy",
+    "rmw_threshold",
+    "track_buffers_per_disk",
+    "si_max_hold_revolutions",
+)
+
+_DEFAULTS = {f.name: f.default for f in fields(SystemConfig)}
 
 
 class AnalyticSaturationError(ValueError):
@@ -66,6 +88,45 @@ class AnalyticUnsupportedError(ValueError):
     equations for.  The guidance in the message names the supported
     alternative (the DES backend).
     """
+
+
+def unsupported(config: SystemConfig, failures=None) -> Optional[str]:
+    """What the model cannot solve in a run of *config*, or ``None``.
+
+    ``"failures"`` for a failure schedule (the model solves the healthy
+    steady state only), else the first of :data:`UNMODELLED_FIELDS`
+    that *config* sets away from its default.
+    """
+    if failures is not None:
+        return "failures"
+    for name in UNMODELLED_FIELDS:
+        if name == "destage_policy" and not config.any_cached:
+            continue
+        if getattr(config, name) != _DEFAULTS[name]:
+            return name
+    return None
+
+
+def check_supported(config: SystemConfig, failures=None) -> None:
+    """Raise :class:`AnalyticUnsupportedError` naming
+    :func:`unsupported` of *config* and *failures*, if anything."""
+    reason = unsupported(config, failures)
+    if reason is None:
+        return
+    if reason == "failures":
+        why = (
+            "solves the healthy steady state only; failure schedules "
+            "(degraded mode, rebuild, scrubbing) are transient behaviours "
+            "it cannot represent"
+        )
+    else:
+        why = (
+            f"has no equations for {reason}={getattr(config, reason)!r}; "
+            f"it accepts only the default {_DEFAULTS[reason]!r}"
+        )
+    raise AnalyticUnsupportedError(
+        f"the analytic backend {why} — run it with backend='des' instead"
+    )
 
 
 class AnalyticTally(Tally):
@@ -142,6 +203,7 @@ def solve_trace(
     name: Optional[str] = None,
 ) -> RunResult:
     """Analytically solve *workload* on *config* (drop-in for the DES)."""
+    check_supported(config)
     hetero = config.heterogeneous
     if hetero:
         total = workload.ndisks * workload.blocks_per_disk

@@ -1,7 +1,8 @@
-"""Experiment drivers: one per table/figure of the paper.
+"""The paper's tables and figures, and the extensions, as experiments.
 
-Every experiment is registered in :mod:`repro.experiments.registry` and
-runnable from the command line::
+Every experiment is registered in :mod:`repro.experiments.registry` —
+the parameter sweeps as :class:`~repro.experiments.grid.Grid` data —
+and runnable from the command line::
 
     python -m repro.experiments fig5 --scale 0.5
     python -m repro.experiments --list

@@ -95,10 +95,12 @@ def main(argv: list[str] | None = None) -> int:
     ids = [exp.exp_id for exp in experiments]
     if args.backend != "des":
         for exp in experiments:
-            if any(point.des_only for point in exp.points(args.scale)):
+            reasons = {point.des_reason for point in exp.points(args.scale)} - {None}
+            if reasons:
                 print(
-                    f"note: {exp.exp_id} simulates failure scenarios; running "
-                    f"those points on the DES backend",
+                    f"note: {exp.exp_id} sets {', '.join(sorted(reasons))}, which "
+                    f"the {args.backend} backend does not model; running those "
+                    f"points on the DES backend",
                     file=sys.stderr,
                 )
 

@@ -49,6 +49,7 @@ __all__ = [
     "get_trace",
     "make_config",
     "response_time",
+    "split_run_args",
 ]
 
 #: Logical disks simulated for Trace-1 experiments (of the 130 traced).
@@ -145,29 +146,29 @@ def make_config(org: str, trace: Trace, **overrides) -> SystemConfig:
     )
 
 
-def response_time(
-    org: str,
-    trace: Trace,
+def split_run_args(
     backend: str = "des",
     failures=None,
     keep_samples: bool = False,
     **overrides,
-) -> RunResult:
-    """Run one (organization, trace) point on the chosen backend.
+) -> tuple[dict, dict]:
+    """Split a point's keywords into ``(config overrides, run arguments)``.
 
-    ``failures`` (a :class:`~repro.failure.FailureSchedule`) and
-    ``keep_samples`` route to :func:`~repro.sim.run_trace`; everything
-    else overrides :class:`~repro.sim.SystemConfig` fields.  Failure
-    drivers set ``keep_samples=True`` because their headline metric is
-    the p95 during the scenario, which needs the sample store.
+    ``backend``, ``failures`` (a :class:`~repro.failure.FailureSchedule`)
+    and ``keep_samples`` route to :func:`~repro.sim.run_trace`;
+    everything else overrides :class:`~repro.sim.SystemConfig` fields.
+    Failure drivers set ``keep_samples=True`` because their headline
+    metric is the p95 during the scenario, which needs the sample store.
     """
-    return run_trace(
-        make_config(org, trace, **overrides),
-        trace,
-        keep_samples=keep_samples,
-        backend=backend,
-        failures=failures,
-    )
+    run = {"backend": backend, "failures": failures, "keep_samples": keep_samples}
+    return overrides, run
+
+
+def response_time(org: str, trace: Trace, **kwargs) -> RunResult:
+    """Run one (organization, trace) point, its *kwargs* split by
+    :func:`split_run_args`."""
+    overrides, run = split_run_args(**kwargs)
+    return run_trace(make_config(org, trace, **overrides), trace, **run)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,14 @@
-"""Extension experiments beyond the paper's figures.
+"""Extension experiments beyond the paper's figures, with their own code.
 
-These exercise the features the paper mentions but does not evaluate:
-
+* ``ext-reliability`` — the introduction's MTTDL and storage-overhead
+  trade-off, computed.
 * ``ext-rebuild`` — degraded-mode and rebuild performance vs array size
   (the §4.2.1 remark that "large arrays... have worse performance
   during reconstruction").
-* ``ext-destage`` — the §3.4 destage-policy comparison (periodic vs
-  basic LRU write-back) plus the decoupled policy the paper proposes.
-* ``ext-parity-grain`` — the conclusions' future-work item: a finer
-  grain for the parity in Parity Striping, to balance the parity
-  update load while preserving data seek affinity.
-* ``ext-spindle`` — spindle synchronization on/off ("no spindle
-  synchronization is assumed"): what the assumption is worth.
-* ``ext-scheduler`` — FCFS vs SSTF per-disk queue disciplines.
+
+The parameter-sweep extensions (``ext-destage``, ``ext-parity-grain``,
+``ext-spindle``, ``ext-scheduler``) are grids in
+:mod:`repro.experiments.registry`.
 """
 
 from __future__ import annotations
@@ -26,14 +22,6 @@ __all__ = [
     "run_reliability",
     "points_rebuild",
     "assemble_rebuild",
-    "points_destage",
-    "assemble_destage",
-    "points_parity_grain",
-    "assemble_parity_grain",
-    "points_spindle",
-    "assemble_spindle",
-    "points_scheduler",
-    "assemble_scheduler",
 ]
 
 
@@ -121,160 +109,3 @@ def assemble_rebuild(scale: float, values: dict) -> list[ExperimentResult]:
             ),
         )
     ]
-
-
-DESTAGE_POLICIES = ("periodic", "lru_demand", "decoupled")
-DESTAGE_MB = (8, 16, 32)
-
-
-def points_destage(scale: float = 1.0) -> list[Point]:
-    """Periodic vs basic-LRU vs decoupled write-back (§3.4)."""
-    return [
-        Point.sim(
-            "ext-destage",
-            (which, policy, mb),
-            TraceSpec(which, scale),
-            "raid5",
-            cached=True,
-            cache_mb=mb,
-            destage_policy=policy,
-        )
-        for which in (1, 2)
-        for policy in DESTAGE_POLICIES
-        for mb in DESTAGE_MB
-    ]
-
-
-def assemble_destage(scale: float, values: dict) -> list[ExperimentResult]:
-    results = []
-    for which in (1, 2):
-        series = [
-            Series(
-                policy,
-                list(DESTAGE_MB),
-                [values[(which, policy, mb)].mean_response_ms for mb in DESTAGE_MB],
-            )
-            for policy in DESTAGE_POLICIES
-        ]
-        results.append(
-            ExperimentResult(
-                exp_id="ext-destage",
-                title=f"Destage policies, cached RAID5, Trace {which}",
-                xlabel="cache size (MB)",
-                ylabel="mean response time (ms)",
-                series=series,
-                notes="paper: periodic always beats the basic LRU policy",
-            )
-        )
-    return results
-
-
-GRAIN_VARIANTS = (
-    ("ParStripe classic", "parity_striping", {}),
-    ("ParStripe grain=1", "parity_striping", {"parity_grain": 1}),
-    ("ParStripe grain=8", "parity_striping", {"parity_grain": 8}),
-    ("RAID5 su=1", "raid5", {}),
-)
-
-
-def points_parity_grain(scale: float = 1.0) -> list[Point]:
-    """Fine-grained Parity Striping vs classic vs RAID5 (future work)."""
-    return [
-        Point.sim("ext-parity-grain", (which, label), TraceSpec(which, scale), org, **kw)
-        for which in (1, 2)
-        for label, org, kw in GRAIN_VARIANTS
-    ]
-
-
-def assemble_parity_grain(scale: float, values: dict) -> list[ExperimentResult]:
-    results = []
-    for which in (1, 2):
-        labels = [label for label, _, _ in GRAIN_VARIANTS]
-        results.append(
-            ExperimentResult(
-                exp_id="ext-parity-grain",
-                title=f"Fine-grained parity striping, Trace {which}",
-                xlabel="organization",
-                ylabel="mean response time (ms)",
-                series=[
-                    Series(
-                        "response",
-                        labels,
-                        [values[(which, label)].mean_response_ms for label in labels],
-                    )
-                ],
-                notes="grain spreads parity-update load while data stays sequential",
-            )
-        )
-    return results
-
-
-def points_spindle(scale: float = 1.0) -> list[Point]:
-    """Spindle synchronization on/off for Mirror and RAID5."""
-    return [
-        Point.sim(
-            "ext-spindle", (which, org, sync), TraceSpec(which, scale), org, spindle_sync=sync
-        )
-        for which in (1, 2)
-        for org in ("mirror", "raid5")
-        for sync in (False, True)
-    ]
-
-
-def assemble_spindle(scale: float, values: dict) -> list[ExperimentResult]:
-    results = []
-    for which in (1, 2):
-        series = [
-            Series(
-                org,
-                ["unsynced", "synced"],
-                [values[(which, org, sync)].mean_response_ms for sync in (False, True)],
-            )
-            for org in ("mirror", "raid5")
-        ]
-        results.append(
-            ExperimentResult(
-                exp_id="ext-spindle",
-                title=f"Spindle synchronization, Trace {which}",
-                xlabel="spindles",
-                ylabel="mean response time (ms)",
-                series=series,
-                notes="the paper assumes unsynchronized spindles",
-            )
-        )
-    return results
-
-
-def points_scheduler(scale: float = 1.0) -> list[Point]:
-    """FCFS vs SSTF per-disk scheduling across organizations."""
-    return [
-        Point.sim(
-            "ext-scheduler", (which, org, s), TraceSpec(which, scale), org, disk_scheduler=s
-        )
-        for which in (1, 2)
-        for org in ("base", "raid5")
-        for s in ("fcfs", "sstf")
-    ]
-
-
-def assemble_scheduler(scale: float, values: dict) -> list[ExperimentResult]:
-    results = []
-    for which in (1, 2):
-        series = [
-            Series(
-                org,
-                ["fcfs", "sstf"],
-                [values[(which, org, s)].mean_response_ms for s in ("fcfs", "sstf")],
-            )
-            for org in ("base", "raid5")
-        ]
-        results.append(
-            ExperimentResult(
-                exp_id="ext-scheduler",
-                title=f"Disk queue discipline, Trace {which}",
-                xlabel="discipline",
-                ylabel="mean response time (ms)",
-                series=series,
-            )
-        )
-    return results

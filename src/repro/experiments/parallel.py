@@ -8,7 +8,7 @@ evaluates them, in this process (``jobs <= 1``) or over a
 deterministically:
 
 * values are placed by each point's ``key`` and assembled by the
-  driver's ``assemble`` hook, so completion order cannot perturb the
+  experiment's ``assemble`` hook, so completion order cannot perturb the
   output — ``--jobs N`` is byte-identical to a serial run;
 * each worker materializes traces through the in-process memo of
   :func:`~repro.experiments.common.get_trace`, so it generates each base

@@ -1,8 +1,8 @@
-"""Point decomposition of the experiment drivers.
+"""Point decomposition of the experiments.
 
-A campaign (``python -m repro.experiments all``) is dozens of
+A campaign (``python -m repro.experiments all``) is hundreds of
 independent simulation runs — (figure x trace x organization x sweep
-value) cells.  The drivers describe those cells declaratively as
+value) cells.  The experiments describe those cells declaratively as
 :class:`Point` work units, which the campaign engine in
 :mod:`repro.experiments.parallel` evaluates in this process or fans out
 over worker processes:
@@ -15,7 +15,7 @@ over worker processes:
   trace once per process;
 * a :class:`Point` is one cell: the spec plus the organization and the
   ``response_time``/``simulate_hit_ratios`` keyword overrides, tagged
-  with a hashable ``key`` the driver uses to place the value back into
+  with a hashable ``key`` the experiment uses to place the value back into
   its figure;
 * :func:`run_point` evaluates one cell and returns a compact, picklable
   :class:`PointValue`.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Point",
@@ -115,13 +115,18 @@ class Point:
         return dict(self.overrides)
 
     @property
-    def des_only(self) -> bool:
-        """Whether this point runs on the DES under every backend.
+    def des_reason(self) -> Optional[str]:
+        """Why this point runs on the DES under every backend, or ``None``:
+        what :func:`repro.analytic.unsupported` names in its run."""
+        if self.kind != "sim":
+            return None
+        from repro.analytic import unsupported
+        from repro.experiments.common import split_run_args
+        from repro.sim import Organization, SystemConfig
 
-        Failure-scenario points do: the analytic solver models the
-        healthy steady state only and rejects failure schedules.
-        """
-        return self.kind == "sim" and self.kwargs.get("failures") is not None
+        overrides, run = split_run_args(**self.kwargs)
+        config = SystemConfig(organization=Organization.parse(self.org), **overrides)
+        return unsupported(config, run["failures"])
 
     def label(self) -> str:
         """Human-readable identity for progress lines and errors."""
@@ -221,13 +226,13 @@ def with_backend(points: Iterable[Point], backend: str) -> List[Point]:
     """Retarget the simulation points of a campaign onto *backend*.
 
     Hit-ratio points are backend-independent (the fast cache pass *is*
-    the analytic answer) and pass through unchanged, as do
-    :attr:`Point.des_only` points; ``"des"`` is the identity so existing
+    the analytic answer) and pass through unchanged, as do points with
+    a :attr:`Point.des_reason`; ``"des"`` is the identity so existing
     call sites stay byte-identical.
     """
     out: List[Point] = []
     for point in points:
-        if backend == "des" or point.kind != "sim" or point.des_only:
+        if backend == "des" or point.kind != "sim" or point.des_reason:
             out.append(point)
             continue
         overrides = dict(point.overrides)

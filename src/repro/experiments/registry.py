@@ -1,44 +1,39 @@
-"""Registry of all experiments (one per paper table/figure).
+"""Registry of all experiments, in the order ``all`` runs them.
 
-Every experiment registers
+Every experiment has
 
 ``points(scale) -> list[Point]``
     the independent (trace x organization x sweep-value) cells, and
 ``assemble(scale, values: dict[key, PointValue]) -> list[ExperimentResult]``
     the pure merge of evaluated cells back into figures.
 
-The pure-computation artifacts (the parameter tables, the skew
-histograms, the reliability table) have no cells: their ``points`` is
-empty and their ``assemble`` computes the result.  All of them run
-through :func:`repro.experiments.parallel.run_campaign`, serially or
-over worker processes.
+The parameter sweeps — Figs. 4, 5 and 8-19 and four extensions — are
+:class:`~repro.experiments.grid.Grid` declarations, data only.  The
+rest are :class:`Experiment` records with their own code.  The pure-computation
+artifacts (the parameter tables, the skew histograms, the reliability
+table) have no cells: their ``points`` is empty and their ``assemble``
+computes the result.  All of them run through
+:func:`repro.experiments.parallel.run_campaign`, serially or over worker
+processes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Union
 
 from repro.experiments.points import Point, PointValue
 
 from repro.experiments import tables
-from repro.experiments import fig04_sync
-from repro.experiments import fig05_array_size
 from repro.experiments import fig06_07_skew
-from repro.experiments import fig08_striping_unit
-from repro.experiments import fig09_parity_placement
-from repro.experiments import fig10_trace_speed
-from repro.experiments import fig11_hit_ratios
-from repro.experiments import fig12_cache_size
-from repro.experiments import fig13_cached_array_size
-from repro.experiments import fig14_cached_striping
-from repro.experiments import fig15_16_parity_cache
-from repro.experiments import fig17_19_parity_cache_params
 from repro.experiments import extensions
 from repro.experiments import ext_failure
 from repro.experiments import ext_hda
 from repro.experiments.common import ExperimentResult
+from repro.experiments.grid import Curve, Grid
+from repro.layout import ParityPlacement
+from repro.models import preferred_placement
 
 __all__ = ["Experiment", "EXPERIMENTS", "get_experiment", "run_experiment"]
 
@@ -67,7 +62,46 @@ def _computed(
     return lambda scale, values: compute(scale)
 
 
-EXPERIMENTS: dict[str, Experiment] = {
+def _sweep(field: str, values) -> tuple:
+    """x values that set *field* to each of *values*, labelled by value."""
+    return tuple((v, {field: v}) for v in values)
+
+
+def _hit_cache(sizes_mb) -> tuple:
+    """Hit-ratio x values: cache sizes labelled in MB, set in 4 KB blocks."""
+    return tuple((mb, {"cache_blocks": mb * 256}) for mb in sizes_mb)
+
+
+def _n_and_cache(pairs) -> tuple:
+    """x values that set the array size N and its cache, labelled by N."""
+    return tuple((n, {"n": n, "cache_mb": mb}) for n, mb in pairs)
+
+
+def _placement_rule(write_fraction: float) -> str:
+    """§4.2.3: the parity area is hotter than a data area iff w > 1/N."""
+    return "w>1/N rule predicts: " + ", ".join(
+        f"N={n}:{preferred_placement(n, write_fraction).value}" for n in SIZES
+    )
+
+
+_ORG_LABELS = (
+    ("base", "Base"), ("mirror", "Mirror"), ("raid5", "RAID5"), ("parity_striping", "ParStripe")
+)
+ORGS = tuple(Curve(label, {"org": org}) for org, label in _ORG_LABELS)
+CACHED_ORGS = tuple(Curve(label, {"org": org, "cached": True}) for org, label in _ORG_LABELS)
+#: RAID5 against RAID4 with parity caching (§4.4), both cached.
+PC_PAIR = (
+    Curve("RAID5", {"org": "raid5", "cached": True}),
+    Curve("RAID4-PC", {"org": "raid4", "cached": True}),
+)
+SIZES = (5, 10, 15, 20)
+N = _sweep("n", SIZES)
+UNITS = _sweep("striping_unit", (1, 2, 4, 8, 16, 32, 64))
+SPEEDS = _sweep("speed", (0.5, 1.0, 2.0))
+CACHE_MB = _sweep("cache_mb", (8, 16, 32, 64))
+
+
+EXPERIMENTS: dict[str, Union[Experiment, Grid]] = {
     e.exp_id: e
     for e in [
         Experiment("table1", "Disk and channel parameters", cost=1,
@@ -78,54 +112,113 @@ EXPERIMENTS: dict[str, Experiment] = {
                    points=tables.points_table3, assemble=tables.assemble_table3),
         Experiment("table4", "Default parameters", cost=1,
                    points=_no_points, assemble=_computed(tables.table4)),
-        Experiment("fig4", "Synchronization policies vs N", cost=3,
-                   points=fig04_sync.points, assemble=fig04_sync.assemble),
-        Experiment("fig5", "Array size, uncached orgs", cost=3,
-                   points=fig05_array_size.points, assemble=fig05_array_size.assemble),
+        Grid("fig4", "Synchronization policies vs N", cost=3,
+             heading="Sync policies, {panel}, Trace {trace}",
+             panels=(("RAID5", {"org": "raid5"}), ("ParStripe", {"org": "parity_striping"})),
+             curves=tuple(Curve(p, {"sync_policy": p})
+                          for p in ("SI", "RF", "RF/PR", "DF", "DF/PR")),
+             xs=N, xlabel="array size N"),
+        Grid("fig5", "Array size, uncached orgs", cost=3,
+             heading="Response time vs array size (uncached), Trace {trace}",
+             curves=ORGS, xs=N, xlabel="array size N"),
         Experiment("fig6", "Disk access skew, Base", cost=1,
                    points=_no_points, assemble=_computed(fig06_07_skew.run_fig6)),
         Experiment("fig7", "Disk access skew, RAID5", cost=1,
                    points=_no_points, assemble=_computed(fig06_07_skew.run_fig7)),
-        Experiment("fig8", "Striping unit, uncached RAID5", cost=2,
-                   points=fig08_striping_unit.points, assemble=fig08_striping_unit.assemble),
-        Experiment("fig9", "Parity placement, ParStripe", cost=3,
-                   points=fig09_parity_placement.points, assemble=fig09_parity_placement.assemble),
-        Experiment("fig10", "Trace speed, uncached orgs", cost=3,
-                   points=fig10_trace_speed.points, assemble=fig10_trace_speed.assemble),
-        Experiment("fig11", "Hit ratios vs cache size", cost=2,
-                   points=fig11_hit_ratios.points, assemble=fig11_hit_ratios.assemble),
-        Experiment("fig12", "Cache size, cached orgs", cost=3,
-                   points=fig12_cache_size.points, assemble=fig12_cache_size.assemble),
-        Experiment("fig13", "Array size, fixed total cache", cost=3,
-                   points=fig13_cached_array_size.points, assemble=fig13_cached_array_size.assemble),
-        Experiment("fig14", "Striping unit, cached RAID5", cost=2,
-                   points=fig14_cached_striping.points, assemble=fig14_cached_striping.assemble),
-        Experiment("fig15", "Hit ratios, RAID4-PC vs RAID5", cost=2,
-                   points=fig15_16_parity_cache.points_fig15,
-                   assemble=fig15_16_parity_cache.assemble_fig15),
-        Experiment("fig16", "Cache size, RAID4-PC vs RAID5", cost=2,
-                   points=fig15_16_parity_cache.points_fig16,
-                   assemble=fig15_16_parity_cache.assemble_fig16),
-        Experiment("fig17", "Array size, RAID4-PC vs RAID5", cost=3,
-                   points=fig17_19_parity_cache_params.points_fig17,
-                   assemble=fig17_19_parity_cache_params.assemble_fig17),
-        Experiment("fig18", "Trace speed, RAID4-PC vs RAID5", cost=3,
-                   points=fig17_19_parity_cache_params.points_fig18,
-                   assemble=fig17_19_parity_cache_params.assemble_fig18),
-        Experiment("fig19", "Striping unit, RAID4-PC vs RAID5", cost=3,
-                   points=fig17_19_parity_cache_params.points_fig19,
-                   assemble=fig17_19_parity_cache_params.assemble_fig19),
+        Grid("fig8", "Striping unit, uncached RAID5",
+             heading="RAID5 striping unit (uncached), Trace {trace}",
+             curves=(Curve("RAID5", {"org": "raid5"}),),
+             xs=UNITS, xlabel="striping unit (blocks)"),
+        Grid("fig9", "Parity placement, ParStripe", cost=3,
+             heading="Parity placement, Parity Striping, Trace {trace}",
+             curves=tuple(Curve(p.value, {"org": "parity_striping", "parity_placement": p})
+                          for p in (ParityPlacement.MIDDLE, ParityPlacement.END)),
+             xs=N, xlabel="array size N",
+             notes={1: _placement_rule(0.10), 2: _placement_rule(0.28)}),
+        Grid("fig10", "Trace speed, uncached orgs", cost=3,
+             heading="Response time vs trace speed (uncached), Trace {trace}",
+             curves=ORGS, xs=SPEEDS, xlabel="trace speed"),
+        Grid("fig11", "Hit ratios vs cache size",
+             heading="Hit ratios vs cache size, Trace {trace}",
+             curves=(
+                 Curve("read (Base/Mirror)", {"mode": "plain"}, "read_hit_ratio"),
+                 Curve("read (parity orgs)", {"mode": "parity"}, "read_hit_ratio"),
+                 Curve("write (Base/Mirror)", {"mode": "plain"}, "write_hit_ratio"),
+                 Curve("write (parity orgs)", {"mode": "parity"}, "write_hit_ratio"),
+             ),
+             xs=_hit_cache((8, 16, 32, 64, 128, 256)),
+             xlabel="cache size (MB)", ylabel="hit ratio"),
+        Grid("fig12", "Cache size, cached orgs", cost=3,
+             heading="Response time vs cache size (cached), Trace {trace}",
+             curves=CACHED_ORGS, xs=CACHE_MB, xlabel="cache size (MB)"),
+        Grid("fig13", "Array size, fixed total cache", cost=3,
+             heading="Array size at fixed total cache (cached), Trace {trace}",
+             curves=CACHED_ORGS,
+             xs=_n_and_cache(((5, 8.0), (10, 16.0), (15, 24.0))),
+             xlabel="array size N (cache = 1.6 MB x N per array)"),
+        Grid("fig14", "Striping unit, cached RAID5",
+             heading="RAID5 striping unit (cached, 16 MB), Trace {trace}",
+             curves=(Curve("RAID5 cached", {"org": "raid5", "cached": True}),),
+             xs=UNITS, xlabel="striping unit (blocks)"),
+        Grid("fig15", "Hit ratios, RAID4-PC vs RAID5",
+             heading="Hit ratios, RAID5 vs RAID4 parity caching, Trace {trace}",
+             curves=(
+                 Curve("read RAID5", {"mode": "parity"}, "read_hit_ratio"),
+                 Curve("read RAID4-PC", {"mode": "raid4pc"}, "read_hit_ratio"),
+                 Curve("write RAID5", {"mode": "parity"}, "write_hit_ratio"),
+                 Curve("write RAID4-PC", {"mode": "raid4pc"}, "write_hit_ratio"),
+             ),
+             xs=_hit_cache((8, 16, 32, 64)),
+             xlabel="cache size (MB)", ylabel="hit ratio"),
+        Grid("fig16", "Cache size, RAID4-PC vs RAID5",
+             heading="Response time vs cache size, RAID4-PC vs RAID5, Trace {trace}",
+             curves=PC_PAIR, xs=CACHE_MB, xlabel="cache size (MB)"),
+        Grid("fig17", "Array size, RAID4-PC vs RAID5", cost=3,
+             heading="RAID4-PC vs RAID5 across array sizes, Trace {trace}",
+             curves=PC_PAIR,
+             xs=_n_and_cache(((5, 8.0), (10, 16.0), (20, 32.0))),
+             xlabel="array size N (cache = 1.6 MB x N)"),
+        Grid("fig18", "Trace speed, RAID4-PC vs RAID5", cost=3,
+             heading="RAID4-PC vs RAID5 across trace speeds, Trace {trace}",
+             curves=PC_PAIR, xs=SPEEDS, xlabel="trace speed"),
+        Grid("fig19", "Striping unit, RAID4-PC vs RAID5", cost=3,
+             heading="Striping unit (cached), RAID4-PC and RAID5, Trace {trace}",
+             curves=PC_PAIR, xs=UNITS, xlabel="striping unit (blocks)"),
         # Extensions beyond the paper's figures.
         Experiment("ext-rebuild", "Degraded mode + rebuild vs N", cost=3,
                    points=extensions.points_rebuild, assemble=extensions.assemble_rebuild),
-        Experiment("ext-destage", "Destage policy comparison", cost=3,
-                   points=extensions.points_destage, assemble=extensions.assemble_destage),
-        Experiment("ext-parity-grain", "Fine-grained parity striping", cost=2,
-                   points=extensions.points_parity_grain, assemble=extensions.assemble_parity_grain),
-        Experiment("ext-spindle", "Spindle synchronization", cost=2,
-                   points=extensions.points_spindle, assemble=extensions.assemble_spindle),
-        Experiment("ext-scheduler", "FCFS vs SSTF disk scheduling", cost=2,
-                   points=extensions.points_scheduler, assemble=extensions.assemble_scheduler),
+        # §3.4's periodic vs basic-LRU write-back, plus the decoupled
+        # policy the paper suggests investigating.
+        Grid("ext-destage", "Destage policy comparison", cost=3,
+             heading="Destage policies, cached RAID5, Trace {trace}",
+             curves=tuple(Curve(p, {"org": "raid5", "cached": True, "destage_policy": p})
+                          for p in ("periodic", "lru_demand", "decoupled")),
+             xs=_sweep("cache_mb", (8, 16, 32)), xlabel="cache size (MB)",
+             notes="paper: periodic always beats the basic LRU policy"),
+        # The conclusions' future work: a finer parity grain balances the
+        # parity-update load while data keeps its seek affinity.
+        Grid("ext-parity-grain", "Fine-grained parity striping",
+             heading="Fine-grained parity striping, Trace {trace}",
+             curves=(Curve("response", {}),),
+             xs=(
+                 ("ParStripe classic", {"org": "parity_striping"}),
+                 ("ParStripe grain=1", {"org": "parity_striping", "parity_grain": 1}),
+                 ("ParStripe grain=8", {"org": "parity_striping", "parity_grain": 8}),
+                 ("RAID5 su=1", {"org": "raid5"}),
+             ),
+             xlabel="organization",
+             notes="grain spreads parity-update load while data stays sequential"),
+        # What the paper's "no spindle synchronization" assumption is worth.
+        Grid("ext-spindle", "Spindle synchronization",
+             heading="Spindle synchronization, Trace {trace}",
+             curves=(Curve("mirror", {"org": "mirror"}), Curve("raid5", {"org": "raid5"})),
+             xs=(("unsynced", {"spindle_sync": False}), ("synced", {"spindle_sync": True})),
+             xlabel="spindles", notes="the paper assumes unsynchronized spindles"),
+        Grid("ext-scheduler", "FCFS vs SSTF disk scheduling",
+             heading="Disk queue discipline, Trace {trace}",
+             curves=(Curve("base", {"org": "base"}), Curve("raid5", {"org": "raid5"})),
+             xs=(("fcfs", {"disk_scheduler": "fcfs"}), ("sstf", {"disk_scheduler": "sstf"})),
+             xlabel="discipline"),
         Experiment("ext-reliability", "MTTDL / storage overhead", cost=1,
                    points=_no_points, assemble=_computed(extensions.run_reliability)),
         Experiment("ext-rebuild-rate", "Rebuild rate vs foreground p95", cost=3,
@@ -138,7 +231,7 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
-def get_experiment(exp_id: str) -> Experiment:
+def get_experiment(exp_id: str) -> Union[Experiment, Grid]:
     """Look up an experiment by id.
 
     Accepts zero-padded and module-style aliases: ``fig05`` and

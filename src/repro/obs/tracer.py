@@ -37,16 +37,11 @@ _MISSING = object()
 class Tracer:
     """Records a span tree per logical request.
 
-    Parameters
-    ----------
-    background:
-        Record spans for work not attributable to any request (destage
-        writes, parity spooling).  On by default; disable to shrink
-        exports when only request anatomy matters.
+    Work not attributable to any request (destage writes, parity
+    spooling) is recorded on a background track.
     """
 
-    def __init__(self, background: bool = True) -> None:
-        self.background = background
+    def __init__(self) -> None:
         self.meta: dict = {}
         self.spans: list[Span] = []
         self.cache_ops: dict[str, int] = {}
@@ -174,8 +169,6 @@ class Tracer:
 
     def on_disk_submit(self, disk, request) -> None:
         rid = self._rid()
-        if rid is None and not self.background:
-            return
         span = self._new(
             "disk",
             disk.name,
@@ -230,19 +223,13 @@ class Tracer:
             span.attrs["hold_retries"] = request.hold_retries
 
     def on_channel_request(self, channel, nbytes: int) -> None:
-        proc = self.env.active_process
-        rid = self._rid()
-        if rid is None and not self.background:
-            return
-        self._open_chan[proc] = (self.env.now, nbytes, rid)
+        self._open_chan[self.env.active_process] = (self.env.now, nbytes, self._rid())
 
     def on_channel_transfer(self, channel, nbytes: int, duration: float) -> None:
         now = self.env.now
         entry = self._open_chan.pop(self.env.active_process, None)
         if entry is None:
             t_enter, rid = now - duration, self._rid()
-            if rid is None and not self.background:
-                return
         else:
             t_enter, _, rid = entry
         span = self._new(
@@ -275,8 +262,6 @@ class Tracer:
 
     def on_destage(self, controller, run) -> None:
         rid = self._rid()
-        if rid is None and not self.background:
-            return
         now = self.env.now
         self._new(
             "mark",
@@ -328,8 +313,6 @@ class Tracer:
         self, controller, run, chosen, alternate, seek_chosen, seek_alt
     ) -> None:
         rid = self._rid()
-        if rid is None and not self.background:
-            return
         now = self.env.now
         self._new(
             "mark",

@@ -65,7 +65,9 @@ def run_trace(
         fork-join model in :mod:`repro.analytic` — orders of magnitude
         faster, accurate within the cross-validation tolerance bands.
         The analytic backend has no events, so ``validate``/``trace``/
-        ``metrics`` instrumentation cannot be combined with it.
+        ``metrics`` instrumentation cannot be combined with it, and it
+        refuses what :func:`repro.analytic.unsupported` names: a
+        failure schedule, or a config field it has no equations for.
     warmup_fraction:
         Fraction of the trace duration excluded from statistics while
         queues and caches warm up.
@@ -119,23 +121,15 @@ def run_trace(
                 "the analytic backend characterizes a whole trace at once; "
                 "materialize() the stream or use backend='des'"
             )
-        if failures is not None:
-            from repro.analytic import AnalyticUnsupportedError
+        from repro.analytic import check_supported, solve_trace
 
-            raise AnalyticUnsupportedError(
-                "the analytic backend solves the healthy steady state only; "
-                "failure schedules (degraded mode, rebuild, scrubbing) are "
-                "transient behaviours it cannot represent — run the scenario "
-                "with backend='des' instead"
-            )
+        check_supported(config, failures)
         if validate or checkers is not None:
             raise ValueError("the analytic backend has no events to validate")
         if (trace is not False and trace is not None) or (
             metrics is not False and metrics is not None
         ):
             raise ValueError("the analytic backend has no events to trace/meter")
-        from repro.analytic import solve_trace
-
         return solve_trace(config, workload, warmup_fraction=warmup_fraction, name=name)
     if config.heterogeneous:
         total = workload.ndisks * workload.blocks_per_disk

@@ -121,7 +121,7 @@ class SyntheticTraceConfig:
 
     def __post_init__(self) -> None:
         if self.ndisks < 1 or self.blocks_per_disk < 1 or self.n_requests < 1:
-            raise ValueError("sizes must be positive")
+            raise ValueError("ndisks, blocks_per_disk and n_requests must be positive")
         if not isinstance(self.va_disks, tuple):
             object.__setattr__(self, "va_disks", tuple(self.va_disks))
         if not isinstance(self.va_weights, tuple):
@@ -142,7 +142,7 @@ class SyntheticTraceConfig:
         elif self.va_weights:
             raise ValueError("va_weights requires va_disks")
         if self.duration_ms <= 0:
-            raise ValueError("duration must be positive")
+            raise ValueError("duration_ms must be positive")
         for f in (
             "write_fraction",
             "multiblock_fraction",
@@ -161,9 +161,19 @@ class SyntheticTraceConfig:
         if self.rehit_window < 1 or self.recent_read_window < 1:
             raise ValueError("rehit_window and recent_read_window must be >= 1")
         if self.burst_rate_multiplier < 1.0:
-            raise ValueError("burst multiplier must be >= 1")
+            raise ValueError("burst_rate_multiplier must be >= 1")
         if not 0.0 <= self.burst_fraction < 1.0:
             raise ValueError("burst_fraction must be in [0, 1)")
+        if not math.isfinite(self.burst_mean_length):
+            raise ValueError(
+                f"burst_mean_length must be finite, got {self.burst_mean_length}"
+            )
+        f = self.burst_fraction
+        if f > 0.0 and not math.isfinite(self.burst_mean_length * (1.0 - f) / f):
+            raise ValueError(
+                f"burst_fraction {f} is too small: the normal-episode mean "
+                f"burst_mean_length*(1-f)/f is not finite"
+            )
         if not 0.0 <= self.hot_write_weight <= 1.0:
             raise ValueError("hot_write_weight must be in [0, 1]")
         if self.hot_write_runs < 0 or self.hot_write_run_blocks < 1:

@@ -14,6 +14,7 @@ def pytest_addoption(parser):
         "--regen-golden",
         action="store_true",
         default=False,
-        help="Regenerate the golden snapshots under tests/golden/ from the "
-        "current simulator instead of comparing against them.",
+        help="Regenerate the golden snapshots under tests/golden/ and the "
+        "campaign cells in tests/experiments/cells.json from the current "
+        "code instead of comparing against them.",
     )

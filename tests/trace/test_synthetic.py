@@ -62,10 +62,17 @@ class TestConfigValidation:
             ("recent_read_window", 0),
             ("burst_rate_multiplier", 0.5),
             ("burst_fraction", 1.0),
+            # The normal-episode mean burst_mean_length*(1-f)/f overflows.
+            ("burst_fraction", 2.2e-313),
+            ("burst_mean_length", float("nan")),
+            ("burst_mean_length", float("inf")),
         ],
     )
     def test_rejects_bad_values(self, field, value):
-        with pytest.raises(ValueError):
+        """A config error naming the field (for the burst values, not
+        numpy's "p <= 0, p > 1 or p contains NaNs" from the first
+        geometric draw)."""
+        with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
 
     def test_scaled(self):
