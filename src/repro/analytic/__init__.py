@@ -13,7 +13,7 @@ from repro.analytic.solver import (
     AnalyticSaturationError,
     AnalyticTally,
     AnalyticUnsupportedError,
-    UNMODELLED_FIELDS,
+    SOLVED_VALUES,
     check_supported,
     solve_trace,
     unsupported,
@@ -38,8 +38,8 @@ __all__ = [
     "HDA_P95_TOLERANCE",
     "Moments",
     "RequestClass",
+    "SOLVED_VALUES",
     "TOLERANCE_BANDS",
-    "UNMODELLED_FIELDS",
     "check_supported",
     "decompose",
     "hda_tolerance",

@@ -212,15 +212,12 @@ def decompose(
 ) -> List[ArrayLoad]:
     """Split *trace* into per-array analytic workload descriptions.
 
-    Heterogeneous configs return one :class:`ArrayLoad` per Virtual
-    Array (in VA order); each VA is decomposed through its legacy-shaped
-    :meth:`~repro.sim.config.SystemConfig.va_view`, so all the
-    per-organization mapping above applies unchanged.
+    One :class:`ArrayLoad` per entry of
+    :meth:`~repro.sim.config.SystemConfig.arrays_for`, in address order
+    (a heterogeneous config's arrays are its VAs), so all the
+    per-organization mapping above applies to each array's own config.
     """
-    if config.heterogeneous:
-        return _decompose_heterogeneous(config, trace, warmup_ms)
-    narrays = config.arrays_for(trace.ndisks)
-    per_array = config.n * config.blocks_per_disk
+    arrays = config.arrays_for(trace.ndisks, trace.blocks_per_disk)
     records = trace.records
     times = records["time"]
     lblocks = records["lblock"]
@@ -232,62 +229,19 @@ def decompose(
     if config.cached:
         stats = _cache_stats(config, trace)
 
-    owners = lblocks // per_array
+    spans = np.array([acfg.n * acfg.blocks_per_disk for acfg, _ in arrays], dtype=np.int64)
+    bounds = np.cumsum(spans)
+    owners = np.searchsorted(bounds, lblocks, side="right")
     loads = []
-    for a in range(narrays):
+    for a, (acfg, _) in enumerate(arrays):
         sel = owners == a
-        lb = lblocks[sel] - a * per_array
+        lb = lblocks[sel] - (bounds[a] - spans[a])
         # Requests spanning into the next array are rare; clamp them to
         # the owning array (the DES splits them, same first-order load).
-        nb = np.minimum(nblocks[sel], per_array - lb)
+        nb = np.minimum(nblocks[sel], spans[a] - lb)
         wr = is_write[sel]
         measured = times[sel] >= warmup_ms
-        load = _decompose_array(config, lb, nb, wr, duration, stats, narrays, a)
-        load.measured_reads = int((measured & ~wr).sum())
-        load.measured_writes = int((measured & wr).sum())
-        loads.append(load)
-    return loads
-
-
-def _decompose_heterogeneous(
-    config: SystemConfig, trace: Trace, warmup_ms: float
-) -> List[ArrayLoad]:
-    """Per-VA decomposition: VA-first routing over unequal spans."""
-    records = trace.records
-    times = records["time"]
-    lblocks = records["lblock"]
-    nblocks = records["nblocks"].astype(np.int64)
-    is_write = records["is_write"]
-    duration = trace.duration_ms if trace.duration_ms > 0 else math.inf
-
-    spans = np.array(config.va_spans, dtype=np.int64)
-    bounds = np.cumsum(spans)
-    starts = bounds - spans
-    owners = np.searchsorted(bounds, lblocks, side="right")
-
-    loads = []
-    for vi in range(len(config.vas)):
-        vcfg = config.va_view(vi)
-        sel = owners == vi
-        lb = lblocks[sel] - starts[vi]
-        # Requests spanning into the next VA are rare; clamp them to the
-        # owning VA (the DES splits them, same first-order load).
-        nb = np.minimum(nblocks[sel], spans[vi] - lb)
-        wr = is_write[sel]
-        measured = times[sel] >= warmup_ms
-        stats = None
-        if vcfg.cached:
-            sub = np.empty(int(sel.sum()), dtype=records.dtype)
-            sub["time"] = times[sel]
-            sub["lblock"] = lb
-            sub["nblocks"] = nb
-            sub["is_write"] = wr
-            sub_trace = Trace(
-                sub, vcfg.n, vcfg.blocks_per_disk,
-                name=f"{trace.name}#va{vi}",
-            )
-            stats = _cache_stats(vcfg, sub_trace)
-        load = _decompose_array(vcfg, lb, nb, wr, duration, stats, 1, 0)
+        load = _decompose_array(acfg, lb, nb, wr, duration, stats, len(arrays), a)
         load.measured_reads = int((measured & ~wr).sum())
         load.measured_writes = int((measured & wr).sum())
         loads.append(load)

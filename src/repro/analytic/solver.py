@@ -23,22 +23,23 @@ simulating a single event:
 A workload pushing any disk or the channel to utilization ≥ 1 has no
 steady state; the solver raises :class:`AnalyticSaturationError` (a
 ``ValueError``) naming the saturated resource.  What the model cannot
-represent — a failure schedule, or a config that sets one of
-:data:`UNMODELLED_FIELDS` away from its default — is refused with
+represent — a failure schedule, or a config field set to a value
+outside :data:`SOLVED_VALUES` — is refused with
 :class:`AnalyticUnsupportedError` naming it (:func:`unsupported`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.analytic.decompose import ArrayLoad, decompose
 from repro.analytic.service import DiskServiceModel
+from repro.channel.bus import CHANNEL_MB_PER_S
 from repro.des.monitor import Tally
+from repro.disk.geometry import BLOCK_BYTES
 from repro.models.queueing import (
     fork_join_response,
     mg1_priority_waiting_times,
@@ -52,26 +53,24 @@ __all__ = [
     "AnalyticSaturationError",
     "AnalyticTally",
     "AnalyticUnsupportedError",
-    "UNMODELLED_FIELDS",
+    "SOLVED_VALUES",
     "check_supported",
     "solve_trace",
     "unsupported",
 ]
 
-#: :class:`SystemConfig` fields the model has no equations for, so it
-#: accepts only their defaults: FCFS disk queues, unsynchronized
-#: spindles, periodic destage (which matters only to a cache), the RMW
-#: threshold, track buffers per disk and the SI hold bound.
-UNMODELLED_FIELDS = (
-    "disk_scheduler",
-    "spindle_sync",
-    "destage_policy",
-    "rmw_threshold",
-    "track_buffers_per_disk",
-    "si_max_hold_revolutions",
-)
-
-_DEFAULTS = {f.name: f.default for f in fields(SystemConfig)}
+#: The values of each :class:`SystemConfig` field the model has
+#: equations for; any other value is refused.  FCFS disk queues,
+#: unsynchronized spindles and periodic destage (which matters only to
+#: a cache) are the defaults.  Synchronization enters only as whether
+#: the parity access waits for the data access (SI does not, DF does),
+#: so RF and the /PR variants, which the DES tells apart, are refused.
+SOLVED_VALUES = {
+    "disk_scheduler": ("fcfs",),
+    "spindle_sync": (False,),
+    "destage_policy": ("periodic",),
+    "sync_policy": ("SI", "DF"),
+}
 
 
 class AnalyticSaturationError(ValueError):
@@ -94,15 +93,15 @@ def unsupported(config: SystemConfig, failures=None) -> Optional[str]:
     """What the model cannot solve in a run of *config*, or ``None``.
 
     ``"failures"`` for a failure schedule (the model solves the healthy
-    steady state only), else the first of :data:`UNMODELLED_FIELDS`
-    that *config* sets away from its default.
+    steady state only), else the first field of :data:`SOLVED_VALUES`
+    that *config* sets to a value outside its solved ones.
     """
     if failures is not None:
         return "failures"
-    for name in UNMODELLED_FIELDS:
-        if name == "destage_policy" and not config.any_cached:
+    for name, solved in SOLVED_VALUES.items():
+        if name == "destage_policy" and not config.cached:
             continue
-        if getattr(config, name) != _DEFAULTS[name]:
+        if getattr(config, name) not in solved:
             return name
     return None
 
@@ -120,9 +119,10 @@ def check_supported(config: SystemConfig, failures=None) -> None:
             "it cannot represent"
         )
     else:
+        solved = " or ".join(repr(v) for v in SOLVED_VALUES[reason])
         why = (
             f"has no equations for {reason}={getattr(config, reason)!r}; "
-            f"it accepts only the default {_DEFAULTS[reason]!r}"
+            f"it solves only {solved}"
         )
     raise AnalyticUnsupportedError(
         f"the analytic backend {why} — run it with backend='des' instead"
@@ -166,12 +166,12 @@ class AnalyticTally(Tally):
 class _ServiceBank:
     """Per-disk service models of one array.
 
-    The homogeneous case (every disk the same model object — all legacy
-    configs, and any VA whose disks share a :class:`DiskParams`) keeps
-    the solver's original scalar arithmetic bit-for-bit; heterogeneous
-    VAs mix per-disk moments weighted by each branch's disk-visit
-    probabilities (per-disk-class queues still solve independently in
-    :func:`_disk_waits`).
+    The homogeneous case (every disk the same model object — every
+    array of a uniform config, and any VA whose disks share a
+    :class:`DiskParams`) keeps the solver's scalar arithmetic; a VA over
+    mixed disks mixes per-disk moments weighted by each branch's
+    disk-visit probabilities (per-disk-class queues still solve
+    independently in :func:`_disk_waits`).
     """
 
     __slots__ = ("models", "model", "homogeneous")
@@ -204,22 +204,11 @@ def solve_trace(
 ) -> RunResult:
     """Analytically solve *workload* on *config* (drop-in for the DES)."""
     check_supported(config)
-    hetero = config.heterogeneous
-    if hetero:
-        total = workload.ndisks * workload.blocks_per_disk
-        if total != config.total_logical_blocks:
-            raise ValueError(
-                f"trace addresses {total} logical blocks but the VAs define "
-                f"{config.total_logical_blocks} (spans {config.va_spans})"
-            )
-    elif workload.blocks_per_disk != config.blocks_per_disk:
-        raise ValueError(
-            f"trace uses {workload.blocks_per_disk} blocks/disk but the config "
-            f"expects {config.blocks_per_disk}"
-        )
+    arrays = config.arrays_for(workload.ndisks, workload.blocks_per_disk)
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
-    narrays = len(config.vas) if hetero else config.arrays_for(workload.ndisks)
+    narrays = len(arrays)
+    hetero = config.heterogeneous
     warmup_ms = workload.duration_ms * warmup_fraction
 
     result = RunResult(
@@ -239,7 +228,7 @@ def solve_trace(
             result.va_response = [AnalyticTally(0, math.nan) for _ in config.vas]
         return result
 
-    banks = _service_banks(config)
+    banks = _service_banks(arrays)
 
     # (weight, mean response, zero-load floor) per request class, globally.
     read_terms: List[Tuple[float, float, float]] = []
@@ -249,10 +238,9 @@ def solve_trace(
     measured_writes = 0
 
     loads = decompose(config, workload, warmup_ms)
-    for a, load in enumerate(loads):
-        bank = banks[a] if hetero else banks[0]
+    for a, (load, bank) in enumerate(zip(loads, banks)):
         waits, rho = _disk_waits(load, bank, a)
-        w_chan, s_chan, rho_chan = _channel(config, load, a)
+        w_chan, s_chan, rho_chan = _channel(load, a)
 
         metrics = ArrayMetrics(
             disk_accesses=_access_counts(load),
@@ -293,29 +281,22 @@ def solve_trace(
     return result
 
 
-def _service_banks(config: SystemConfig) -> List[_ServiceBank]:
-    """One service bank per array (shared across arrays when legacy)."""
-    if not config.heterogeneous:
-        service = DiskServiceModel(
-            config.disk.geometry(config.block_bytes),
-            config.disk.seek_model(),
-            config.blocks_per_disk,
-        )
-        return [_ServiceBank([service])]
-    assigned = config.resolve_disk_params()
+def _service_banks(arrays) -> List[_ServiceBank]:
+    """One service bank per entry of ``SystemConfig.arrays_for``.
+
+    Models are shared by (disk model, blocks per disk), so every disk
+    of a uniform system holds one model object.
+    """
     model_cache: dict = {}
     banks = []
-    for vi in range(len(config.vas)):
-        vcfg = config.va_view(vi)
+    for acfg, params_list in arrays:
         models = []
-        for params in assigned[vi]:
-            key = (params, vcfg.blocks_per_disk)
+        for params in params_list:
+            key = (params, acfg.blocks_per_disk)
             model = model_cache.get(key)
             if model is None:
                 model = DiskServiceModel(
-                    params.geometry(config.block_bytes),
-                    params.seek_model(),
-                    vcfg.blocks_per_disk,
+                    params.geometry(), params.seek_model(), acfg.blocks_per_disk
                 )
                 model_cache[key] = model
             models.append(model)
@@ -371,12 +352,10 @@ def _disk_waits(
     return waits, rho
 
 
-def _channel(
-    config: SystemConfig, load: ArrayLoad, array_index: int
-) -> Tuple[float, float, float]:
+def _channel(load: ArrayLoad, array_index: int) -> Tuple[float, float, float]:
     """Channel mean wait, per-block transfer time, and utilization."""
-    bytes_per_ms = config.channel_mb_per_s * 1e6 / 1000.0
-    per_block = config.block_bytes / bytes_per_ms
+    bytes_per_ms = CHANNEL_MB_PER_S * 1e6 / 1000.0
+    per_block = BLOCK_BYTES / bytes_per_ms
     if load.channel_rate == 0.0:
         return 0.0, per_block, 0.0
     mean = load.channel_nb * per_block

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Generator, Sequence
 from repro.channel.bus import Channel
 from repro.des import Environment, Event
 from repro.disk.drive import Disk
+from repro.disk.geometry import BLOCK_BYTES
 from repro.layout.common import Layout, Run
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,7 +32,7 @@ class ArrayController(ABC):
     env, layout, disks, channel:
         The array's building blocks; ``len(disks) == layout.ndisks``.
     config:
-        The full system configuration (block size, policies...).
+        The array's configuration (organization, policies...).
     """
 
     def __init__(
@@ -51,8 +52,6 @@ class ArrayController(ABC):
         self.disks = list(disks)
         self.channel = channel
         self.config = config
-        #: ``config.block_bytes``, read once: every transfer needs it.
-        self.block_bytes: int = config.block_bytes
         self.requests_handled = 0
         #: Probe slot: the system's probe bus while anything observes it
         #: (the controller taps of ``repro.obs.probes.TAPS``).  ``None``
@@ -68,7 +67,7 @@ class ArrayController(ABC):
     # -- shared helpers -------------------------------------------------------
     def _channel_transfer(self, nblocks: int) -> Generator[Event, None, float]:
         """Move *nblocks* worth of data over the array channel."""
-        return self.channel.transfer(nblocks * self.block_bytes)
+        return self.channel.transfer(nblocks * BLOCK_BYTES)
 
     def _nearer_copy(self, run: Run) -> Disk:
         """Shortest-seek mirror routing: the copy of *run* whose arm is

@@ -35,6 +35,15 @@ __all__ = [
     "UncachedParityController",
 ]
 
+#: Track buffers per disk in the controller.
+TRACK_BUFFERS_PER_DISK = 5
+
+#: Under SI, revolutions the parity disk is held waiting for the old
+#: data before requeueing the access ("held for the duration of some
+#: number of full rotations", §3.3).  The bound also breaks the
+#: cross-disk circular wait that unbounded holding can create.
+SI_MAX_HOLD_REVOLUTIONS = 4
+
 
 class _UncachedController(ArrayController):
     """Shared buffer/channel plumbing for the non-cached organizations."""
@@ -49,7 +58,7 @@ class _UncachedController(ArrayController):
     ) -> None:
         super().__init__(env, layout, disks, channel, config)
         self.buffers = TrackBufferPool(
-            env, ndisks=layout.ndisks, buffers_per_disk=config.track_buffers_per_disk
+            env, ndisks=layout.ndisks, buffers_per_disk=TRACK_BUFFERS_PER_DISK
         )
 
     # -- reads ---------------------------------------------------------------
@@ -88,7 +97,7 @@ class _UncachedController(ArrayController):
     def _handle_write(self, lstart: int, nblocks: int) -> Generator[Event, None, None]:
         # Host data crosses the channel into the track buffers first.
         yield from self._channel_transfer(nblocks)
-        plan = self.layout.write_plan(lstart, nblocks, self.config.rmw_threshold)
+        plan = self.layout.write_plan(lstart, nblocks)
         procs = [self.env.process(self._write_group(group)) for group in plan]
         if len(procs) == 1:
             yield procs[0]
@@ -235,11 +244,7 @@ class UncachedParityController(_UncachedController):
         # Only SI issues the parity access before the data acquires its
         # disk, so only SI can hold the parity disk indefinitely; the
         # bounded hold makes it give up and retry.
-        max_hold = (
-            self.config.si_max_hold_revolutions
-            if self.sync_policy is SyncPolicy.SI
-            else None
-        )
+        max_hold = SI_MAX_HOLD_REVOLUTIONS if self.sync_policy is SyncPolicy.SI else None
 
         parity_done = [
             self.disks[run.disk]

@@ -14,7 +14,10 @@ from typing import Generator
 
 from repro.des import Environment, Event, Resource, TimeWeighted
 
-__all__ = ["Channel"]
+__all__ = ["CHANNEL_MB_PER_S", "Channel"]
+
+#: Channel transfer rate in MB/s (Table 1).
+CHANNEL_MB_PER_S = 10.0
 
 
 class Channel:
@@ -30,7 +33,9 @@ class Channel:
         Identification for metrics.
     """
 
-    def __init__(self, env: Environment, rate_mb_per_s: float = 10.0, name: str = "channel") -> None:
+    def __init__(
+        self, env: Environment, rate_mb_per_s: float = CHANNEL_MB_PER_S, name: str = "channel"
+    ) -> None:
         if rate_mb_per_s <= 0:
             raise ValueError("rate must be positive")
         self.env = env

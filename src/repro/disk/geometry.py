@@ -25,7 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["DiskGeometry"]
+__all__ = ["BLOCK_BYTES", "DiskGeometry"]
+
+#: Database block size in bytes (Table 4: 4 KB).
+BLOCK_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,7 @@ class DiskGeometry:
     sectors_per_track: int = 48
     bytes_per_sector: int = 512
     rpm: float = 5400.0
-    block_bytes: int = 4096
+    block_bytes: int = BLOCK_BYTES
 
     def __post_init__(self) -> None:
         if self.block_bytes % self.bytes_per_sector:

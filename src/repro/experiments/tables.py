@@ -8,6 +8,7 @@ Table 4 is the config default set.
 
 from __future__ import annotations
 
+from repro.disk.geometry import BLOCK_BYTES
 from repro.experiments.common import ExperimentResult, Series, get_trace
 from repro.experiments.points import Point, TraceSpec
 from repro.sim import DiskParams, SystemConfig
@@ -137,11 +138,11 @@ def assemble_table3(scale: float, values: dict) -> list[ExperimentResult]:
 
 
 def table4(scale: float = 1.0) -> list[ExperimentResult]:
-    """Default parameters (Table 4) as exposed by SystemConfig."""
+    """Default parameters (Table 4): SystemConfig's and the block size."""
     cfg = SystemConfig()
     rows = [
         ("N", float(cfg.n)),
-        ("block_kb", cfg.block_bytes / 1024.0),
+        ("block_kb", BLOCK_BYTES / 1024.0),
         ("striping_unit_blocks", float(cfg.striping_unit)),
         ("cache_mb", cfg.cache_mb),
     ]

@@ -193,13 +193,8 @@ class Layout(ABC):
         return self._runs(lblocks)
 
     @abstractmethod
-    def write_plan(self, lstart: int, nblocks: int, rmw_threshold: float = 0.5) -> list[WriteGroup]:
-        """Plan a logical write as one or more :class:`WriteGroup` s.
-
-        ``rmw_threshold`` is the covered-fraction of a stripe below which
-        read-modify-write is chosen over reconstruct-write (the paper uses
-        "less than half a stripe").
-        """
+    def write_plan(self, lstart: int, nblocks: int) -> list[WriteGroup]:
+        """Plan a logical write as one or more :class:`WriteGroup` s."""
 
     def _runs(self, lblocks) -> list[Run]:
         """``merge_runs([map_block(b) for b in lblocks])``, unchecked.

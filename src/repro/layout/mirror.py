@@ -55,7 +55,7 @@ class MirrorLayout(Layout):
         lb = np.asarray(lblocks, dtype=np.int64)
         return 2 * (lb // self.blocks_per_disk), lb % self.blocks_per_disk
 
-    def write_plan(self, lstart: int, nblocks: int, rmw_threshold: float = 0.5) -> list[WriteGroup]:
+    def write_plan(self, lstart: int, nblocks: int) -> list[WriteGroup]:
         self._check_range(lstart, nblocks)
         runs = self._runs(range(lstart, lstart + nblocks))
         # The controller duplicates each run onto the mirror partner.

@@ -183,7 +183,7 @@ class ParityStripingLayout(Layout):
         return disks, phys_area * self.area_blocks + off
 
     # -- write planning -----------------------------------------------------------
-    def write_plan(self, lstart: int, nblocks: int, rmw_threshold: float = 0.5) -> list[WriteGroup]:
+    def write_plan(self, lstart: int, nblocks: int) -> list[WriteGroup]:
         """One RMW group per (disk, data-area) span the write touches.
 
         Parity areas are ``blocks_per_disk / (N+1)`` blocks — thousands of

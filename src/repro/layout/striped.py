@@ -29,6 +29,11 @@ from repro.layout.common import (
 
 __all__ = ["StripedParityLayout"]
 
+#: Stripe-coverage fraction at or above which a write reconstructs the
+#: parity from the rest of the row instead of read-modify-writing it
+#: (the paper: read-modify-write for "less than half a stripe").
+RMW_THRESHOLD = 0.5
+
 
 class StripedParityLayout(Layout):
     """Block-striped layout over ``N + 1`` disks with one parity unit per row."""
@@ -122,7 +127,7 @@ class StripedParityLayout(Layout):
         ).reshape(rows.shape)
 
     # -- write planning -----------------------------------------------------------
-    def write_plan(self, lstart: int, nblocks: int, rmw_threshold: float = 0.5) -> list[WriteGroup]:
+    def write_plan(self, lstart: int, nblocks: int) -> list[WriteGroup]:
         self._check_range(lstart, nblocks)
         su = self.striping_unit
         row_blocks = self.row_blocks
@@ -156,7 +161,7 @@ class StripedParityLayout(Layout):
                 lo, hi = 0, su
             parity = [Run(p_disk, row * su + lo, hi - lo)]
 
-            if covered / row_blocks >= rmw_threshold:
+            if covered / row_blocks >= RMW_THRESHOLD:
                 # Reconstruct-write: read the rest of the row.
                 read_runs = self._runs(chain(range(row_lo, a), range(b, row_hi)))
                 groups.append(

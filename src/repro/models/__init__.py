@@ -17,7 +17,6 @@ from repro.models.queueing import (
     fork_join_response,
     mg1_priority_waiting_times,
     mg1_response_time,
-    mg1_vacation_waiting_time,
     mg1_waiting_time,
     mm1_response_time,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "fork_join_response",
     "mg1_priority_waiting_times",
     "mg1_response_time",
-    "mg1_vacation_waiting_time",
     "mg1_waiting_time",
     "mm1_response_time",
     "parity_area_access_rate",

@@ -11,10 +11,7 @@ provides the standard extensions the analytic solver composes
   RAID small-write data+parity updates, striped multi-block reads);
 * **non-preemptive (HOL) priority** waiting times for the cached
   organizations, where foreground read misses overtake background
-  destage writes in the disk queues;
-* **multiple/server vacations** for queues whose server periodically
-  leaves to do background work (e.g. a parity disk draining spooled
-  parity between foreground bursts).
+  destage writes in the disk queues.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ __all__ = [
     "mg1_response_time",
     "mm1_response_time",
     "mg1_priority_waiting_times",
-    "mg1_vacation_waiting_time",
     "fork_join_max_exponential",
     "fork_join_response",
 ]
@@ -112,27 +108,6 @@ def mg1_priority_waiting_times(
         waits.append(w0 / ((1.0 - sigma_prev) * (1.0 - sigma)) if w0 else 0.0)
         sigma_prev = sigma
     return waits
-
-
-def mg1_vacation_waiting_time(
-    arrival_rate: float,
-    service_mean: float,
-    service_second_moment: float,
-    vacation_mean: float,
-    vacation_second_moment: float,
-) -> float:
-    """M/G/1 with multiple server vacations (decomposition result).
-
-    Whenever the queue empties the server takes i.i.d. vacations until
-    work is present again; the mean wait is the P–K wait plus the mean
-    residual vacation ``E[V²] / 2E[V]``.
-    """
-    if vacation_mean <= 0:
-        raise ValueError("vacation mean must be positive")
-    if vacation_second_moment < vacation_mean * vacation_mean:
-        raise ValueError("second moment below mean² is impossible")
-    base = mg1_waiting_time(arrival_rate, service_mean, service_second_moment)
-    return base + vacation_second_moment / (2.0 * vacation_mean)
 
 
 #: Branch count above which inclusion–exclusion (2^m terms) is replaced

@@ -14,7 +14,7 @@ path pays one ``probe is not None`` check per tap):
 * **metrics** (:mod:`repro.obs.metrics`, :mod:`repro.obs.collect`) — a
   registry of named counters, gauges, mergeable log-spaced latency
   histograms and sampled time series (per-disk utilization and queue
-  depth), exportable as CSV and Prometheus text.
+  depth), exportable as CSV.
 * **analysis** (:mod:`repro.obs.analyze`, ``python -m repro.obs``) —
   per-phase response-time breakdowns whose columns sum to the measured
   response, percentile tables, and A/B comparisons between runs.
@@ -43,8 +43,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     TimeSeries,
-    parse_prometheus,
-    registry_from_csv,
 )
 from repro.obs.probes import TAPS, ProbeBus
 from repro.obs.span import SPAN_KINDS, Span, TraceData, well_formedness_problems
@@ -64,8 +62,6 @@ __all__ = [
     "TimeSeries",
     "MetricsRegistry",
     "MetricsCollector",
-    "registry_from_csv",
-    "parse_prometheus",
     "PHASE_ORDER",
     "decompose",
     "decompose_request",

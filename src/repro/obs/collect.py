@@ -31,17 +31,10 @@ _RESPONSE_HIST = dict(lo=0.01, hi=1e5, buckets_per_decade=8)
 
 
 class MetricsCollector:
-    """Fills a metrics registry from a built system.
+    """Fills a fresh metrics registry from a built system."""
 
-    Parameters
-    ----------
-    registry:
-        Use an existing registry (e.g. to merge several runs into one
-        namespace); ``None`` creates a fresh one.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.env = None
         self.controllers: Sequence = ()
         self._bus: Optional[ProbeBus] = None

@@ -11,9 +11,7 @@ Everything here is designed for *mergeability* and cheap export:
   utilization and queue-depth timelines the paper's aggregate curves
   hide.
 * :class:`MetricsRegistry` names metrics (with optional labels) and
-  exports the lot as CSV or Prometheus text; both formats parse back
-  (:func:`registry_from_csv`, :func:`parse_prometheus`) so round-trip
-  tests can pin the encoding.
+  exports the lot as CSV.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ __all__ = [
     "Histogram",
     "TimeSeries",
     "MetricsRegistry",
-    "registry_from_csv",
-    "parse_prometheus",
 ]
 
 Labels = tuple[tuple[str, str], ...]
@@ -42,13 +38,6 @@ def _labels_key(labels: dict) -> Labels:
 
 def _labels_str(labels: Labels) -> str:
     return ";".join(f"{k}={v}" for k, v in labels)
-
-
-def _labels_prom(labels: Labels, extra: str = "") -> str:
-    parts = [f'{k}="{v}"' for k, v in labels]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
 
 
 class Counter:
@@ -276,8 +265,9 @@ class MetricsRegistry:
 
     # -- CSV export -----------------------------------------------------------
     def to_csv(self) -> str:
-        """``kind,name,labels,field,value`` rows; parse back with
-        :func:`registry_from_csv`."""
+        """``kind,name,labels,field,value`` rows, one per counter or
+        gauge value, histogram field and non-empty bucket, and series
+        sample; labels are ``k=v`` pairs joined by ``;``."""
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["kind", "name", "labels", "field", "value"])
@@ -298,103 +288,3 @@ class MetricsRegistry:
                 for t, v in zip(metric.times, metric.values):
                     w.writerow(["series", name, ls, repr(t), repr(v)])
         return buf.getvalue()
-
-    # -- Prometheus text export --------------------------------------------------
-    def to_prometheus(self, prefix: str = "repro_") -> str:
-        """Prometheus text exposition (series export their last sample)."""
-        lines: list[str] = []
-        seen_types: set[str] = set()
-
-        def type_line(name: str, kind: str) -> None:
-            if name not in seen_types:
-                lines.append(f"# TYPE {name} {kind}")
-                seen_types.add(name)
-
-        for name, labels, metric in self:
-            full = prefix + name
-            if isinstance(metric, Counter):
-                type_line(full, "counter")
-                lines.append(f"{full}{_labels_prom(labels)} {_fmt(metric.value)}")
-            elif isinstance(metric, (Gauge, TimeSeries)):
-                type_line(full, "gauge")
-                value = metric.value if isinstance(metric, Gauge) else metric.last
-                lines.append(f"{full}{_labels_prom(labels)} {_fmt(value)}")
-            elif isinstance(metric, Histogram):
-                type_line(full, "histogram")
-                cum = 0
-                for i, c in enumerate(metric.counts):
-                    cum += c
-                    edge = metric.upper_edge(i)
-                    le = "+Inf" if not math.isfinite(edge) else _fmt(edge)
-                    le_label = _labels_prom(labels, 'le="%s"' % le)
-                    lines.append(f"{full}_bucket{le_label} {cum}")
-                lines.append(f"{full}_sum{_labels_prom(labels)} {_fmt(metric.total)}")
-                lines.append(f"{full}_count{_labels_prom(labels)} {metric.count}")
-        return "\n".join(lines) + "\n"
-
-
-def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    return repr(float(value))
-
-
-# -- parsers (round-trip support) ------------------------------------------------
-
-
-def registry_from_csv(text: str) -> MetricsRegistry:
-    """Rebuild a registry from :meth:`MetricsRegistry.to_csv` output."""
-    reg = MetricsRegistry()
-    hist_rows: dict[tuple[str, Labels], dict[str, str]] = {}
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["kind", "name", "labels", "field", "value"]:
-        raise ValueError(f"unrecognised metrics CSV header: {header!r}")
-    for kind, name, ls, f, v in reader:
-        labels = dict(item.split("=", 1) for item in ls.split(";") if item)
-        if kind == "counter":
-            reg.counter(name, **labels).value = float(v)
-        elif kind == "gauge":
-            reg.gauge(name, **labels).set(float(v))
-        elif kind == "series":
-            reg.series(name, **labels).record(float(f), float(v))
-        elif kind == "histogram":
-            hist_rows.setdefault((name, _labels_key(labels)), {})[f] = v
-        else:
-            raise ValueError(f"unknown metric kind {kind!r}")
-    for (name, labels), fields in hist_rows.items():
-        h = reg.histogram(
-            name,
-            lo=float(fields["lo"]),
-            hi=float(fields["hi"]),
-            buckets_per_decade=int(fields["buckets_per_decade"]),
-            **dict(labels),
-        )
-        h.count = int(fields["count"])
-        h.total = float(fields["total"])
-        if "min" in fields:
-            h.min = float(fields["min"])
-            h.max = float(fields["max"])
-        for f, v in fields.items():
-            if f.startswith("bucket_"):
-                h.counts[int(f[len("bucket_"):])] = int(v)
-    return reg
-
-
-def parse_prometheus(text: str) -> dict[str, float]:
-    """Samples from a Prometheus text exposition, keyed ``name{labels}``."""
-    out: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.rpartition(" ")
-        if value == "NaN":
-            out[key] = math.nan
-        elif value in ("+Inf", "-Inf"):
-            out[key] = math.inf if value == "+Inf" else -math.inf
-        else:
-            out[key] = float(value)
-    return out

@@ -1,9 +1,12 @@
 """Simulation configuration.
 
-Defaults reproduce Table 1 (disk/channel parameters) and Table 4
-(default experiment parameters): ``N = 10``, 4 KB blocks, Disk First
-synchronization, 1-block striping unit, middle-cylinder parity
-placement, 16 MB cache for cached organizations.
+Defaults reproduce Table 1 (disk parameters) and Table 4 (default
+experiment parameters): ``N = 10``, Disk First synchronization, 1-block
+striping unit, middle-cylinder parity placement, 16 MB cache for cached
+organizations.  The block size, channel rate, track buffers, RMW
+threshold and SI hold bound are constants next to the code that reads
+them (:data:`~repro.disk.geometry.BLOCK_BYTES`,
+:data:`~repro.channel.bus.CHANNEL_MB_PER_S`, ...).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from repro.array.sync import SyncPolicy
-from repro.disk.geometry import DiskGeometry
+from repro.disk.geometry import BLOCK_BYTES, DiskGeometry
 from repro.disk.seek import SeekModel
 from repro.layout import (
     BaseLayout,
@@ -59,6 +62,14 @@ class Organization(enum.Enum):
                 return member
         raise ValueError(f"unknown organization {text!r}")
 
+    def disks(self, n: int) -> int:
+        """Physical disks of one array with *n* data disks (Table 3)."""
+        if self is Organization.BASE:
+            return n
+        if self is Organization.MIRROR:
+            return 2 * n
+        return n + 1
+
 
 @dataclass(frozen=True)
 class DiskParams:
@@ -73,7 +84,7 @@ class DiskParams:
     sectors_per_track: int = 48
     bytes_per_sector: int = 512
 
-    def geometry(self, block_bytes: int = 4096) -> DiskGeometry:
+    def geometry(self) -> DiskGeometry:
         """Build the :class:`DiskGeometry` for these parameters."""
         return DiskGeometry(
             cylinders=self.cylinders,
@@ -81,7 +92,6 @@ class DiskParams:
             sectors_per_track=self.sectors_per_track,
             bytes_per_sector=self.bytes_per_sector,
             rpm=self.rpm,
-            block_bytes=block_bytes,
         )
 
     def seek_model(self) -> SeekModel:
@@ -94,9 +104,9 @@ class DiskParams:
         )
 
 
-def _disk_bandwidth(disk: DiskParams, block_bytes: int) -> float:
+def _disk_bandwidth(disk: DiskParams) -> float:
     """Small-access figure of merit: accesses/ms at zero load."""
-    geometry = disk.geometry(block_bytes)
+    geometry = disk.geometry()
     service = (
         disk.average_seek_ms
         + geometry.revolution_time / 2.0
@@ -110,10 +120,13 @@ class VAConfig:
     """One Virtual Array of a Heterogeneous Disk Array.
 
     A VA is a self-contained array organization — its own RAID level,
-    width, stripe unit and (optionally) disk model and capacity share —
-    carved out of the system's disk pool.  ``None`` fields inherit the
-    enclosing :class:`SystemConfig`'s value, so a VA only states what
-    differs from the system defaults.
+    width and (optionally) disk model and capacity share — carved out of
+    the system's disk pool.  ``None`` fields inherit the enclosing
+    :class:`SystemConfig`'s value, and every other setting (striping
+    unit, parity placement and grain, synchronization, ...) is the
+    system's, so a VA only states what differs from the system defaults.
+    A VA is never cached: :class:`SystemConfig` refuses ``cached=True``
+    together with ``vas``.
     """
 
     organization: Organization
@@ -121,7 +134,6 @@ class VAConfig:
     n: int
     #: Label for reports (defaults to the organization name).
     name: str = ""
-    striping_unit: int = 1
     #: Logical blocks per data disk of this VA (its capacity share);
     #: ``None`` inherits the system's ``blocks_per_disk``.
     blocks_per_disk: int | None = None
@@ -132,24 +144,14 @@ class VAConfig:
     #: The bandwidth-balanced allocation policy ranks VAs by
     #: ``heat / physical disks``.
     heat: float = 1.0
-    cached: bool = False
-    cache_mb: float | None = None
-    parity_placement: ParityPlacement = ParityPlacement.MIDDLE
-    parity_grain: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("VA n must be >= 1")
-        if self.striping_unit < 1:
-            raise ValueError("VA striping_unit must be >= 1")
         if self.blocks_per_disk is not None and self.blocks_per_disk < 1:
             raise ValueError("VA blocks_per_disk must be >= 1")
         if self.heat <= 0:
             raise ValueError("VA heat must be positive")
-        if self.cache_mb is not None and self.cache_mb <= 0:
-            raise ValueError("VA cache_mb must be positive")
-        if self.parity_grain is not None and self.parity_grain < 1:
-            raise ValueError("VA parity_grain must be >= 1")
 
     @property
     def label(self) -> str:
@@ -158,11 +160,7 @@ class VAConfig:
     @property
     def ndisks(self) -> int:
         """Physical disks this VA's layout needs (Table 3 rule)."""
-        if self.organization is Organization.BASE:
-            return self.n
-        if self.organization is Organization.MIRROR:
-            return 2 * self.n
-        return self.n + 1
+        return self.organization.disks(self.n)
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,6 @@ class SystemConfig:
     n: int = 10
     #: Logical database blocks per data disk.
     blocks_per_disk: int = DEFAULT_BLOCKS_PER_DISK
-    block_bytes: int = 4096
     #: RAID5/RAID4 striping unit in blocks (Table 4: 1 block).
     striping_unit: int = 1
     #: Parity Striping placement (Table 4: middle cylinders).
@@ -197,18 +194,6 @@ class SystemConfig:
     parity_grain: int | None = None
     #: Parity/data synchronization (Table 4: Disk First).
     sync_policy: str = "DF"
-    #: Stripe-coverage fraction at or above which reconstruct-write is
-    #: used instead of read-modify-write ("less than half a stripe").
-    rmw_threshold: float = 0.5
-    #: Under SI, revolutions the parity disk is held waiting for the old
-    #: data before requeueing the access ("held for the duration of some
-    #: number of full rotations", §3.3).  The bound also breaks the
-    #: cross-disk circular wait that unbounded holding can create.
-    si_max_hold_revolutions: int = 4
-
-    # Channel & buffers.
-    channel_mb_per_s: float = 10.0
-    track_buffers_per_disk: int = 5
     #: Per-disk queue discipline: ``fcfs`` (priority classes, FIFO
     #: within — the paper's model) or ``sstf`` (shortest seek first
     #: within the best priority class; an ablation extension).
@@ -238,9 +223,9 @@ class SystemConfig:
     disk: DiskParams = field(default_factory=DiskParams)
 
     # Heterogeneous Disk Array (HDA) extension: when ``vas`` is
-    # non-empty the system is a set of Virtual Arrays placed onto
-    # ``pool`` by ``allocation``; the legacy single-organization fields
-    # above then only provide defaults the VAs can inherit.
+    # non-empty the system is a set of uncached Virtual Arrays placed
+    # onto ``pool`` by ``allocation``; the single-organization fields
+    # above then provide the settings the VAs inherit.
     vas: tuple[VAConfig, ...] = ()
     #: Placement policy (see :mod:`repro.layout.allocation`).
     allocation: str = "first_fit"
@@ -259,29 +244,20 @@ class SystemConfig:
             raise ValueError("n must be >= 1")
         if self.blocks_per_disk < 1:
             raise ValueError("blocks_per_disk must be >= 1")
-        if self.block_bytes < 1:
-            raise ValueError("block_bytes must be >= 1")
         if self.striping_unit < 1:
             raise ValueError("striping_unit must be >= 1")
         if self.parity_grain is not None and self.parity_grain < 1:
             raise ValueError("parity_grain must be >= 1")
-        if self.channel_mb_per_s <= 0:
-            raise ValueError("channel_mb_per_s must be positive")
-        if self.track_buffers_per_disk < 1:
-            raise ValueError("track_buffers_per_disk must be >= 1")
-        if self.si_max_hold_revolutions < 1:
-            raise ValueError("si_max_hold_revolutions must be >= 1")
         if self.cache_mb <= 0:
             raise ValueError("cache_mb must be positive")
         if self.destage_period_ms <= 0:
             raise ValueError("destage period must be positive")
-        if not 0.0 < self.rmw_threshold <= 1.0:
-            raise ValueError("rmw_threshold must be in (0, 1]")
         if self.destage_policy not in ("periodic", "lru_demand", "decoupled"):
             raise ValueError(f"unknown destage policy {self.destage_policy!r}")
         if self.disk_scheduler not in ("fcfs", "sstf"):
             raise ValueError(f"unknown disk scheduler {self.disk_scheduler!r}")
-        SyncPolicy.parse(self.sync_policy)  # validate early
+        # Validate early, and keep the canonical name ("df" -> "DF").
+        object.__setattr__(self, "sync_policy", SyncPolicy.parse(self.sync_policy).value)
         if self.allocation not in POLICIES:
             raise ValueError(
                 f"unknown allocation policy {self.allocation!r}; "
@@ -289,6 +265,13 @@ class SystemConfig:
             )
         if self.pool and not self.vas:
             raise ValueError("a disk pool requires at least one VA")
+        if self.cached and self.vas:
+            # One analytic path needs every VA uncached (a cached VA
+            # would need its own hit-ratio replay).
+            raise ValueError(
+                "cached=True cannot be combined with vas: Virtual Arrays "
+                "are uncached"
+            )
 
     # -- derived -------------------------------------------------------------
     @property
@@ -298,7 +281,7 @@ class SystemConfig:
     @property
     def cache_blocks(self) -> int:
         """Cache capacity in blocks (MB are binary here: 16 MB -> 4096)."""
-        return int(self.cache_mb * 1024 * 1024 // self.block_bytes)
+        return int(self.cache_mb * 1024 * 1024 // BLOCK_BYTES)
 
     @property
     def disks_per_array(self) -> int:
@@ -307,11 +290,7 @@ class SystemConfig:
             raise ValueError(
                 "heterogeneous config: per-VA, use va_view(vi).disks_per_array"
             )
-        if self.organization is Organization.BASE:
-            return self.n
-        if self.organization is Organization.MIRROR:
-            return 2 * self.n
-        return self.n + 1
+        return self.organization.disks(self.n)
 
     def make_layout(self) -> Layout:
         """Instantiate the layout for one array."""
@@ -335,27 +314,40 @@ class SystemConfig:
             parity_grain=self.parity_grain,
         )
 
-    def arrays_for(self, total_data_disks: int) -> int:
-        """Arrays needed to hold *total_data_disks* logical disks."""
-        if self.heterogeneous:
-            raise ValueError(
-                "heterogeneous config: the arrays are the VAs (len(vas))"
-            )
-        if total_data_disks % self.n:
-            raise ValueError(
-                f"{total_data_disks} data disks not divisible by N={self.n}"
-            )
-        return total_data_disks // self.n
+    def arrays_for(
+        self, ndisks: int, blocks_per_disk: int | None = None
+    ) -> list[tuple["SystemConfig", list[DiskParams]]]:
+        """The arrays that hold a trace of *ndisks* logical disks.
 
-    def with_(self, **changes) -> "SystemConfig":
-        """Functional update (convenience for parameter sweeps).
-
-        The replacement re-runs ``__post_init__``, so the resulting
-        config is validated exactly like a freshly constructed one —
-        an invalid piecemeal change (``with_(striping_unit=0)``) raises
-        instead of producing a config the builders choke on later.
+        Each entry is one array's single-organization config and the
+        models of its physical disks, in logical-address order: a
+        uniform system is ``ndisks // n`` copies of itself over
+        :attr:`disk`; a heterogeneous one is its :meth:`va_view` s over
+        the disks :meth:`resolve_disk_params` places.  Raises
+        :class:`ValueError` unless the arrays hold exactly the trace's
+        ``ndisks * blocks_per_disk`` logical blocks (*blocks_per_disk*
+        defaults to this config's).  Building, running and solving a
+        system all walk this one list.
         """
-        return replace(self, **changes)
+        if blocks_per_disk is None:
+            blocks_per_disk = self.blocks_per_disk
+        if self.vas:
+            arrays = [
+                (self.va_view(vi), params)
+                for vi, params in enumerate(self.resolve_disk_params())
+            ]
+        else:
+            copies = ndisks // self.n
+            arrays = [(self, [self.disk] * self.disks_per_array)] * copies
+        spans = [acfg.n * acfg.blocks_per_disk for acfg, _ in arrays]
+        if sum(spans) != ndisks * blocks_per_disk:
+            raise ValueError(
+                f"a trace of {ndisks} disks x {blocks_per_disk} blocks/disk "
+                f"addresses {ndisks * blocks_per_disk} logical blocks, but the "
+                f"{len(arrays)} array(s) of {self.organization_label} hold "
+                f"{sum(spans)} (spans {tuple(spans)})"
+            )
+        return arrays
 
     # -- heterogeneous (HDA) derived ------------------------------------------
     @property
@@ -373,40 +365,19 @@ class SystemConfig:
         )
 
     @property
-    def va_spans(self) -> tuple[int, ...]:
-        """Logical address-space blocks owned by each VA, in order."""
-        return tuple(
-            va.n * self.va_blocks_per_disk(vi) for vi, va in enumerate(self.vas)
-        )
-
-    @property
-    def total_logical_blocks(self) -> int:
-        """Size of the combined VA logical address space."""
-        if not self.heterogeneous:
-            raise ValueError("total_logical_blocks is defined for HDA configs")
-        return sum(self.va_spans)
-
-    @property
     def organization_label(self) -> str:
         """Report label: the org name, or ``hda(...)`` listing the VAs."""
         if not self.heterogeneous:
             return self.organization.value
         return "hda(" + "+".join(va.organization.value for va in self.vas) + ")"
 
-    @property
-    def any_cached(self) -> bool:
-        """Whether any array (legacy or VA) runs a controller cache."""
-        if not self.heterogeneous:
-            return self.cached
-        return any(va.cached for va in self.vas)
-
     def va_view(self, vi: int) -> "SystemConfig":
-        """A legacy-shaped config describing VA *vi* alone.
+        """A single-organization config describing VA *vi* alone.
 
         The builders, controllers and the analytic decomposition all
-        consume plain single-organization configs; the heterogeneous
-        paths hand them this per-VA view instead of teaching every
-        layer about VAs.
+        consume plain single-organization configs; :meth:`arrays_for`
+        hands them this per-VA view instead of teaching every layer
+        about VAs.  Everything but the VA's own fields is the system's.
         """
         va = self.vas[vi]
         return replace(
@@ -417,11 +388,6 @@ class SystemConfig:
             organization=va.organization,
             n=va.n,
             blocks_per_disk=self.va_blocks_per_disk(vi),
-            striping_unit=va.striping_unit,
-            parity_placement=va.parity_placement,
-            parity_grain=va.parity_grain,
-            cached=va.cached,
-            cache_mb=va.cache_mb if va.cache_mb is not None else self.cache_mb,
             disk=va.disk if va.disk is not None else self.disk,
         )
 
@@ -443,8 +409,8 @@ class SystemConfig:
         slot_params = [e.disk for e in self.pool for _ in range(e.count)]
         slots = [
             PoolSlot(
-                capacity_blocks=p.geometry(self.block_bytes).total_blocks,
-                bandwidth=_disk_bandwidth(p, self.block_bytes),
+                capacity_blocks=p.geometry().total_blocks,
+                bandwidth=_disk_bandwidth(p),
             )
             for p in slot_params
         ]

@@ -37,9 +37,8 @@ def run_trace(
     name: Optional[str] = None,
     validate: bool = False,
     checkers=None,
-    trace: Union[bool, "object"] = False,
-    metrics: Union[bool, "object"] = False,
-    metrics_interval_ms: Optional[float] = None,
+    trace: bool = False,
+    metrics: bool = False,
     backend: str = "des",
     failures=None,
     warmup_ms: Optional[float] = None,
@@ -88,15 +87,12 @@ def run_trace(
         Checker instances for the monitor (requires ``validate=True``);
         ``None`` selects the stock set.
     trace:
-        ``True`` (or a pre-built :class:`~repro.obs.Tracer`) records a
-        span tree per request; the export lands on ``result.trace``.
+        Record a span tree per request; the export lands on
+        ``result.trace``.
     metrics:
-        ``True`` (or a :class:`~repro.obs.MetricsRegistry` to merge
-        into) collects counters, latency histograms and utilization
-        timelines; the registry lands on ``result.metrics``.
-    metrics_interval_ms:
-        Sampling period for the utilization/queue-depth timelines.
-        Defaults to 1/200th of the trace duration (at least 1 ms).
+        Collect counters, latency histograms and utilization timelines
+        (sampled every 1/200th of the trace duration, at least 1 ms);
+        the registry lands on ``result.metrics``.
     failures:
         A :class:`~repro.failure.FailureSchedule` of timed fault events
         (disk failure, spare arrival + rebuild, latent sector errors,
@@ -126,24 +122,10 @@ def run_trace(
         check_supported(config, failures)
         if validate or checkers is not None:
             raise ValueError("the analytic backend has no events to validate")
-        if (trace is not False and trace is not None) or (
-            metrics is not False and metrics is not None
-        ):
+        if trace or metrics:
             raise ValueError("the analytic backend has no events to trace/meter")
         return solve_trace(config, workload, warmup_fraction=warmup_fraction, name=name)
-    if config.heterogeneous:
-        total = workload.ndisks * workload.blocks_per_disk
-        if total != config.total_logical_blocks:
-            raise ValueError(
-                f"trace addresses {total} logical blocks but the VAs define "
-                f"{config.total_logical_blocks} "
-                f"(spans {config.va_spans})"
-            )
-    elif workload.blocks_per_disk != config.blocks_per_disk:
-        raise ValueError(
-            f"trace uses {workload.blocks_per_disk} blocks/disk but the config "
-            f"expects {config.blocks_per_disk}"
-        )
+    arrays = config.arrays_for(workload.ndisks, workload.blocks_per_disk)
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
     if warmup_ms is not None and warmup_ms < 0:
@@ -158,19 +140,15 @@ def run_trace(
             raise TypeError(
                 f"failures must be a FailureSchedule, got {type(failures).__name__}"
             )
-        if config.any_cached:
+        if config.cached:
             raise ValueError(
                 "failure schedules support the uncached organizations only; "
                 "run with cached=False"
             )
         controller_factory = failure_controller_factory
-    narrays = (
-        len(config.vas) if config.heterogeneous
-        else config.arrays_for(workload.ndisks)
-    )
 
     env = Environment()
-    system = build_system(env, config, narrays, controller_factory=controller_factory)
+    system = build_system(env, config, arrays, controller_factory=controller_factory)
     if warmup_ms is None:
         warmup_ms = workload.duration_ms * warmup_fraction
 
@@ -182,24 +160,19 @@ def run_trace(
         monitor.attach(env, system.controllers, warmup_ms)
 
     tracer = None
-    if trace is not False and trace is not None:
+    if trace:
         from repro.obs.tracer import Tracer
 
-        tracer = trace if not isinstance(trace, bool) else Tracer()
+        tracer = Tracer()
         tracer.attach(env, system.controllers)
 
-    # Identity checks, not truthiness: an empty pre-built registry has
-    # len() == 0 and must still be used.
     collector = None
-    if metrics is not False and metrics is not None:
+    if metrics:
         from repro.obs.collect import MetricsCollector
-        from repro.obs.metrics import MetricsRegistry
 
-        registry = metrics if isinstance(metrics, MetricsRegistry) else None
-        collector = MetricsCollector(registry)
-        if metrics_interval_ms is None:
-            metrics_interval_ms = max(workload.duration_ms / 200.0, 1.0)
-        collector.attach(env, system.controllers, metrics_interval_ms)
+        collector = MetricsCollector()
+        interval_ms = max(workload.duration_ms / 200.0, 1.0)
+        collector.attach(env, system.controllers, interval_ms)
     # The probe bus every observer subscribed to (each probe slot holds
     # it), or None when nothing observes the run.
     probe = system.controllers[0].probe
@@ -208,7 +181,7 @@ def run_trace(
         name=name or workload.name,
         organization=config.organization_label,
         n=sum(va.n for va in config.vas) if config.heterogeneous else config.n,
-        narrays=narrays,
+        narrays=len(arrays),
         simulated_ms=0.0,
         requests=len(workload),
         warmup_ms=warmup_ms,

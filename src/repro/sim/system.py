@@ -4,15 +4,12 @@ Each array is self-contained — its own disks, channel, controller and
 (if cached) NV cache — mirroring §3.2: "Each array has one controller
 and an independent channel connecting it to the host."
 
-Heterogeneous configs (``config.vas`` non-empty) build one array per
-Virtual Array instead: each VA gets its own layout, its own channel,
-and physical disks whose model comes from the allocation policy's
-placement over the disk pool (:meth:`SystemConfig.resolve_disk_params`).
-A uniform system is ``narrays`` copies of one such array description,
-so one loop builds both.  Routing is VA-first — the logical address
-space is the concatenation of the VA spans, which may differ in size —
-while the homogeneous path keeps its closed-form ``divmod`` routing
-bit-for-bit.
+:func:`build_system` builds the arrays :meth:`SystemConfig.arrays_for`
+lists: copies of one array for a uniform config, one array per Virtual
+Array (over the disks the allocation policy placed) for a heterogeneous
+one.  The logical address space is the concatenation of the array
+spans; equal spans route with one ``divmod``, unequal ones bisect the
+cumulative bounds.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from repro.channel.bus import Channel
 from repro.des import Environment
 from repro.disk.drive import Disk
 from repro.disk.scheduler import SSTFScheduler
-from repro.sim.config import Organization, SystemConfig
+from repro.sim.config import DiskParams, Organization, SystemConfig
 
 __all__ = ["ArraySystem", "build_system"]
 
@@ -42,19 +39,18 @@ __all__ = ["ArraySystem", "build_system"]
 class ArraySystem:
     """A built subsystem: ``narrays`` independent arrays.
 
-    ``spans`` is the logical block count owned by each array.  Empty
-    means uniform legacy spans of ``n * blocks_per_disk`` each, routed
-    by division; a heterogeneous build fills it with the per-VA spans
-    and routing bisects the cumulative bounds.  Routing a block outside
+    ``spans`` is the logical block count owned by each array, in address
+    order.  When every span is equal, routing is one ``divmod``;
+    otherwise it bisects the cumulative bounds.  Routing a block outside
     ``[0, capacity)`` raises :class:`ValueError`.
     """
 
     env: Environment
     config: SystemConfig
     controllers: list[ArrayController]
-    spans: tuple[int, ...] = ()
+    spans: tuple[int, ...]
     _bounds: list[int] = field(init=False, repr=False, default_factory=list)
-    #: Blocks per array of a uniform system; 0 for a heterogeneous one.
+    #: The common span when every array has the same one, else 0.
     _per_array: int = field(init=False, repr=False, default=0)
     #: Logical blocks across all arrays.
     capacity: int = field(init=False, repr=False, default=0)
@@ -64,9 +60,8 @@ class ArraySystem:
         for span in self.spans:
             total += span
             self._bounds.append(total)
-        if not self._bounds:
-            self._per_array = self.config.n * self.config.blocks_per_disk
-            total = self._per_array * len(self.controllers)
+        if len(set(self.spans)) == 1:
+            self._per_array = self.spans[0]
         self.capacity = total
 
     @property
@@ -108,7 +103,7 @@ class ArraySystem:
             raise self._outside(lblock, nblocks)
         per_array = self._per_array
         if per_array:
-            # Uniform arrays: one divmod answers a request inside one array.
+            # Equal spans: one divmod answers a request inside one array.
             idx, local = divmod(lblock, per_array)
             if local + nblocks <= per_array:
                 return [(idx, self.controllers[idx], local, nblocks)]
@@ -131,36 +126,21 @@ class ArraySystem:
 def build_system(
     env: Environment,
     config: SystemConfig,
-    narrays: int,
+    arrays: list[tuple[SystemConfig, list[DiskParams]]],
     controller_factory=None,
 ) -> ArraySystem:
-    """Instantiate *narrays* arrays of the configured organization.
+    """Instantiate *arrays*, the list :meth:`SystemConfig.arrays_for`
+    gives for *config* (``config.arrays_for(trace.ndisks)``).
 
     ``controller_factory(env, layout, disks, channel, config)`` replaces
     the default controller selection when given — the failure subsystem
     uses it to substitute the failure-capable controllers
     (:func:`repro.failure.failure_controller_factory`) without the
-    healthy path paying anything for the capability.  Heterogeneous
-    configs ignore *narrays* beyond checking it matches ``len(vas)``;
-    the factory then receives each VA's :meth:`~SystemConfig.va_view`.
+    healthy path paying anything for the capability.  It receives each
+    array's own config (a VA's :meth:`~SystemConfig.va_view`).
     """
-    if narrays < 1:
+    if not arrays:
         raise ValueError("need at least one array")
-    if config.heterogeneous:
-        if narrays != len(config.vas):
-            raise ValueError(
-                f"heterogeneous config defines {len(config.vas)} VAs but "
-                f"{narrays} arrays were requested"
-            )
-        # One array per Virtual Array, disks placed by the allocation policy.
-        arrays = [
-            (config.va_view(vi), params)
-            for vi, params in enumerate(config.resolve_disk_params())
-        ]
-        spans = config.va_spans
-    else:
-        arrays = [(config, [config.disk] * config.disks_per_array)] * narrays
-        spans = ()
     models: dict = {}  # DiskParams -> (geometry, seek_model), built once
     phase_rng = np.random.default_rng(config.phase_seed)
     make = controller_factory if controller_factory is not None else _make_controller
@@ -168,26 +148,17 @@ def build_system(
     controllers: list[ArrayController] = []
     for ai, (acfg, params_list) in enumerate(arrays):
         layout = acfg.make_layout()
-        if len(params_list) != layout.ndisks:  # pragma: no cover - guard
-            raise ValueError(
-                f"array {ai} has {len(params_list)} disks, "
-                f"layout needs {layout.ndisks}"
-            )
         disks = []
         for di, params in enumerate(params_list):
             cached = models.get(params)
             if cached is None:
-                cached = (params.geometry(config.block_bytes), params.seek_model())
+                cached = (params.geometry(), params.seek_model())
                 models[params] = cached
             geometry, seek_model = cached
             if acfg.blocks_per_disk > geometry.total_blocks:
-                owner = (
-                    f"VA {ai} ({config.vas[ai].label})"
-                    if config.heterogeneous
-                    else "database slice"
-                )
                 raise ValueError(
-                    f"{owner} needs {acfg.blocks_per_disk} blocks per disk, "
+                    f"array {ai} of {config.organization_label} needs "
+                    f"{acfg.blocks_per_disk} blocks per disk, "
                     f"which exceeds its disk's {geometry.total_blocks}"
                 )
             disks.append(
@@ -204,8 +175,9 @@ def build_system(
                     phase=0.0 if config.spindle_sync else float(phase_rng.random()),
                 )
             )
-        channel = Channel(env, config.channel_mb_per_s, name=f"a{ai}.chan")
+        channel = Channel(env, name=f"a{ai}.chan")
         controllers.append(make(env, layout, disks, channel, acfg))
+    spans = tuple(acfg.n * acfg.blocks_per_disk for acfg, _ in arrays)
     return ArraySystem(env=env, config=config, controllers=controllers, spans=spans)
 
 

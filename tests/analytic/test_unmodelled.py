@@ -1,18 +1,19 @@
-"""Knobs the analytic model does not read are refused, not ignored.
+"""Values the analytic model does not solve are refused, not ignored.
 
 The M/G/1 solver has no equations for disk scheduling, spindle
-synchronization, the destage policy, the RMW threshold, track buffers
-or the SI hold bound; it solves only each field's default.  A config
-that sets one of them otherwise is refused with the field named, and a
+synchronization or the destage policy, so it solves only their
+defaults; it models synchronization only as SI or DF, so RF, RF/PR and
+DF/PR are refused too (:data:`repro.analytic.SOLVED_VALUES`).  A
+config that sets such a value is refused with the field named, and a
 campaign under ``--backend analytic`` runs those points on the DES
-instead of printing the default's answer for every variant.
+instead of printing one answer for every variant.
 """
 
 import json
 
 import pytest
 
-from repro.analytic import AnalyticUnsupportedError, UNMODELLED_FIELDS, solve_trace
+from repro.analytic import AnalyticUnsupportedError, SOLVED_VALUES, solve_trace
 from repro.experiments.__main__ import main
 from repro.experiments.parallel import run_campaign
 from repro.experiments.points import Point, TraceSpec, with_backend
@@ -22,29 +23,37 @@ from tests.analytic.workload import config, poisson_trace
 
 SCALE = 0.01
 
-NON_DEFAULT = {
+#: Unsolved values, keyed ``field`` or ``field-value``.
+REFUSED = {
     "disk_scheduler": dict(disk_scheduler="sstf"),
     "spindle_sync": dict(spindle_sync=True),
     "destage_policy": dict(destage_policy="lru_demand", cached=True, cache_mb=4),
-    "rmw_threshold": dict(rmw_threshold=0.9),
-    "track_buffers_per_disk": dict(track_buffers_per_disk=3),
-    "si_max_hold_revolutions": dict(si_max_hold_revolutions=2, sync_policy="SI"),
+    "sync_policy-RF": dict(sync_policy="RF"),
+    "sync_policy-RF/PR": dict(sync_policy="RF/PR"),
+    "sync_policy-DF/PR": dict(sync_policy="DF/PR"),
 }
 
 
 def test_every_unmodelled_field_is_covered():
-    assert set(NON_DEFAULT) == set(UNMODELLED_FIELDS)
+    assert {case.split("-")[0] for case in REFUSED} == set(SOLVED_VALUES)
 
 
-@pytest.mark.parametrize("field", sorted(NON_DEFAULT))
+@pytest.mark.parametrize("field", sorted(REFUSED))
 def test_solver_refuses_and_names_the_field(field):
-    with pytest.raises(AnalyticUnsupportedError, match=field):
-        solve_trace(config("raid5", **NON_DEFAULT[field]), poisson_trace(0.05, n=200))
+    with pytest.raises(AnalyticUnsupportedError, match=field.split("-")[0]):
+        solve_trace(config("raid5", **REFUSED[field]), poisson_trace(0.05, n=200))
+
+
+@pytest.mark.parametrize("policy", SOLVED_VALUES["sync_policy"])
+def test_solved_sync_policies_are_solved(policy):
+    # Spelled as the DES accepts it: policy names are case-insensitive.
+    cfg = config("raid5", sync_policy=policy.lower())
+    assert solve_trace(cfg, poisson_trace(0.05, n=200)).mean_response_ms > 0
 
 
 def test_run_trace_refuses_through_the_same_rule():
-    with pytest.raises(AnalyticUnsupportedError, match="rmw_threshold=0.9"):
-        run_trace(config("raid5", rmw_threshold=0.9), poisson_trace(0.05, n=200),
+    with pytest.raises(AnalyticUnsupportedError, match="disk_scheduler='sstf'"):
+        run_trace(config("raid5", disk_scheduler="sstf"), poisson_trace(0.05, n=200),
                   backend="analytic")
 
 
@@ -61,6 +70,17 @@ def test_des_reason_ignores_run_arguments():
     assert point(keep_samples=True).des_reason is None
 
 
+def test_des_reason_of_a_fig4_rf_point_is_sync_policy():
+    by_policy = {
+        dict(point.overrides)["sync_policy"]: point.des_reason
+        for point in get_experiment("fig4").points(SCALE)
+    }
+    assert by_policy == {
+        "SI": None, "DF": None,
+        "RF": "sync_policy", "RF/PR": "sync_policy", "DF/PR": "sync_policy",
+    }
+
+
 @pytest.mark.parametrize(
     "exp_id,field",
     [
@@ -68,6 +88,7 @@ def test_des_reason_ignores_run_arguments():
         ("ext-spindle", "spindle_sync"),
         ("ext-destage", "destage_policy"),
         ("ext-rebuild", "failures"),
+        ("fig4", "sync_policy"),
     ],
 )
 def test_campaign_keeps_unmodelled_points_on_the_des(exp_id, field):

@@ -28,7 +28,7 @@ def make(org, n=4, cache_mb=None, cache_blocks=64, **kw):
         cache_mb=mb,
         **kw,
     )
-    system = build_system(env, cfg, 1)
+    system = build_system(env, cfg, cfg.arrays_for(cfg.n))
     return env, system.controllers[0]
 
 

@@ -5,7 +5,7 @@ Two deadlock classes were found under concurrent parity updates:
 1. **SI holding**: a parity RMW holding disk A spinning for old data
    queued on disk B, while disk B's in-service parity RMW spins for old
    data queued on disk A.  Broken by the bounded hold
-   (``si_max_hold_revolutions``) with requeue.
+   (``SI_MAX_HOLD_REVOLUTIONS``) with requeue.
 2. **Priority reconstruct parity**: an RF/PR or DF/PR reconstruct
    parity write jumping (priority) ahead of another update's stripe
    reads on its disk while its own reads queue behind a symmetric
@@ -32,7 +32,7 @@ def flood(org, sync, writes, n=4, nblocks=1, seed=0):
         blocks_per_disk=BPD,
         sync_policy=sync,
     )
-    system = build_system(env, cfg, 1)
+    system = build_system(env, cfg, cfg.arrays_for(cfg.n))
     ctrl = system.controllers[0]
     rng = np.random.default_rng(seed)
     finished = []
@@ -67,10 +67,6 @@ class TestSIHoldBound:
         # Spins happen under SI (the policy's signature cost).
         assert all(d.completed > 0 for d in ctrl.disks)
 
-    def test_si_hold_bound_config_validation(self):
-        cfg = SystemConfig(si_max_hold_revolutions=2)
-        assert cfg.si_max_hold_revolutions == 2
-
 
 class TestPriorityReconstructParity:
     @pytest.mark.parametrize("sync", ["RF/PR", "DF/PR"])
@@ -88,7 +84,7 @@ class TestPriorityReconstructParity:
             blocks_per_disk=BPD,
             sync_policy=sync,
         )
-        system = build_system(env, cfg, 1)
+        system = build_system(env, cfg, cfg.arrays_for(cfg.n))
         ctrl = system.controllers[0]
         rng = np.random.default_rng(7)
         finished = []

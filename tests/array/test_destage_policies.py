@@ -23,7 +23,7 @@ def make(policy, org="raid5", cache_blocks=64, period=200.0, **kw):
         spindle_sync=True,
         **kw,
     )
-    system = build_system(env, cfg, 1)
+    system = build_system(env, cfg, cfg.arrays_for(cfg.n))
     return env, system.controllers[0]
 
 

@@ -27,7 +27,7 @@ def make_controller(org, n=4, su=1, sync="DF", **kw):
         cached=False,
         **kw,
     )
-    system = build_system(env, cfg, 1)
+    system = build_system(env, cfg, cfg.arrays_for(cfg.n))
     return env, system.controllers[0]
 
 

@@ -23,8 +23,8 @@ from tests.hda.util import BPD, HOT_BPD, hda_config, poisson_trace
 
 class TestRouting:
     def _system(self):
-        env = Environment()
-        return build_system(env, hda_config(), 2)
+        cfg = hda_config()
+        return build_system(Environment(), cfg, cfg.arrays_for(4))
 
     def test_controller_for_respects_spans(self):
         system = self._system()
@@ -60,32 +60,33 @@ class TestRouting:
         env = Environment()
         cfg = SystemConfig(organization=Organization.RAID5, n=3,
                            blocks_per_disk=BPD)
-        system = build_system(env, cfg, 2)
+        system = build_system(env, cfg, cfg.arrays_for(6))
         idx, _, local = system.controller_for(3 * BPD + 7)
         assert (idx, local) == (1, 7)
 
 
 class TestBuilder:
     def test_va_disk_names_match_legacy(self):
-        env = Environment()
-        system = build_system(env, hda_config(), 2)
+        cfg = hda_config()
+        system = build_system(Environment(), cfg, cfg.arrays_for(4))
         names = [d.name for c in system.controllers for d in c.disks]
         assert names[:4] == ["a0.d0", "a0.d1", "a0.d2", "a0.d3"]
         assert names[4:] == ["a1.d0", "a1.d1", "a1.d2", "a1.d3"]
 
     def test_narrays_must_match_va_count(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            build_system(env, hda_config(), 3)
+        # Three logical disks of VA space is not what the two VAs hold.
+        with pytest.raises(ValueError, match="2 array"):
+            hda_config().arrays_for(3)
 
     def test_va_too_big_for_its_disks_raises(self):
-        env = Environment()
         cfg = hda_config(vas=(
             VAConfig(Organization.MIRROR, 2, blocks_per_disk=300_000),
             VAConfig(Organization.RAID5, 3),
         ))
-        with pytest.raises(ValueError, match="VA"):
-            build_system(env, cfg, 2)
+        # One logical "disk" of the VAs' combined span.
+        arrays = cfg.arrays_for(1, 2 * 300_000 + 3 * BPD)
+        with pytest.raises(ValueError, match=r"array 0 of hda\(mirror\+raid5\)"):
+            build_system(Environment(), cfg, arrays)
 
 
 class TestDegenerateByteIdentity:

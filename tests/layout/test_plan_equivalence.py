@@ -97,7 +97,7 @@ def _per_block(layout, blocks):
     return merge_runs([layout.map_block(b) for b in blocks])
 
 
-def reference_write_plan(layout, lstart, nblocks, rmw_threshold):
+def reference_write_plan(layout, lstart, nblocks):
     """The per-block write planners of Base, Mirror and the striped layouts."""
     end = lstart + nblocks
     if isinstance(layout, (BaseLayout, MirrorLayout)):
@@ -120,7 +120,7 @@ def reference_write_plan(layout, lstart, nblocks, rmw_threshold):
         offsets = {x % su for x in range(a, b)} if covered < su else set(range(su))
         lo, hi = min(offsets), max(offsets) + 1
         parity = [Run(p_disk, row * su + lo, hi - lo)]
-        if covered / row_blocks >= rmw_threshold:
+        if 2 * covered >= row_blocks:  # read-modify-write below half a row
             others = [x for x in range(row_lo, row_hi) if not a <= x < b]
             groups.append(
                 WriteGroup(
@@ -160,12 +160,12 @@ def test_read_runs_equal_per_block_merge(request, data):
     assert layout.runs_of(missed) == _per_block(layout, missed)
 
 
-@given(requests(PER_BLOCK_PLANNERS), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.0]))
+@given(requests(PER_BLOCK_PLANNERS))
 @settings(max_examples=400, deadline=None)
-def test_write_plan_equals_per_block_reference(request, rmw_threshold):
+def test_write_plan_equals_per_block_reference(request):
     layout, lstart, nblocks = request
     _assert_same_groups(
-        layout.write_plan(lstart, nblocks, rmw_threshold),
-        reference_write_plan(layout, lstart, nblocks, rmw_threshold),
+        layout.write_plan(lstart, nblocks),
+        reference_write_plan(layout, lstart, nblocks),
     )
 

@@ -90,7 +90,8 @@ class TestDetach:
         """Whichever observer leaves first, the last one out clears every
         slot, and the system then runs unobserved."""
         env = Environment()
-        system = build_system(env, config("raid5", cached=True, cache_mb=4), narrays=1)
+        cfg = config("raid5", cached=True, cache_mb=4)
+        system = build_system(env, cfg, cfg.arrays_for(cfg.n))
         ctrl = system.controllers[0]
         monitor = ValidationMonitor().attach(env, system.controllers)
         tracer = Tracer().attach(env, system.controllers)

@@ -159,25 +159,3 @@ class TestMetricsSideOfRun:
             == raid5_result.simulated_ms
         )
         assert math.isfinite(raid5_result.metrics.get("mean_response_ms").value)
-
-    def test_prebuilt_objects_are_used(self):
-        # A pre-built (empty, hence falsy) registry and tracer must be
-        # honoured, not silently replaced or dropped.
-        from repro.obs import MetricsRegistry, Tracer
-
-        from .conftest import make_config, make_workload
-        from repro.sim import run_trace
-
-        reg = MetricsRegistry()
-        tracer = Tracer()
-        result = run_trace(
-            make_config("base"),
-            make_workload(n_requests=20),
-            warmup_fraction=0.0,
-            trace=tracer,
-            metrics=reg,
-        )
-        assert result.metrics is reg and len(reg) > 0
-        assert result.trace is not None
-        # TraceData copies the list; same span objects, built by our tracer.
-        assert result.trace.spans == tracer.spans and len(tracer.spans) > 0

@@ -1,8 +1,11 @@
 """Tests for SystemConfig, DiskParams and system building."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.des import Environment
+from repro.disk.geometry import BLOCK_BYTES
 from repro.layout import (
     BaseLayout,
     MirrorLayout,
@@ -57,7 +60,7 @@ class TestSystemConfig:
     def test_table4_defaults(self):
         cfg = SystemConfig()
         assert cfg.n == 10
-        assert cfg.block_bytes == 4096
+        assert BLOCK_BYTES == 4096
         assert cfg.striping_unit == 1
         assert cfg.sync_policy == "DF"
         assert cfg.cache_mb == 16.0
@@ -71,7 +74,7 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(sync_policy="bogus")
         with pytest.raises(ValueError):
-            SystemConfig(rmw_threshold=0.0)
+            SystemConfig(destage_policy="bogus")
         with pytest.raises(ValueError):
             SystemConfig(destage_period_ms=0)
 
@@ -107,13 +110,16 @@ class TestSystemConfig:
 
     def test_arrays_for(self):
         cfg = SystemConfig(n=10)
-        assert cfg.arrays_for(130) == 13
+        arrays = cfg.arrays_for(130)
+        assert len(arrays) == 13
+        assert all(acfg is cfg and disks == [cfg.disk] * 11 for acfg, disks in arrays)
         with pytest.raises(ValueError):
             cfg.arrays_for(7)
 
     def test_with_(self):
+        """Sweeps derive configs with ``dataclasses.replace``."""
         cfg = SystemConfig(n=10)
-        cfg2 = cfg.with_(n=5, cache_mb=8)
+        cfg2 = replace(cfg, n=5, cache_mb=8)
         assert cfg2.n == 5
         assert cfg2.cache_mb == 8
         assert cfg.n == 10  # original unchanged
@@ -134,16 +140,16 @@ class TestBuildSystem:
     def test_database_must_fit_disk(self):
         cfg = SystemConfig(blocks_per_disk=300_000)
         with pytest.raises(ValueError, match="exceeds"):
-            build_system(Environment(), cfg, 1)
+            build_system(Environment(), cfg, cfg.arrays_for(cfg.n))
 
     def test_needs_one_array(self):
         with pytest.raises(ValueError):
-            build_system(Environment(), SystemConfig(blocks_per_disk=2640), 0)
+            build_system(Environment(), SystemConfig(blocks_per_disk=2640), [])
 
     def test_controller_routing(self):
         env = Environment()
         cfg = SystemConfig(organization=Organization.BASE, n=2, blocks_per_disk=2640)
-        system = build_system(env, cfg, 3)
+        system = build_system(env, cfg, cfg.arrays_for(3 * cfg.n))
         idx, ctrl, local = system.controller_for(2 * 2640 + 17)
         assert idx == 1
         assert ctrl is system.controllers[1]
@@ -152,7 +158,7 @@ class TestBuildSystem:
     def test_each_array_independent(self):
         env = Environment()
         cfg = SystemConfig(organization=Organization.RAID5, n=4, blocks_per_disk=2640)
-        system = build_system(env, cfg, 2)
+        system = build_system(env, cfg, cfg.arrays_for(2 * cfg.n))
         a, b = system.controllers
         assert a.channel is not b.channel
         assert not set(id(d) for d in a.disks) & set(id(d) for d in b.disks)

@@ -1,6 +1,8 @@
 """Tests for the extension configuration knobs: spindle phases, disk
 scheduler selection, parity grain wiring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ class TestSpindlePhases:
 
     def test_unsynced_default_randomises(self):
         cfg = SystemConfig(organization=Organization.RAID5, blocks_per_disk=BPD)
-        system = build_system(Environment(), cfg, 1)
+        system = build_system(Environment(), cfg, cfg.arrays_for(cfg.n))
         phases = {d.phase for d in system.controllers[0].disks}
         assert len(phases) > 1
 
@@ -42,17 +44,18 @@ class TestSpindlePhases:
         cfg = SystemConfig(
             organization=Organization.RAID5, blocks_per_disk=BPD, spindle_sync=True
         )
-        system = build_system(Environment(), cfg, 1)
+        system = build_system(Environment(), cfg, cfg.arrays_for(cfg.n))
         assert {d.phase for d in system.controllers[0].disks} == {0.0}
 
     def test_phases_deterministic_by_seed(self):
         cfg = SystemConfig(organization=Organization.BASE, blocks_per_disk=BPD)
-        a = build_system(Environment(), cfg, 1)
-        b = build_system(Environment(), cfg, 1)
+        a = build_system(Environment(), cfg, cfg.arrays_for(cfg.n))
+        b = build_system(Environment(), cfg, cfg.arrays_for(cfg.n))
         assert [d.phase for d in a.controllers[0].disks] == [
             d.phase for d in b.controllers[0].disks
         ]
-        c = build_system(Environment(), cfg.with_(phase_seed=5), 1)
+        seeded = replace(cfg, phase_seed=5)
+        c = build_system(Environment(), seeded, seeded.arrays_for(seeded.n))
         assert [d.phase for d in a.controllers[0].disks] != [
             d.phase for d in c.controllers[0].disks
         ]
@@ -61,12 +64,12 @@ class TestSpindlePhases:
 class TestSchedulerSelection:
     def test_default_fcfs(self):
         cfg = SystemConfig(blocks_per_disk=BPD)
-        system = build_system(Environment(), cfg, 1)
+        system = build_system(Environment(), cfg, cfg.arrays_for(cfg.n))
         assert isinstance(system.controllers[0].disks[0].scheduler, FCFSScheduler)
 
     def test_sstf_selected(self):
         cfg = SystemConfig(blocks_per_disk=BPD, disk_scheduler="sstf")
-        system = build_system(Environment(), cfg, 1)
+        system = build_system(Environment(), cfg, cfg.arrays_for(cfg.n))
         assert isinstance(system.controllers[0].disks[0].scheduler, SSTFScheduler)
 
     def test_unknown_rejected(self):

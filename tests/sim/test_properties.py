@@ -5,6 +5,8 @@ complete, conserve requests, produce physically sensible times, and be
 bit-for-bit reproducible.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -117,7 +119,7 @@ class TestEndToEndProperties:
         )
         res = run_trace(cfg, trace, warmup_fraction=0.0)
         base = run_trace(
-            cfg.with_(phase_seed=seed + 1), trace, warmup_fraction=0.0
+            replace(cfg, phase_seed=seed + 1), trace, warmup_fraction=0.0
         )
         assert res.response.count == base.response.count
         assert list(res.per_disk_accesses) == list(base.per_disk_accesses)

@@ -21,11 +21,12 @@ BPD = 2640
 
 def uniform_system(narrays=2, n=4, organization=Organization.BASE):
     cfg = SystemConfig(organization=organization, n=n, blocks_per_disk=BPD)
-    return build_system(Environment(), cfg, narrays)
+    return build_system(Environment(), cfg, cfg.arrays_for(narrays * n))
 
 
 def hetero_system():
-    return build_system(Environment(), hda_config(), 2)
+    cfg = hda_config()
+    return build_system(Environment(), cfg, cfg.arrays_for(4))
 
 
 SYSTEMS = {"uniform": uniform_system, "heterogeneous": hetero_system}

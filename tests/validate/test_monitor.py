@@ -19,7 +19,7 @@ class TestLifecycle:
     def _system(self, **kw):
         cfg = config(org="raid5", cached=True, cache_mb=4, **kw)
         env = Environment()
-        system = build_system(env, cfg, narrays=1)
+        system = build_system(env, cfg, cfg.arrays_for(cfg.n))
         return env, system
 
     def test_attach_installs_probes_everywhere(self):
