@@ -3,10 +3,11 @@
 Deterministic fault injection for the reproduction: declarative
 :class:`FailureSchedule` timelines (disk failures, spare arrivals,
 latent sector errors, periodic scrubbing) driven into the DES by a
-:class:`FailureInjector`, failure-capable controllers that degrade
-gracefully instead of crashing, background :class:`RebuildProcess` /
+:class:`FailureInjector`, background :class:`RebuildProcess` /
 :class:`ScrubProcess` activity competing with foreground traffic, and a
-per-run :class:`FailureReport` summarizing the outcome.
+per-run :class:`FailureReport` summarizing the outcome.  The failure
+state lives in the uncached controllers of :mod:`repro.array.uncached`,
+which degrade gracefully instead of crashing.
 
 Entry point: ``run_trace(config, workload, failures=FailureSchedule(...))``
 — see :mod:`repro.sim.runner`.  The experiment drivers ``ext-rebuild``
@@ -15,14 +16,7 @@ knobs (array size, rebuild rate, scrub interval) as registered
 campaigns.
 """
 
-from repro.failure.degraded import (
-    DegradedMirrorController,
-    DegradedParityController,
-    FailureAwareBaseController,
-    RebuildProcess,
-    failure_controller_factory,
-    reconstruction_sources,
-)
+from repro.failure.degraded import RebuildProcess, reconstruction_sources
 from repro.failure.errors import DataLossError, FailureScheduleError
 from repro.failure.injector import FailureInjector
 from repro.failure.report import FailureReport, RebuildStats, ScrubStats, build_report
@@ -37,10 +31,7 @@ from repro.failure.scrub import ScrubProcess
 
 __all__ = [
     "DataLossError",
-    "DegradedMirrorController",
-    "DegradedParityController",
     "DiskFailure",
-    "FailureAwareBaseController",
     "FailureInjector",
     "FailureReport",
     "FailureSchedule",
@@ -53,6 +44,5 @@ __all__ = [
     "ScrubStats",
     "SpareArrival",
     "build_report",
-    "failure_controller_factory",
     "reconstruction_sources",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from repro.array.uncached import UncachedBaseController
 from repro.des import Environment, Event
 from repro.failure.degraded import RebuildProcess
 from repro.failure.errors import FailureScheduleError
@@ -72,17 +73,20 @@ class FailureInjector:
                     )
                 failures[ev.array] = ev
             elif isinstance(ev, SpareArrival):
-                if not hasattr(ctrl, "attach_spare"):
-                    raise FailureScheduleError(
-                        "SpareArrival requires a failure-capable controller"
-                    )
-                from repro.failure.degraded import FailureAwareBaseController
-
-                if isinstance(ctrl, FailureAwareBaseController):
+                if isinstance(ctrl, UncachedBaseController):
                     raise FailureScheduleError(
                         "the base organization has no redundancy to rebuild "
                         "from; remove the SpareArrival or pick a redundant "
                         "organization"
+                    )
+                if (
+                    ev.rebuild_blocks is not None
+                    and ev.rebuild_blocks > layout.blocks_per_disk
+                ):
+                    raise FailureScheduleError(
+                        f"SpareArrival rebuilds {ev.rebuild_blocks} blocks but "
+                        f"array {ev.array} has {layout.blocks_per_disk} blocks "
+                        f"per disk"
                     )
             elif isinstance(ev, LatentError):
                 if ev.disk >= layout.ndisks:

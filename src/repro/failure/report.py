@@ -162,9 +162,9 @@ class FailureReport:
 def build_report(controllers, rebuilds=(), scrubs=()) -> FailureReport:
     """Harvest the failure counters of *controllers* into one report.
 
-    ``controllers`` may mix failure-capable and plain controllers (the
-    plain ones contribute nothing); ``rebuilds`` / ``scrubs`` are the
-    :class:`~repro.failure.degraded.RebuildProcess` /
+    ``controllers`` are a failure run's uncached controllers (the runner
+    refuses a failure schedule on a cached config); ``rebuilds`` /
+    ``scrubs`` are the :class:`~repro.failure.degraded.RebuildProcess` /
     :class:`~repro.failure.scrub.ScrubProcess` instances the injector
     started, in array order.
     """
@@ -174,18 +174,18 @@ def build_report(controllers, rebuilds=(), scrubs=()) -> FailureReport:
     lost_reads = lost_writes = lost_block_count = 0
     lost_samples: list[tuple[float, str, int, int]] = []
     for ctrl in controllers:
-        degraded_reads += getattr(ctrl, "degraded_reads", 0)
-        degraded_writes += getattr(ctrl, "degraded_writes", 0)
-        latent_injected += getattr(ctrl, "latent_injected", 0)
-        rep_access += getattr(ctrl, "latent_repaired_access", 0)
-        rep_write += getattr(ctrl, "latent_repaired_write", 0)
-        rep_scrub += getattr(ctrl, "latent_repaired_scrub", 0)
-        outstanding += len(getattr(ctrl, "latent", ()))
-        exposure.extend(getattr(ctrl, "latent_exposure_ms", ()))
-        lost_reads += getattr(ctrl, "lost_reads", 0)
-        lost_writes += getattr(ctrl, "lost_writes", 0)
-        lost_block_count += len(getattr(ctrl, "lost_blocks", ()))
-        lost_samples.extend(getattr(ctrl, "lost_events", ()))
+        degraded_reads += ctrl.degraded_reads
+        degraded_writes += ctrl.degraded_writes
+        latent_injected += ctrl.latent_injected
+        rep_access += ctrl.latent_repaired_access
+        rep_write += ctrl.latent_repaired_write
+        rep_scrub += ctrl.latent_repaired_scrub
+        outstanding += len(ctrl.latent)
+        exposure.extend(ctrl.latent_exposure_ms)
+        lost_reads += ctrl.lost_reads
+        lost_writes += ctrl.lost_writes
+        lost_block_count += len(ctrl.lost_blocks)
+        lost_samples.extend(ctrl.lost_events)
     rebuild_stats = tuple(
         RebuildStats(
             array=i,

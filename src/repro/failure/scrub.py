@@ -38,12 +38,12 @@ class ScrubProcess:
     unrebuilt region above the watermark while it does.
 
     For every latent error found, the repair reads the block's surviving
-    redundancy sources and rewrites the block
-    (:meth:`~repro.failure.degraded._DegradedMixin._repair_latent` with
-    ``how="scrub"``).  A latent error whose group is *not* intact — a
-    source is itself failed or unreadable, or the organization has no
-    redundancy at all — is counted ``unrepairable`` and left in place:
-    scrubbing detects, only redundancy repairs.
+    redundancy sources and rewrites the block (the controller's
+    ``_repair_latent`` with ``how="scrub"``).  A latent error whose
+    group is *not* intact — a source is itself failed or unreadable, or
+    the organization has no redundancy at all — is counted
+    ``unrepairable`` and left in place: scrubbing detects, only
+    redundancy repairs.
 
     ``pass_done`` is an event that fires when the current pass
     completes (re-armed each pass); the runner's drain phase waits on it

@@ -38,7 +38,7 @@ TAPS: dict[str, tuple[str, ...]] = {
     # write, evict, begin_destage, finish_destage).
     "cache_op": ("cache", "op", "arg"),
     # Controllers: request admission, write planning, destage, and the
-    # degraded-mode events of failure-capable controllers.
+    # degraded-mode events of the uncached controllers.
     "handle": ("controller", "lstart", "nblocks", "is_write"),
     "destage": ("controller", "run"),
     "write_group": ("controller", "group"),

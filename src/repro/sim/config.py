@@ -326,8 +326,9 @@ class SystemConfig:
         the disks :meth:`resolve_disk_params` places.  Raises
         :class:`ValueError` unless the arrays hold exactly the trace's
         ``ndisks * blocks_per_disk`` logical blocks (*blocks_per_disk*
-        defaults to this config's).  Building, running and solving a
-        system all walk this one list.
+        defaults to this config's) and each array's blocks per disk fit
+        on its disks.  Building, running and solving a system all walk
+        this one list.
         """
         if blocks_per_disk is None:
             blocks_per_disk = self.blocks_per_disk
@@ -347,6 +348,17 @@ class SystemConfig:
                 f"{len(arrays)} array(s) of {self.organization_label} hold "
                 f"{sum(spans)} (spans {tuple(spans)})"
             )
+        capacity: dict[DiskParams, int] = {}
+        for i, (acfg, params_list) in enumerate(arrays):
+            for params in params_list:
+                if params not in capacity:
+                    capacity[params] = params.geometry().total_blocks
+                if acfg.blocks_per_disk > capacity[params]:
+                    raise ValueError(
+                        f"array {i} of {self.organization_label} needs "
+                        f"{acfg.blocks_per_disk} blocks per disk, "
+                        f"which exceeds its disk's {capacity[params]}"
+                    )
         return arrays
 
     # -- heterogeneous (HDA) derived ------------------------------------------

@@ -96,10 +96,10 @@ def run_trace(
     failures:
         A :class:`~repro.failure.FailureSchedule` of timed fault events
         (disk failure, spare arrival + rebuild, latent sector errors,
-        periodic scrubbing) injected into the run.  The system is built
-        with failure-capable controllers, the scenario is driven by a
-        :class:`~repro.failure.FailureInjector`, and the outcome lands
-        on ``result.failures`` as a
+        periodic scrubbing) injected into the run.  A
+        :class:`~repro.failure.FailureInjector` drives the scenario into
+        the uncached controllers, which hold the failure state, and the
+        outcome lands on ``result.failures`` as a
         :class:`~repro.failure.FailureReport`.  After the foreground
         trace drains, the clock keeps running until the scenario
         completes (pending events, started rebuilds, ``min_passes``
@@ -132,9 +132,8 @@ def run_trace(
         raise ValueError("warmup_ms must be >= 0")
     if checkers is not None and not validate:
         raise ValueError("checkers were supplied but validate is False")
-    controller_factory = None
     if failures is not None:
-        from repro.failure import FailureSchedule, failure_controller_factory
+        from repro.failure import FailureSchedule
 
         if not isinstance(failures, FailureSchedule):
             raise TypeError(
@@ -145,10 +144,9 @@ def run_trace(
                 "failure schedules support the uncached organizations only; "
                 "run with cached=False"
             )
-        controller_factory = failure_controller_factory
 
     env = Environment()
-    system = build_system(env, config, arrays, controller_factory=controller_factory)
+    system = build_system(env, config, arrays)
     if warmup_ms is None:
         warmup_ms = workload.duration_ms * warmup_fraction
 

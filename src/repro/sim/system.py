@@ -127,23 +127,19 @@ def build_system(
     env: Environment,
     config: SystemConfig,
     arrays: list[tuple[SystemConfig, list[DiskParams]]],
-    controller_factory=None,
 ) -> ArraySystem:
     """Instantiate *arrays*, the list :meth:`SystemConfig.arrays_for`
     gives for *config* (``config.arrays_for(trace.ndisks)``).
 
-    ``controller_factory(env, layout, disks, channel, config)`` replaces
-    the default controller selection when given — the failure subsystem
-    uses it to substitute the failure-capable controllers
-    (:func:`repro.failure.failure_controller_factory`) without the
-    healthy path paying anything for the capability.  It receives each
-    array's own config (a VA's :meth:`~SystemConfig.va_view`).
+    Each array gets the controller of its own config's organization (a
+    VA's :meth:`~SystemConfig.va_view`).  The uncached controllers also
+    carry the failure state that a failure schedule drives
+    (:mod:`repro.failure`).
     """
     if not arrays:
         raise ValueError("need at least one array")
     models: dict = {}  # DiskParams -> (geometry, seek_model), built once
     phase_rng = np.random.default_rng(config.phase_seed)
-    make = controller_factory if controller_factory is not None else _make_controller
 
     controllers: list[ArrayController] = []
     for ai, (acfg, params_list) in enumerate(arrays):
@@ -155,12 +151,6 @@ def build_system(
                 cached = (params.geometry(), params.seek_model())
                 models[params] = cached
             geometry, seek_model = cached
-            if acfg.blocks_per_disk > geometry.total_blocks:
-                raise ValueError(
-                    f"array {ai} of {config.organization_label} needs "
-                    f"{acfg.blocks_per_disk} blocks per disk, "
-                    f"which exceeds its disk's {geometry.total_blocks}"
-                )
             disks.append(
                 Disk(
                     env,
@@ -176,7 +166,7 @@ def build_system(
                 )
             )
         channel = Channel(env, name=f"a{ai}.chan")
-        controllers.append(make(env, layout, disks, channel, acfg))
+        controllers.append(_make_controller(env, layout, disks, channel, acfg))
     spans = tuple(acfg.n * acfg.blocks_per_disk for acfg, _ in arrays)
     return ArraySystem(env=env, config=config, controllers=controllers, spans=spans)
 

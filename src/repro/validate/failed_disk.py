@@ -3,7 +3,7 @@
 A degraded array must serve every request from the surviving disks, and
 from the spare only below the rebuild watermark.  The checker looks at
 each disk access as it is submitted: when the disk sits in the failed
-slot of a failure-capable controller (the dead drive, or the spare that
+slot of an uncached controller (the dead drive, or the spare that
 replaced it after the monitor attached), no block of the access may be
 one that the controller's ``_is_failed`` reports as gone.  The one
 access allowed onto such blocks is the rebuild's own chunk write onto

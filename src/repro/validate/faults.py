@@ -190,15 +190,15 @@ def write_through_failed_disk():
     """Degraded parity arrays run write groups as planned for a healthy
     array, so a write reaches the failed disk.  Trips ``failed-disk``.
     """
-    from repro.failure.degraded import DegradedParityController
+    from repro.array.uncached import UncachedParityController
 
-    orig = DegradedParityController._degrade
+    orig = UncachedParityController._degrade
 
     def faulty(self, group):
         return [group]
 
-    DegradedParityController._degrade = faulty
+    UncachedParityController._degrade = faulty
     try:
         yield
     finally:
-        DegradedParityController._degrade = orig
+        UncachedParityController._degrade = orig

@@ -61,7 +61,7 @@ class ParityConsistencyChecker(InvariantChecker):
     def _gone(controller, disk: int, pblock: int) -> bool:
         """Is this physical block genuinely without a live drive?
 
-        Delegates to the degraded controller's spare/watermark-aware
+        Delegates to the uncached controller's spare/watermark-aware
         ``_is_failed`` so a rebuild-in-progress group is exempted only
         above the watermark: reconstructed blocks on the spare are held
         to the full parity contract again.

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.failure.degraded import (
-    DegradedMirrorController,
-    DegradedParityController,
-    RebuildProcess,
-    reconstruction_sources,
-)
+from repro.array.uncached import UncachedMirrorController, UncachedParityController
+from repro.failure.degraded import RebuildProcess, reconstruction_sources
 from repro.channel import Channel
 from repro.des import Environment
 from repro.disk import Disk
@@ -98,8 +94,12 @@ def build_degraded(org, failed=1, spare=False, n=4, **kw):
     sm = cfg.disk.seek_model()
     disks = [Disk(env, geo, sm, name=f"d{i}") for i in range(layout.ndisks)]
     channel = Channel(env)
-    cls = DegradedMirrorController if org == "mirror" else DegradedParityController
-    ctrl = cls(env, layout, disks, channel, cfg, failed_disk=failed, spare=spare)
+    cls = UncachedMirrorController if org == "mirror" else UncachedParityController
+    ctrl = cls(env, layout, disks, channel, cfg)
+    if failed is not None:
+        ctrl.fail_disk(failed)
+    if spare:
+        ctrl.attach_spare()
     return env, ctrl
 
 

@@ -171,20 +171,21 @@ class TestHealthyIdentity:
 
     def test_empty_schedule_matches_healthy_bit_exactly(self):
         trace = trace4()
-        healthy = run_trace(config("raid5", n=4), trace)
-        empty = run_trace(config("raid5", n=4), trace, failures=FailureSchedule())
+        for org in ("base", "mirror", "raid5", "raid4", "parity_striping"):
+            healthy = run_trace(config(org, n=4), trace)
+            empty = run_trace(config(org, n=4), trace, failures=FailureSchedule())
 
-        healthy_snap = snapshot(healthy)
-        empty_snap = snapshot(empty)
-        report = empty_snap.pop("failures")
-        assert diff_snapshots(healthy_snap, empty_snap, rtol=0.0, atol=0.0) == []
+            healthy_snap = snapshot(healthy)
+            empty_snap = snapshot(empty)
+            report = empty_snap.pop("failures")
+            assert diff_snapshots(healthy_snap, empty_snap, rtol=0.0, atol=0.0) == [], org
 
-        # ... and the report itself says "nothing happened".
-        assert report["degraded_reads"] == 0
-        assert report["latent_injected"] == 0
-        assert report["lost_reads"] == 0 and report["lost_block_count"] == 0
-        assert math.isnan(healthy.mean_response_ms) is False
-        assert empty.mean_response_ms == healthy.mean_response_ms
+            # ... and the report itself says "nothing happened".
+            assert report["degraded_reads"] == 0, org
+            assert report["latent_injected"] == 0, org
+            assert report["lost_reads"] == 0 and report["lost_block_count"] == 0, org
+            assert math.isnan(healthy.mean_response_ms) is False, org
+            assert empty.mean_response_ms == healthy.mean_response_ms, org
 
     def test_healthy_snapshot_has_no_failures_section(self):
         res = run_trace(config("raid5", n=4), trace4(n=100))
@@ -242,6 +243,16 @@ class TestInjectorValidation:
         )
         with pytest.raises(FailureScheduleError, match="no redundancy"):
             self.run(sched, org="base")
+
+    @pytest.mark.parametrize("org", ["raid5", "parity_striping"])
+    def test_rebuild_longer_than_the_disk_rejected(self, org):
+        sched = FailureSchedule.single_failure(
+            at_ms=0.0, disk=1, spare_after_ms=0.0, rebuild_blocks=3 * BPD
+        )
+        with pytest.raises(
+            FailureScheduleError, match=f"array 0 has {BPD} blocks per disk"
+        ):
+            self.run(sched, org=org)
 
     def test_latent_after_whole_disk_failure_is_moot(self):
         sched = FailureSchedule(

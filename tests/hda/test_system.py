@@ -84,9 +84,8 @@ class TestBuilder:
             VAConfig(Organization.RAID5, 3),
         ))
         # One logical "disk" of the VAs' combined span.
-        arrays = cfg.arrays_for(1, 2 * 300_000 + 3 * BPD)
         with pytest.raises(ValueError, match=r"array 0 of hda\(mirror\+raid5\)"):
-            build_system(Environment(), cfg, arrays)
+            cfg.arrays_for(1, 2 * 300_000 + 3 * BPD)
 
 
 class TestDegenerateByteIdentity:

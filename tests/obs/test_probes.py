@@ -106,7 +106,7 @@ class TestDetach:
     def test_spare_attached_while_traced_is_detached(self):
         from repro.channel import Channel
         from repro.disk import Disk
-        from repro.failure import DegradedParityController
+        from repro.array.uncached import UncachedParityController
 
         cfg = config("raid5", n=4, blocks_per_disk=240)
         env = Environment()
@@ -115,9 +115,8 @@ class TestDetach:
             Disk(env, cfg.disk.geometry(), cfg.disk.seek_model(), name=f"d{i}")
             for i in range(layout.ndisks)
         ]
-        ctrl = DegradedParityController(
-            env, layout, disks, Channel(env), cfg, failed_disk=1, spare=False
-        )
+        ctrl = UncachedParityController(env, layout, disks, Channel(env), cfg)
+        ctrl.fail_disk(1)
         tracer = Tracer().attach(env, [ctrl])
         ctrl.attach_spare()
         tracer.detach()

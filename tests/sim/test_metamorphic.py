@@ -18,7 +18,6 @@ relationship is known and checks the relation, not the number:
 import numpy as np
 import pytest
 
-from repro.failure import DegradedParityController
 from repro.array.uncached import UncachedParityController
 from repro.channel import Channel
 from repro.des import Environment
@@ -92,13 +91,9 @@ def _build(degraded, n=4, bpd=240, failed=1, phase_seed=None):
         Disk(env, geo, sm, name=f"d{i}", phase=phases[i])
         for i in range(layout.ndisks)
     ]
-    channel = Channel(env)
+    ctrl = UncachedParityController(env, layout, disks, Channel(env), cfg)
     if degraded:
-        ctrl = DegradedParityController(
-            env, layout, disks, channel, cfg, failed_disk=failed, spare=False
-        )
-    else:
-        ctrl = UncachedParityController(env, layout, disks, channel, cfg)
+        ctrl.fail_disk(failed)
     return env, ctrl, layout
 
 

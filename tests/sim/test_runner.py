@@ -5,6 +5,7 @@ import pytest
 
 from repro.sim import Organization, SystemConfig, run_trace
 from repro.trace import TRACE_DTYPE, Trace
+from tests.validate.workload import make_trace as seeded_trace
 
 BPD = 2640
 
@@ -32,6 +33,20 @@ class TestBasics:
         trace = make_trace([(0.0, 0, 1, False)], bpd=100)
         with pytest.raises(ValueError, match="blocks/disk"):
             run_trace(config(), trace)
+
+    @pytest.mark.parametrize("backend", ["des", "analytic"])
+    def test_blocks_per_disk_beyond_the_disk_rejected(self, backend):
+        # The stock disk holds 226,800 blocks: both backends refuse, at
+        # a load the analytic model could otherwise answer.
+        trace = seeded_trace(n=400, ndisks=4, bpd=300_000, rate_ms=50.0)
+        with pytest.raises(
+            ValueError,
+            match="array 0 of raid5 needs 300000 blocks per disk, "
+            "which exceeds its disk's 226800",
+        ):
+            run_trace(
+                config("raid5", n=4, blocks_per_disk=300_000), trace, backend=backend
+            )
 
     @pytest.mark.parametrize(
         "bad", [1.0, 1.5, -0.1, float("nan"), float("inf"), -float("inf")]

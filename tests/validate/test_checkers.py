@@ -160,7 +160,7 @@ class TestDegradedExemption:
     disk; the parity checker must not cry wolf there."""
 
     def _build(self, org="raid5", failed=1):
-        from repro.failure import DegradedParityController
+        from repro.array.uncached import UncachedParityController
         from repro.channel import Channel
         from repro.des import Environment
         from repro.disk import Disk
@@ -171,10 +171,8 @@ class TestDegradedExemption:
         geo = cfg.disk.geometry()
         sm = cfg.disk.seek_model()
         disks = [Disk(env, geo, sm, name=f"d{i}") for i in range(layout.ndisks)]
-        channel = Channel(env)
-        ctrl = DegradedParityController(
-            env, layout, disks, channel, cfg, failed_disk=failed, spare=False
-        )
+        ctrl = UncachedParityController(env, layout, disks, Channel(env), cfg)
+        ctrl.fail_disk(failed)
         return env, ctrl
 
     def test_degraded_writes_pass_validation(self):
