@@ -1,8 +1,9 @@
 """The paper's tables and figures, and the extensions, as experiments.
 
 Every experiment is registered in :mod:`repro.experiments.registry` —
-the parameter sweeps as :class:`~repro.experiments.grid.Grid` data —
-and runnable from the command line::
+every one that simulates as :class:`~repro.experiments.grid.Grid` data,
+the computed tables and histograms as a ``compute`` function — and
+runnable from the command line::
 
     python -m repro.experiments fig5 --scale 0.5
     python -m repro.experiments --list

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -34,6 +35,23 @@ from repro.experiments.telemetry import CampaignRecorder
 __all__ = ["main"]
 
 
+def _checked(convert, ok, expected: str):
+    """An argparse ``type``: *convert* the text and keep it if *ok*, else
+    a usage error saying what was *expected*."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -42,14 +60,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("ids", nargs="*", help="experiment ids (or 'all')")
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number above 0"),
         default=1.0,
         help="multiply the default trace sizes (smaller = faster)",
     )
     parser.add_argument(
         "--jobs",
         "-j",
-        type=int,
+        type=_checked(int, lambda v: v >= 0, "0 (one per core) or more"),
         default=1,
         help="worker processes for the campaign (1 = serial, 0 = all cores)",
     )
@@ -104,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
 
-    jobs = default_jobs() if args.jobs <= 0 else args.jobs
+    jobs = default_jobs() if args.jobs == 0 else args.jobs
     recorder = CampaignRecorder(args.manifest) if args.manifest else None
     hook = ProgressPrinter() if args.progress else None
     # Serially, one experiment per call, so each prints as it finishes;

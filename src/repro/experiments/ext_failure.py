@@ -17,9 +17,9 @@ Two campaigns over the knobs of :mod:`repro.failure`:
   them, and the exposure window (injection → repair) grows with the
   scrub period while the scrub's foreground interference shrinks.
 
-Both decompose into points, so they parallelize (``--jobs``), memoize
+Both are grids over Trace 2, so they parallelize (``--jobs``), memoize
 (result store) and telemeter (manifests) like every other registered
-experiment.  The failure schedule rides inside the point's overrides —
+experiment.  The failure schedule rides inside each point's overrides —
 its repr is part of the point's content hash, which is what keeps
 degraded results from ever aliasing healthy memoized entries.
 """
@@ -28,32 +28,23 @@ from __future__ import annotations
 
 import math
 
-from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec
+from repro.experiments.grid import Curve, Grid, Panel, extra
 from repro.failure import FailureSchedule, LatentError, ScrubPolicy
 
-__all__ = [
-    "points_rebuild_rate",
-    "assemble_rebuild_rate",
-    "points_scrub",
-    "assemble_scrub",
-    "REBUILD_DELAYS_MS",
-    "SCRUB_PERIODS_MS",
-]
+__all__ = ["REBUILD_RATE", "SCRUB"]
 
-#: Organizations with redundancy to rebuild from (label -> config org).
-ORGS = [
-    ("mirror", "Mirrored"),
-    ("raid5", "RAID5"),
-    ("parity_striping", "ParStripe"),
-]
 
-#: Rebuild throttle sweep: pause between rebuild chunks, ms.
-REBUILD_DELAYS_MS = [0.0, 4.0, 16.0, 64.0]
+def _curves(orgs, metric) -> tuple:
+    """One curve per ``(org, label)``, keeping its samples for the p95."""
+    return tuple(Curve(label, {"org": org, "keep_samples": True}, metric) for org, label in orgs)
+
 
 #: Blocks swept by the rebuild (the active slice; full disks would
 #: dwarf the foreground trace at every scale).
 _REBUILD_BLOCKS = 4000
+
+#: Organizations with redundancy to rebuild from.
+_REBUILD_ORGS = (("mirror", "Mirrored"), ("raid5", "RAID5"), ("parity_striping", "ParStripe"))
 
 
 def _rebuild_schedule(delay_ms: float) -> FailureSchedule:
@@ -67,70 +58,37 @@ def _rebuild_schedule(delay_ms: float) -> FailureSchedule:
     )
 
 
-def points_rebuild_rate(scale: float = 1.0) -> list[Point]:
-    return [
-        Point.sim(
-            "ext-rebuild-rate",
-            (org, delay),
-            TraceSpec(2, scale),
-            org,
-            failures=_rebuild_schedule(delay),
-            keep_samples=True,
-        )
-        for org, _ in ORGS
-        for delay in REBUILD_DELAYS_MS
-    ]
-
-
-def assemble_rebuild_rate(scale: float, values: dict) -> list[ExperimentResult]:
-    def extra(org, delay, name):
-        return dict(values[(org, delay)].extras).get(name, math.nan)
-
-    p95_series = [
-        Series(label, REBUILD_DELAYS_MS,
-               [extra(org, d, "p95_ms") for d in REBUILD_DELAYS_MS])
-        for org, label in ORGS
-    ]
-    rebuild_series = [
-        Series(label, REBUILD_DELAYS_MS,
-               [extra(org, d, "rebuild_ms") / 1000.0 for d in REBUILD_DELAYS_MS])
-        for org, label in ORGS
-    ]
-    return [
-        ExperimentResult(
-            exp_id="ext-rebuild-rate",
-            title="Foreground p95 during rebuild vs rebuild throttle (Trace 2)",
-            xlabel="rebuild chunk delay (ms)",
+#: The rebuild throttle — the pause between rebuild chunks, ms — swept.
+REBUILD_RATE = Grid(
+    "ext-rebuild-rate", "Rebuild rate vs foreground p95", cost=3, traces=(2,),
+    panels=(
+        Panel(
+            "Foreground p95 during rebuild vs rebuild throttle (Trace {trace})",
+            _curves(_REBUILD_ORGS, extra("p95_ms")),
             ylabel="p95 response time (ms)",
-            series=p95_series,
             notes=(
                 f"disk 0 fails at t=0, spare immediate, rebuild sweeps "
                 f"{_REBUILD_BLOCKS} blocks in 6-block chunks"
             ),
         ),
-        ExperimentResult(
-            exp_id="ext-rebuild-rate",
-            title="Rebuild completion time vs rebuild throttle (Trace 2)",
-            xlabel="rebuild chunk delay (ms)",
+        Panel(
+            "Rebuild completion time vs rebuild throttle (Trace {trace})",
+            _curves(_REBUILD_ORGS, extra("rebuild_ms", 1000.0)),
             ylabel="rebuild time (s)",
-            series=rebuild_series,
         ),
-    ]
+    ),
+    xs=tuple((d, {"failures": _rebuild_schedule(d)}) for d in (0.0, 4.0, 16.0, 64.0)),
+    xlabel="rebuild chunk delay (ms)",
+)
 
 
 # ---------------------------------------------------------------------------
-
-#: Scrub-interval sweep, ms between passes (first pass starts one
-#: period in, so the exposure window scales with the period).
-SCRUB_PERIODS_MS = [250.0, 1000.0, 4000.0]
 
 #: Latent sector errors injected at t=0.
 _N_LATENT = 12
 
 #: Scrub pass span: covers every injected pblock, not the whole disk.
 _SCRUB_SPAN = 1536
-
-SCRUB_ORGS = [("raid5", "RAID5"), ("mirror", "Mirrored")]
 
 
 def _scrub_schedule(period_ms: float) -> FailureSchedule:
@@ -150,55 +108,35 @@ def _scrub_schedule(period_ms: float) -> FailureSchedule:
     )
 
 
-def points_scrub(scale: float = 1.0) -> list[Point]:
-    return [
-        Point.sim(
-            "ext-scrub",
-            (org, period),
-            TraceSpec(2, scale),
-            org,
-            failures=_scrub_schedule(period),
-            keep_samples=True,
-        )
-        for org, _ in SCRUB_ORGS
-        for period in SCRUB_PERIODS_MS
-    ]
+def _repaired_pct(cell, value) -> float:
+    extras = dict(value.extras)
+    injected = extras.get("latent_injected", math.nan)
+    repaired = extras.get("latent_repaired", math.nan)
+    return 100.0 * repaired / injected if injected else math.nan
 
 
-def assemble_scrub(scale: float, values: dict) -> list[ExperimentResult]:
-    def extra(org, period, name):
-        return dict(values[(org, period)].extras).get(name, math.nan)
+_SCRUB_ORGS = (("raid5", "RAID5"), ("mirror", "Mirrored"))
 
-    exposure_series = [
-        Series(label, SCRUB_PERIODS_MS,
-               [extra(org, p, "exposure_mean_ms") for p in SCRUB_PERIODS_MS])
-        for org, label in SCRUB_ORGS
-    ]
-    repaired_series = []
-    for org, label in SCRUB_ORGS:
-        ys = []
-        for p in SCRUB_PERIODS_MS:
-            injected = extra(org, p, "latent_injected")
-            repaired = extra(org, p, "latent_repaired")
-            ys.append(100.0 * repaired / injected if injected else math.nan)
-        repaired_series.append(Series(label, SCRUB_PERIODS_MS, ys))
-    return [
-        ExperimentResult(
-            exp_id="ext-scrub",
-            title="Latent-error exposure vs scrub interval (Trace 2)",
-            xlabel="scrub period (ms)",
+#: Scrub-interval sweep, ms between passes (first pass starts one
+#: period in, so the exposure window scales with the period).
+SCRUB = Grid(
+    "ext-scrub", "Scrub interval vs latent-error exposure", traces=(2,),
+    panels=(
+        Panel(
+            "Latent-error exposure vs scrub interval (Trace {trace})",
+            _curves(_SCRUB_ORGS, extra("exposure_mean_ms")),
             ylabel="mean exposure (ms)",
-            series=exposure_series,
             notes=(
                 f"{_N_LATENT} latent errors injected at t=0; first scrub "
                 f"pass starts one period in; repair-on-access also counts"
             ),
         ),
-        ExperimentResult(
-            exp_id="ext-scrub",
-            title="Latent errors repaired vs scrub interval (Trace 2)",
-            xlabel="scrub period (ms)",
+        Panel(
+            "Latent errors repaired vs scrub interval (Trace {trace})",
+            _curves(_SCRUB_ORGS, _repaired_pct),
             ylabel="repaired (%)",
-            series=repaired_series,
         ),
-    ]
+    ),
+    xs=tuple((p, {"failures": _scrub_schedule(p)}) for p in (250.0, 1000.0, 4000.0)),
+    xlabel="scrub period (ms)",
+)

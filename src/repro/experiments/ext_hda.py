@@ -21,18 +21,17 @@ database over a 16-stock + 4-fast disk pool:
 The workload concentrates 75% of accesses (and, via the write-skew
 knob, an even larger share of the small writes) on the mirror VA's
 address range, so per-VA p95 and the fast/stock utilization split show
-what each policy buys.  The experiment rides the standard point
-machinery: ``--jobs`` fan-out, result-store memoization and manifests.
+what each policy buys.  The experiment is a grid over Trace 2: one curve
+per mix, one x per policy; the VAs, the pool and the generator
+overrides (``hda``) ride in each cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
-from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec
+from repro.experiments.grid import Curve, Grid, Panel, extra
 from repro.layout import POLICIES
 from repro.sim import (
     DiskParams,
@@ -43,15 +42,7 @@ from repro.sim import (
 )
 from repro.trace.synthetic import DEFAULT_BLOCKS_PER_DISK
 
-__all__ = [
-    "points",
-    "assemble",
-    "FAST",
-    "SLOW",
-    "POOL",
-    "HOT_BPD",
-    "MIXES",
-]
+__all__ = ["FAST", "SLOW", "POOL", "HOT_BPD", "HDA"]
 
 #: Stock Table-1 disk (5400 rpm, 11.2 ms average seek, 226 800 blocks).
 SLOW = DiskParams()
@@ -78,152 +69,98 @@ _VA_WEIGHTS = (3.0, 1.0)
 _WRITE_SKEW = 2.0
 
 
-@dataclass(frozen=True)
-class VAMix:
-    """One way to split the database between the mirror and RAID5 VAs."""
-
-    key: str
-    mirror_n: int  # primaries; the VA occupies 2x this many disks
-    raid5_n: int  # data disks; the VA occupies this + 1 disks
-
-    @property
-    def vas(self) -> Tuple[VAConfig, ...]:
-        return (
-            VAConfig(Organization.MIRROR, self.mirror_n, name="hot",
+def _mix(mirror_n: int, raid5_n: int) -> Tuple[str, Dict[str, Any]]:
+    """One split of the database, labelled, and its cell: *mirror_n*
+    primaries on a mirror VA of twice as many disks, *raid5_n* data
+    disks on a RAID5 VA of one more."""
+    trace_disks = (mirror_n * HOT_BPD // DEFAULT_BLOCKS_PER_DISK, raid5_n)
+    return f"m{mirror_n}+r{raid5_n}", {
+        "org": "base",  # label only; the VAs carry the organizations
+        "vas": (
+            VAConfig(Organization.MIRROR, mirror_n, name="hot",
                      blocks_per_disk=HOT_BPD, heat=_VA_WEIGHTS[0]),
-            VAConfig(Organization.RAID5, self.raid5_n, name="cold"),
-        )
-
-    @property
-    def trace_disks(self) -> Tuple[int, int]:
-        """Logical (trace) disks per VA at the stock block count."""
-        return (
-            self.mirror_n * HOT_BPD // DEFAULT_BLOCKS_PER_DISK,
-            self.raid5_n,
-        )
-
-    @property
-    def hda(self) -> Tuple[Tuple[str, Any], ...]:
-        """Sorted generator overrides for :class:`TraceSpec`."""
-        return (
-            ("ndisks", sum(self.trace_disks)),
-            ("va_disks", self.trace_disks),
+            VAConfig(Organization.RAID5, raid5_n, name="cold"),
+        ),
+        "pool": POOL,
+        # The generator's logical disks per VA, at the stock block count.
+        "hda": (
+            ("ndisks", sum(trace_disks)),
+            ("va_disks", trace_disks),
             ("va_weights", _VA_WEIGHTS),
             ("va_write_skew", _WRITE_SKEW),
-        )
+        ),
+        "keep_samples": True,
+    }
 
 
 #: The two splits swept: a minimal hot tier (one logical disk mirrored
 #: over 2+2 spindles) and a deeper one (two logical disks over 4+4).
-MIXES = [VAMix("m2+r8", 2, 8), VAMix("m4+r6", 4, 6)]
+_MIXES = (_mix(2, 8), _mix(4, 6))
 
 
-def _system_config(mix: VAMix, policy: str) -> SystemConfig:
-    """The config a point builds — reused by assemble() for placements."""
-    return SystemConfig(
-        organization=Organization.BASE,
-        blocks_per_disk=DEFAULT_BLOCKS_PER_DISK,
-        vas=mix.vas,
-        pool=POOL,
-        allocation=policy,
-    )
-
-
-def points(scale: float = 1.0) -> List[Point]:
-    return [
-        Point.sim(
-            "ext-hda",
-            (mix.key, policy),
-            TraceSpec(2, scale, hda=mix.hda),
-            "base",  # label only; the VAs carry the organizations
-            vas=mix.vas,
-            pool=POOL,
-            allocation=policy,
-            keep_samples=True,
-        )
-        for mix in MIXES
-        for policy in POLICIES
-    ]
-
-
-def _class_utils(mix: VAMix, policy: str, extras: Dict[str, float]) -> Dict[str, float]:
-    """Mean utilization of each disk class under one placement.
+def _class_util(fast: bool):
+    """The metric of the mean utilization (%) of the fast or the stock
+    disks under the cell's placement.
 
     Each placed disk is attributed its VA's mean utilization (the
     per-point extras carry per-VA, not per-disk, numbers); unplaced
     pool slots idle at 0, which is the point — first-fit strands the
     fast disks.
     """
-    sums = {"fast": 0.0, "slow": 0.0}
-    counts = {"fast": 0, "slow": 0}
-    for entry in POOL:
-        counts["fast" if entry.disk == FAST else "slow"] += entry.count
-    assigned = _system_config(mix, policy).resolve_disk_params()
-    for vi, params in enumerate(assigned):
-        util = extras.get(f"va{vi}_util", math.nan)
-        for p in params:
-            sums["fast" if p == FAST else "slow"] += util
-    return {cls: sums[cls] / counts[cls] for cls in sums}
+
+    def metric(cell: Mapping[str, Any], value) -> float:
+        extras = dict(value.extras)
+        placed = SystemConfig(
+            organization=Organization.BASE, blocks_per_disk=DEFAULT_BLOCKS_PER_DISK,
+            vas=cell["vas"], pool=cell["pool"], allocation=cell["allocation"],
+        ).resolve_disk_params()
+        busy = sum(
+            extras.get(f"va{vi}_util", math.nan)
+            for vi, params in enumerate(placed)
+            for p in params
+            if (p == FAST) == fast
+        )
+        disks = sum(e.count for e in cell["pool"] if (e.disk == FAST) == fast)
+        return 100.0 * (busy / disks)
+
+    return metric
 
 
-def assemble(scale: float, values: dict) -> List[ExperimentResult]:
-    policies = list(POLICIES)
-
-    def extra(mix: VAMix, policy: str, name: str) -> float:
-        return dict(values[(mix.key, policy)].extras).get(name, math.nan)
-
-    va_labels = ["hot mirror", "cold RAID5"]
-    p95_series = [
-        Series(f"{mix.key} {label}", policies,
-               [extra(mix, p, f"va{vi}_p95_ms") for p in policies])
-        for mix in MIXES
-        for vi, label in enumerate(va_labels)
-    ]
-    mean_series = [
-        Series(mix.key, policies,
-               [values[(mix.key, p)].mean_response_ms for p in policies])
-        for mix in MIXES
-    ]
-    util_series = []
-    for mix in MIXES:
-        per_policy = [
-            _class_utils(mix, p, dict(values[(mix.key, p)].extras))
-            for p in policies
-        ]
-        for cls in ("fast", "slow"):
-            util_series.append(
-                Series(f"{mix.key} {cls}", policies,
-                       [100.0 * u[cls] for u in per_policy])
-            )
-    return [
-        ExperimentResult(
-            exp_id="ext-hda",
-            title="Per-VA p95 vs allocation policy (Trace 2, mirror+RAID5 HDA)",
-            xlabel="allocation policy",
+HDA = Grid(
+    "ext-hda", "Heterogeneous arrays: allocation policy x VA mix", cost=3, traces=(2,),
+    panels=(
+        Panel(
+            "Per-VA p95 vs allocation policy (Trace {trace}, mirror+RAID5 HDA)",
+            tuple(
+                Curve(f"{key} {label}", cell, extra(f"va{vi}_p95_ms"))
+                for key, cell in _MIXES
+                for vi, label in enumerate(("hot mirror", "cold RAID5"))
+            ),
             ylabel="p95 response time (ms)",
-            series=p95_series,
             notes=(
                 f"pool {POOL[0].count} stock + {POOL[1].count} fast disks; "
                 f"hot VA draws {_VA_WEIGHTS[0] / sum(_VA_WEIGHTS):.0%} of "
                 f"accesses, writes skewed harder (skew {_WRITE_SKEW})"
             ),
         ),
-        ExperimentResult(
-            exp_id="ext-hda",
-            title="Overall mean response vs allocation policy",
-            xlabel="allocation policy",
-            ylabel="mean response time (ms)",
-            series=mean_series,
+        Panel(
+            "Overall mean response vs allocation policy",
+            tuple(Curve(key, cell) for key, cell in _MIXES),
         ),
-        ExperimentResult(
-            exp_id="ext-hda",
-            title="Disk-class utilization vs allocation policy",
-            xlabel="allocation policy",
+        Panel(
+            "Disk-class utilization vs allocation policy",
+            tuple(
+                Curve(f"{key} {cls}", cell, _class_util(cls == "fast"))
+                for key, cell in _MIXES
+                for cls in ("fast", "slow")
+            ),
             ylabel="mean utilization (%)",
-            series=util_series,
             notes=(
                 "per-disk figure approximated by its VA's mean "
                 "utilization; unplaced pool slots count as idle"
             ),
         ),
-    ]
+    ),
+    xs=tuple((policy, {"allocation": policy}) for policy in POLICIES),
+    xlabel="allocation policy",
+)

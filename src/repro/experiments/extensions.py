@@ -1,28 +1,23 @@
-"""Extension experiments beyond the paper's figures, with their own code.
+"""Two extensions beyond the paper's figures.
 
 * ``ext-reliability`` — the introduction's MTTDL and storage-overhead
   trade-off, computed.
 * ``ext-rebuild`` — degraded-mode and rebuild performance vs array size
   (the §4.2.1 remark that "large arrays... have worse performance
-  during reconstruction").
+  during reconstruction"), a grid.
 
-The parameter-sweep extensions (``ext-destage``, ``ext-parity-grain``,
-``ext-spindle``, ``ext-scheduler``) are grids in
+The other parameter-sweep extensions (``ext-destage``,
+``ext-parity-grain``, ``ext-spindle``, ``ext-scheduler``) are grids in
 :mod:`repro.experiments.registry`.
 """
 
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Series
-from repro.experiments.points import Point, TraceSpec
+from repro.experiments.grid import Curve, Grid, Panel, extra
 from repro.failure import FailureSchedule
-from repro.trace import trace2_config
 
-__all__ = [
-    "run_reliability",
-    "points_rebuild",
-    "assemble_rebuild",
-]
+__all__ = ["run_reliability", "REBUILD"]
 
 
 def run_reliability(scale: float = 1.0) -> list[ExperimentResult]:
@@ -58,54 +53,34 @@ def run_reliability(scale: float = 1.0) -> list[ExperimentResult]:
     ]
 
 
-#: Array sizes of ``ext-rebuild``.
-REBUILD_SIZES = (5, 10, 15)
-
-#: Blocks per disk the ``ext-rebuild`` rebuild sweeps: the active slice,
-#: to keep runtimes proportional.
+#: Blocks per disk the rebuild sweeps: the active slice, to keep
+#: runtimes proportional.
 _REBUILD_SLICE = 40_000
 
+#: Disk 0 of the first array fails at t=0 and a spare arrives at once.
+_FAILURE = FailureSchedule.single_failure(
+    disk=0, spare_after_ms=0.0, rebuild_blocks=_REBUILD_SLICE
+)
 
-def points_rebuild(scale: float = 1.0) -> list[Point]:
-    """Healthy vs degraded and rebuilding RAID5 arrays vs N (Trace 2)."""
-    failure = FailureSchedule.single_failure(
-        disk=0,
-        spare_after_ms=0.0,
-        rebuild_blocks=min(trace2_config().blocks_per_disk, _REBUILD_SLICE),
-    )
-    return [
-        Point.sim(
-            "ext-rebuild", (n, state), TraceSpec(2, scale * 0.5, n=n), "raid5", n=n, **kw
-        )
-        for n in REBUILD_SIZES
-        for state, kw in (("healthy", {}), ("rebuild", {"failures": failure}))
-    ]
-
-
-def assemble_rebuild(scale: float, values: dict) -> list[ExperimentResult]:
-    sizes = list(REBUILD_SIZES)
-
-    def mean_ms(state):
-        return [values[(n, state)].mean_response_ms for n in sizes]
-
-    rebuild_s = [
-        dict(values[(n, "rebuild")].extras)["rebuild_ms"] / 1000.0 for n in sizes
-    ]
-    return [
-        ExperimentResult(
-            exp_id="ext-rebuild",
-            title="RAID5 degraded-mode response and rebuild time vs N (Trace 2)",
-            xlabel="array size N",
-            ylabel="ms",
-            series=[
-                Series("healthy rt", sizes, mean_ms("healthy")),
-                Series("during rebuild rt", sizes, mean_ms("rebuild")),
-                Series("rebuild duration/1000", sizes, rebuild_s),
-            ],
-            notes=(
-                f"disk 0 of the first array fails at t=0, a spare arrives at "
-                f"once, and the rebuild sweeps a fixed {_REBUILD_SLICE // 1000}k-block "
-                f"slice per disk"
-            ),
-        )
-    ]
+#: Healthy vs degraded and rebuilding RAID5 arrays vs N, on Trace 2 at
+#: half the campaign scale.
+REBUILD = Grid(
+    "ext-rebuild", "Degraded mode + rebuild vs N", cost=3, traces=(2,), trace_scale=0.5,
+    panels=(Panel(
+        "RAID5 degraded-mode response and rebuild time vs N (Trace {trace})",
+        (
+            Curve("healthy rt", {}),
+            Curve("during rebuild rt", {"failures": _FAILURE}),
+            Curve("rebuild duration/1000", {"failures": _FAILURE}, extra("rebuild_ms", 1000.0)),
+        ),
+        cell={"org": "raid5"},
+        ylabel="ms",
+        notes=(
+            f"disk 0 of the first array fails at t=0, a spare arrives at "
+            f"once, and the rebuild sweeps a fixed {_REBUILD_SLICE // 1000}k-block "
+            f"slice per disk"
+        ),
+    ),),
+    xs=tuple((n, {"n": n}) for n in (5, 10, 15)),
+    xlabel="array size N",
+)

@@ -7,12 +7,13 @@ Every experiment has
 ``assemble(scale, values: dict[key, PointValue]) -> list[ExperimentResult]``
     the pure merge of evaluated cells back into figures.
 
-The parameter sweeps — Figs. 4, 5 and 8-19 and four extensions — are
-:class:`~repro.experiments.grid.Grid` declarations, data only.  The
-rest are :class:`Experiment` records with their own code.  The pure-computation
-artifacts (the parameter tables, the skew histograms, the reliability
-table) have no cells: their ``points`` is empty and their ``assemble``
-computes the result.  All of them run through
+Every experiment that simulates is a :class:`~repro.experiments.grid.Grid`
+declaration, data only: the paper's figures and four extensions here;
+Table 3 and the rebuild, scrub and HDA sweeps in the modules that hold
+the schedules, disk pools and metrics they use.  The artifacts that
+simulate nothing (the parameter tables, the skew histograms, the
+reliability table) are :class:`Experiment` records: no points, and a
+``compute`` that makes the result.  All of them run through
 :func:`repro.experiments.parallel.run_campaign`, serially or over worker
 processes.
 """
@@ -31,7 +32,7 @@ from repro.experiments import extensions
 from repro.experiments import ext_failure
 from repro.experiments import ext_hda
 from repro.experiments.common import ExperimentResult
-from repro.experiments.grid import Curve, Grid
+from repro.experiments.grid import Curve, Grid, Panel
 from repro.layout import ParityPlacement
 from repro.models import preferred_placement
 
@@ -40,26 +41,24 @@ __all__ = ["Experiment", "EXPERIMENTS", "get_experiment", "run_experiment"]
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered, runnable paper artifact."""
+    """A registered paper artifact that simulates nothing."""
 
     exp_id: str
     title: str
-    #: Point decomposition (empty for pure computations).
-    points: Callable[[float], List[Point]]
-    assemble: Callable[[float, Dict[tuple, PointValue]], List[ExperimentResult]]
-    #: Rough relative cost (1 = seconds, 3 = minutes at default scale).
-    cost: int = 2
-
-
-def _no_points(scale: float) -> List[Point]:
-    return []
-
-
-def _computed(
+    #: ``compute(scale)``: the artifact's results.
     compute: Callable[[float], List[ExperimentResult]]
-) -> Callable[[float, Dict[tuple, PointValue]], List[ExperimentResult]]:
-    """``assemble`` for an experiment that simulates nothing."""
-    return lambda scale, values: compute(scale)
+    #: Rough relative cost (1 = seconds, 3 = minutes at default scale).
+    cost: int = 1
+
+    def points(self, scale: float) -> List[Point]:
+        """None: nothing here is simulated."""
+        return []
+
+    def assemble(
+        self, scale: float, values: Dict[tuple, PointValue]
+    ) -> List[ExperimentResult]:
+        """The computed results (*values* is empty)."""
+        return self.compute(scale)
 
 
 def _sweep(field: str, values) -> tuple:
@@ -104,129 +103,119 @@ CACHE_MB = _sweep("cache_mb", (8, 16, 32, 64))
 EXPERIMENTS: dict[str, Union[Experiment, Grid]] = {
     e.exp_id: e
     for e in [
-        Experiment("table1", "Disk and channel parameters", cost=1,
-                   points=_no_points, assemble=_computed(tables.table1)),
-        Experiment("table2", "Trace characteristics", cost=1,
-                   points=_no_points, assemble=_computed(tables.table2)),
-        Experiment("table3", "Organization matrix smoke", cost=2,
-                   points=tables.points_table3, assemble=tables.assemble_table3),
-        Experiment("table4", "Default parameters", cost=1,
-                   points=_no_points, assemble=_computed(tables.table4)),
+        Experiment("table1", "Disk and channel parameters", tables.table1),
+        Experiment("table2", "Trace characteristics", tables.table2),
+        tables.TABLE3,
+        Experiment("table4", "Default parameters", tables.table4),
         Grid("fig4", "Synchronization policies vs N", cost=3,
-             heading="Sync policies, {panel}, Trace {trace}",
-             panels=(("RAID5", {"org": "raid5"}), ("ParStripe", {"org": "parity_striping"})),
-             curves=tuple(Curve(p, {"sync_policy": p})
-                          for p in ("SI", "RF", "RF/PR", "DF", "DF/PR")),
+             panels=tuple(
+                 Panel(f"Sync policies, {label}, Trace {{trace}}",
+                       tuple(Curve(p, {"sync_policy": p})
+                             for p in ("SI", "RF", "RF/PR", "DF", "DF/PR")),
+                       cell={"org": org})
+                 for org, label in (("raid5", "RAID5"), ("parity_striping", "ParStripe"))
+             ),
              xs=N, xlabel="array size N"),
         Grid("fig5", "Array size, uncached orgs", cost=3,
-             heading="Response time vs array size (uncached), Trace {trace}",
-             curves=ORGS, xs=N, xlabel="array size N"),
-        Experiment("fig6", "Disk access skew, Base", cost=1,
-                   points=_no_points, assemble=_computed(fig06_07_skew.run_fig6)),
-        Experiment("fig7", "Disk access skew, RAID5", cost=1,
-                   points=_no_points, assemble=_computed(fig06_07_skew.run_fig7)),
+             panels=(Panel("Response time vs array size (uncached), Trace {trace}", ORGS),),
+             xs=N, xlabel="array size N"),
+        Experiment("fig6", "Disk access skew, Base", fig06_07_skew.run_fig6),
+        Experiment("fig7", "Disk access skew, RAID5", fig06_07_skew.run_fig7),
         Grid("fig8", "Striping unit, uncached RAID5",
-             heading="RAID5 striping unit (uncached), Trace {trace}",
-             curves=(Curve("RAID5", {"org": "raid5"}),),
+             panels=(Panel("RAID5 striping unit (uncached), Trace {trace}",
+                           (Curve("RAID5", {"org": "raid5"}),)),),
              xs=UNITS, xlabel="striping unit (blocks)"),
         Grid("fig9", "Parity placement, ParStripe", cost=3,
-             heading="Parity placement, Parity Striping, Trace {trace}",
-             curves=tuple(Curve(p.value, {"org": "parity_striping", "parity_placement": p})
-                          for p in (ParityPlacement.MIDDLE, ParityPlacement.END)),
-             xs=N, xlabel="array size N",
-             notes={1: _placement_rule(0.10), 2: _placement_rule(0.28)}),
+             panels=(Panel("Parity placement, Parity Striping, Trace {trace}",
+                           tuple(Curve(p.value, {"org": "parity_striping", "parity_placement": p})
+                                 for p in (ParityPlacement.MIDDLE, ParityPlacement.END)),
+                           notes={1: _placement_rule(0.10), 2: _placement_rule(0.28)}),),
+             xs=N, xlabel="array size N"),
         Grid("fig10", "Trace speed, uncached orgs", cost=3,
-             heading="Response time vs trace speed (uncached), Trace {trace}",
-             curves=ORGS, xs=SPEEDS, xlabel="trace speed"),
+             panels=(Panel("Response time vs trace speed (uncached), Trace {trace}", ORGS),),
+             xs=SPEEDS, xlabel="trace speed"),
         Grid("fig11", "Hit ratios vs cache size",
-             heading="Hit ratios vs cache size, Trace {trace}",
-             curves=(
+             panels=(Panel("Hit ratios vs cache size, Trace {trace}", (
                  Curve("read (Base/Mirror)", {"mode": "plain"}, "read_hit_ratio"),
                  Curve("read (parity orgs)", {"mode": "parity"}, "read_hit_ratio"),
                  Curve("write (Base/Mirror)", {"mode": "plain"}, "write_hit_ratio"),
                  Curve("write (parity orgs)", {"mode": "parity"}, "write_hit_ratio"),
-             ),
-             xs=_hit_cache((8, 16, 32, 64, 128, 256)),
-             xlabel="cache size (MB)", ylabel="hit ratio"),
+             ), ylabel="hit ratio"),),
+             xs=_hit_cache((8, 16, 32, 64, 128, 256)), xlabel="cache size (MB)"),
         Grid("fig12", "Cache size, cached orgs", cost=3,
-             heading="Response time vs cache size (cached), Trace {trace}",
-             curves=CACHED_ORGS, xs=CACHE_MB, xlabel="cache size (MB)"),
+             panels=(Panel("Response time vs cache size (cached), Trace {trace}", CACHED_ORGS),),
+             xs=CACHE_MB, xlabel="cache size (MB)"),
         Grid("fig13", "Array size, fixed total cache", cost=3,
-             heading="Array size at fixed total cache (cached), Trace {trace}",
-             curves=CACHED_ORGS,
+             panels=(Panel("Array size at fixed total cache (cached), Trace {trace}",
+                           CACHED_ORGS),),
              xs=_n_and_cache(((5, 8.0), (10, 16.0), (15, 24.0))),
              xlabel="array size N (cache = 1.6 MB x N per array)"),
         Grid("fig14", "Striping unit, cached RAID5",
-             heading="RAID5 striping unit (cached, 16 MB), Trace {trace}",
-             curves=(Curve("RAID5 cached", {"org": "raid5", "cached": True}),),
+             panels=(Panel("RAID5 striping unit (cached, 16 MB), Trace {trace}",
+                           (Curve("RAID5 cached", {"org": "raid5", "cached": True}),)),),
              xs=UNITS, xlabel="striping unit (blocks)"),
         Grid("fig15", "Hit ratios, RAID4-PC vs RAID5",
-             heading="Hit ratios, RAID5 vs RAID4 parity caching, Trace {trace}",
-             curves=(
+             panels=(Panel("Hit ratios, RAID5 vs RAID4 parity caching, Trace {trace}", (
                  Curve("read RAID5", {"mode": "parity"}, "read_hit_ratio"),
                  Curve("read RAID4-PC", {"mode": "raid4pc"}, "read_hit_ratio"),
                  Curve("write RAID5", {"mode": "parity"}, "write_hit_ratio"),
                  Curve("write RAID4-PC", {"mode": "raid4pc"}, "write_hit_ratio"),
-             ),
-             xs=_hit_cache((8, 16, 32, 64)),
-             xlabel="cache size (MB)", ylabel="hit ratio"),
+             ), ylabel="hit ratio"),),
+             xs=_hit_cache((8, 16, 32, 64)), xlabel="cache size (MB)"),
         Grid("fig16", "Cache size, RAID4-PC vs RAID5",
-             heading="Response time vs cache size, RAID4-PC vs RAID5, Trace {trace}",
-             curves=PC_PAIR, xs=CACHE_MB, xlabel="cache size (MB)"),
+             panels=(Panel("Response time vs cache size, RAID4-PC vs RAID5, Trace {trace}",
+                           PC_PAIR),),
+             xs=CACHE_MB, xlabel="cache size (MB)"),
         Grid("fig17", "Array size, RAID4-PC vs RAID5", cost=3,
-             heading="RAID4-PC vs RAID5 across array sizes, Trace {trace}",
-             curves=PC_PAIR,
+             panels=(Panel("RAID4-PC vs RAID5 across array sizes, Trace {trace}", PC_PAIR),),
              xs=_n_and_cache(((5, 8.0), (10, 16.0), (20, 32.0))),
              xlabel="array size N (cache = 1.6 MB x N)"),
         Grid("fig18", "Trace speed, RAID4-PC vs RAID5", cost=3,
-             heading="RAID4-PC vs RAID5 across trace speeds, Trace {trace}",
-             curves=PC_PAIR, xs=SPEEDS, xlabel="trace speed"),
+             panels=(Panel("RAID4-PC vs RAID5 across trace speeds, Trace {trace}", PC_PAIR),),
+             xs=SPEEDS, xlabel="trace speed"),
         Grid("fig19", "Striping unit, RAID4-PC vs RAID5", cost=3,
-             heading="Striping unit (cached), RAID4-PC and RAID5, Trace {trace}",
-             curves=PC_PAIR, xs=UNITS, xlabel="striping unit (blocks)"),
+             panels=(Panel("Striping unit (cached), RAID4-PC and RAID5, Trace {trace}",
+                           PC_PAIR),),
+             xs=UNITS, xlabel="striping unit (blocks)"),
         # Extensions beyond the paper's figures.
-        Experiment("ext-rebuild", "Degraded mode + rebuild vs N", cost=3,
-                   points=extensions.points_rebuild, assemble=extensions.assemble_rebuild),
+        extensions.REBUILD,
         # §3.4's periodic vs basic-LRU write-back, plus the decoupled
         # policy the paper suggests investigating.
         Grid("ext-destage", "Destage policy comparison", cost=3,
-             heading="Destage policies, cached RAID5, Trace {trace}",
-             curves=tuple(Curve(p, {"org": "raid5", "cached": True, "destage_policy": p})
-                          for p in ("periodic", "lru_demand", "decoupled")),
-             xs=_sweep("cache_mb", (8, 16, 32)), xlabel="cache size (MB)",
-             notes="paper: periodic always beats the basic LRU policy"),
+             panels=(Panel("Destage policies, cached RAID5, Trace {trace}",
+                           tuple(Curve(p, {"org": "raid5", "cached": True, "destage_policy": p})
+                                 for p in ("periodic", "lru_demand", "decoupled")),
+                           notes="paper: periodic always beats the basic LRU policy"),),
+             xs=_sweep("cache_mb", (8, 16, 32)), xlabel="cache size (MB)"),
         # The conclusions' future work: a finer parity grain balances the
         # parity-update load while data keeps its seek affinity.
         Grid("ext-parity-grain", "Fine-grained parity striping",
-             heading="Fine-grained parity striping, Trace {trace}",
-             curves=(Curve("response", {}),),
+             panels=(Panel("Fine-grained parity striping, Trace {trace}",
+                           (Curve("response", {}),),
+                           notes="grain spreads parity-update load while data stays sequential"),),
              xs=(
                  ("ParStripe classic", {"org": "parity_striping"}),
                  ("ParStripe grain=1", {"org": "parity_striping", "parity_grain": 1}),
                  ("ParStripe grain=8", {"org": "parity_striping", "parity_grain": 8}),
                  ("RAID5 su=1", {"org": "raid5"}),
              ),
-             xlabel="organization",
-             notes="grain spreads parity-update load while data stays sequential"),
+             xlabel="organization"),
         # What the paper's "no spindle synchronization" assumption is worth.
         Grid("ext-spindle", "Spindle synchronization",
-             heading="Spindle synchronization, Trace {trace}",
-             curves=(Curve("mirror", {"org": "mirror"}), Curve("raid5", {"org": "raid5"})),
+             panels=(Panel("Spindle synchronization, Trace {trace}",
+                           (Curve("mirror", {"org": "mirror"}), Curve("raid5", {"org": "raid5"})),
+                           notes="the paper assumes unsynchronized spindles"),),
              xs=(("unsynced", {"spindle_sync": False}), ("synced", {"spindle_sync": True})),
-             xlabel="spindles", notes="the paper assumes unsynchronized spindles"),
+             xlabel="spindles"),
         Grid("ext-scheduler", "FCFS vs SSTF disk scheduling",
-             heading="Disk queue discipline, Trace {trace}",
-             curves=(Curve("base", {"org": "base"}), Curve("raid5", {"org": "raid5"})),
+             panels=(Panel("Disk queue discipline, Trace {trace}",
+                           (Curve("base", {"org": "base"}), Curve("raid5", {"org": "raid5"}))),),
              xs=(("fcfs", {"disk_scheduler": "fcfs"}), ("sstf", {"disk_scheduler": "sstf"})),
              xlabel="discipline"),
-        Experiment("ext-reliability", "MTTDL / storage overhead", cost=1,
-                   points=_no_points, assemble=_computed(extensions.run_reliability)),
-        Experiment("ext-rebuild-rate", "Rebuild rate vs foreground p95", cost=3,
-                   points=ext_failure.points_rebuild_rate, assemble=ext_failure.assemble_rebuild_rate),
-        Experiment("ext-scrub", "Scrub interval vs latent-error exposure", cost=2,
-                   points=ext_failure.points_scrub, assemble=ext_failure.assemble_scrub),
-        Experiment("ext-hda", "Heterogeneous arrays: allocation policy x VA mix", cost=3,
-                   points=ext_hda.points, assemble=ext_hda.assemble),
+        Experiment("ext-reliability", "MTTDL / storage overhead", extensions.run_reliability),
+        ext_failure.REBUILD_RATE,
+        ext_failure.SCRUB,
+        ext_hda.HDA,
     ]
 }
 

@@ -2,18 +2,19 @@
 
 These "experiments" verify that the building blocks reproduce the
 paper's configuration exactly: the disk model hits Table 1, the trace
-generator hits Table 2, every Table 3 organization builds and runs, and
-Table 4 is the config default set.
+generator hits Table 2, every Table 3 organization builds and runs (a
+grid of one panel, Trace 2 at a fifth of the campaign scale), and Table
+4 is the config default set.
 """
 
 from __future__ import annotations
 
 from repro.disk.geometry import BLOCK_BYTES
 from repro.experiments.common import ExperimentResult, Series, get_trace
-from repro.experiments.points import Point, TraceSpec
+from repro.experiments.grid import Curve, Grid, Panel
 from repro.sim import DiskParams, SystemConfig
 
-__all__ = ["table1", "table2", "table4", "points_table3", "assemble_table3"]
+__all__ = ["table1", "table2", "TABLE3", "table4"]
 
 
 def table1(scale: float = 1.0) -> list[ExperimentResult]:
@@ -98,43 +99,20 @@ def table2(scale: float = 1.0) -> list[ExperimentResult]:
     return out
 
 
-def _table3_cells() -> list[tuple[bool, str]]:
-    cells = []
-    for cached in (False, True):
-        orgs = ["base", "mirror", "raid5", "parity_striping"]
-        if cached:
-            orgs.append("raid4")
-        cells.extend((cached, org) for org in orgs)
-    return cells
-
-
-def points_table3(scale: float = 1.0) -> list[Point]:
-    """Table 3 organization matrix: every cell builds and runs."""
-    return [
-        Point.sim("table3", (cached, org), TraceSpec(2, scale * 0.2), org, cached=cached)
-        for cached, org in _table3_cells()
-    ]
-
-
-def assemble_table3(scale: float, values: dict) -> list[ExperimentResult]:
-    labels, disks, rts = [], [], []
-    for cached, org in _table3_cells():
-        v = values[(cached, org)]
-        labels.append(f"{'cached' if cached else 'uncached'}:{org}")
-        disks.append(float(v.physical_disks))
-        rts.append(v.mean_response_ms)
-    return [
-        ExperimentResult(
-            exp_id="table3",
-            title="Disk array organizations (Table 3): all build and run",
-            xlabel="organization",
-            ylabel="mean response time (ms) / physical disks",
-            series=[
-                Series("response_ms", labels, rts),
-                Series("physical_disks", labels, disks),
-            ],
-        )
-    ]
+#: Table 3's organization matrix: every cell builds and runs.
+TABLE3 = Grid(
+    "table3", "Organization matrix smoke", traces=(2,), trace_scale=0.2,
+    panels=(Panel("Disk array organizations (Table 3): all build and run", (
+        Curve("response_ms", {}),
+        Curve("physical_disks", {}, lambda cell, value: float(value.physical_disks)),
+    ), ylabel="mean response time (ms) / physical disks"),),
+    xs=tuple(
+        (f"{'cached' if cached else 'uncached'}:{org}", {"org": org, "cached": cached})
+        for cached in (False, True)
+        for org in ("base", "mirror", "raid5", "parity_striping") + (("raid4",) if cached else ())
+    ),
+    xlabel="organization",
+)
 
 
 def table4(scale: float = 1.0) -> list[ExperimentResult]:

@@ -122,10 +122,6 @@ class TraceData:
             key=lambda s: s.rid if s.rid is not None else -1,
         )
 
-    def request_spans(self, rid: int) -> list[Span]:
-        """Every span attributed to request *rid* (including the root)."""
-        return [s for s in self.spans if s.rid == rid]
-
     def phases(self, rid: Optional[int] = None) -> Iterable[Span]:
         """Leaf phase spans, optionally restricted to one request."""
         for s in self.spans:

@@ -51,7 +51,8 @@ class TestRegistry:
         ids=["none", "points-only", "both"],
     )
     def test_experiment_takes_exactly_one_form(self, form):
-        """points plus assemble, nothing else (no whole-run form)."""
+        """A compute function, nothing else: an experiment with cells is
+        a Grid, not an Experiment with points and assemble."""
         with pytest.raises(TypeError):
             Experiment("x", "t", **form)
 
@@ -140,6 +141,29 @@ class TestCLI:
         assert main(["fig8", "--scale", "0.01", "--progress"]) == 0
         err = capsys.readouterr().err
         assert "[1/14]" in err and "[14/14]" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scale", "nan"],
+            ["--scale", "inf"],
+            ["--scale", "0"],
+            ["--scale", "-2"],
+            ["--scale", "half"],
+            ["--jobs", "-3"],
+            ["--jobs", "two"],
+        ],
+    )
+    def test_bad_scale_or_jobs_is_a_usage_error(self, argv, capsys):
+        """Rejected by argparse (exit 2, one error line) before any point
+        runs, not deep inside the campaign or silently accepted."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["table4", *argv])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {argv[0]}" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_run_and_json(self, tmp_path, capsys):
         out_json = tmp_path / "r.json"

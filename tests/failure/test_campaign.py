@@ -40,10 +40,9 @@ class TestStoreKeyCompleteness:
         assert point_key(rebuild_point(4.0)) == point_key(rebuild_point(4.0))
 
     def test_scrub_knobs_reach_the_key(self):
-        from repro.experiments.ext_failure import _scrub_schedule
-
-        a = Point.sim("t", ("k",), SPEC, "raid5", failures=_scrub_schedule(250.0))
-        b = Point.sim("t", ("k",), SPEC, "raid5", failures=_scrub_schedule(1000.0))
+        (_, fast), (_, slow) = get_experiment("ext-scrub").xs[:2]
+        a = Point.sim("t", ("k",), SPEC, "raid5", failures=fast["failures"])
+        b = Point.sim("t", ("k",), SPEC, "raid5", failures=slow["failures"])
         assert point_key(a) != point_key(b)
 
 
@@ -91,13 +90,17 @@ class TestFailureCampaigns:
     def test_tradeoff_curve_covers_all_orgs(self):
         """The rebuild-rate sweep produces one curve per redundant
         organization (mirror, RAID5, parity striping)."""
-        from repro.experiments.ext_failure import ORGS, REBUILD_DELAYS_MS
+        grid = get_experiment("ext-rebuild-rate")
+        orgs = [curve.cell["org"] for curve in grid.panels[1].curves]
+        assert orgs == ["mirror", "raid5", "parity_striping"]
+        delays = [delay for delay, _ in grid.xs]
+        assert delays == [0.0, 4.0, 16.0, 64.0]
 
         results = run_campaign(["ext-rebuild-rate"], SCALE, jobs=1)["ext-rebuild-rate"]
         rebuild_fig = results[1]
-        assert [s.label for s in rebuild_fig.series] == [label for _, label in ORGS]
+        assert [s.label for s in rebuild_fig.series] == [c.label for c in grid.panels[1].curves]
         for s in rebuild_fig.series:
-            assert s.xs == REBUILD_DELAYS_MS
+            assert s.xs == delays
             # Monotone tradeoff: gentler rebuild => later completion.
             assert all(a < b for a, b in zip(s.ys, s.ys[1:]))
 

@@ -12,7 +12,6 @@ import math
 
 import pytest
 
-from repro.experiments import ext_hda
 from repro.experiments.common import get_trace
 from repro.experiments.parallel import run_points
 from repro.experiments.points import Point, TraceSpec
@@ -22,12 +21,17 @@ from repro.layout import POLICIES
 
 SCALE = 0.02
 
+GRID = get_experiment("ext-hda")
+#: Each mix's label and cell, from the mean-response panel's curves.
+MIXES = [(curve.label, curve.cell) for curve in GRID.panels[1].curves]
+
 
 class TestCampaign:
     def test_points_cover_the_sweep(self):
-        pts = ext_hda.points(SCALE)
+        assert [label for label, _ in MIXES] == ["m2+r8", "m4+r6"]
+        pts = GRID.points(SCALE)
         keys = [p.key for p in pts]
-        assert len(keys) == len(set(keys)) == len(ext_hda.MIXES) * len(POLICIES)
+        assert len(keys) == len(set(keys)) == len(MIXES) * len(POLICIES)
         for p in pts:
             assert p.spec.hda  # every point is an HDA point
             assert dict(p.overrides)["keep_samples"] is True
@@ -42,7 +46,7 @@ class TestCampaign:
         assert serial == decomposed
 
     def test_per_va_extras_are_reported(self):
-        values = run_points(ext_hda.points(SCALE))
+        values = run_points(GRID.points(SCALE))
         for value in values.values():
             extras = dict(value.extras)
             for name in ("va0_p95_ms", "va0_mean_ms", "va0_util",
@@ -53,8 +57,8 @@ class TestCampaign:
     def test_first_fit_strands_the_fast_disks(self):
         results = run_experiment("ext-hda", SCALE)
         util = next(r for r in results if "utilization" in r.title)
-        for mix in ext_hda.MIXES:
-            fast = util.series_by_label(f"{mix.key} fast")
+        for label, _ in MIXES:
+            fast = util.series_by_label(f"{label} fast")
             assert fast.ys[list(POLICIES).index("first_fit")] == 0.0
             assert fast.ys[list(POLICIES).index("bandwidth")] > 0.0
 
@@ -84,15 +88,15 @@ class TestStoreKeys:
 
 class TestTracePlumbing:
     def test_hda_overrides_reach_the_generator(self):
-        mix = ext_hda.MIXES[0]
-        trace = get_trace(2, SCALE, hda=mix.hda)
-        assert trace.ndisks == sum(mix.trace_disks)
+        hda = MIXES[0][1]["hda"]
+        trace = get_trace(2, SCALE, hda=hda)
+        assert trace.ndisks == sum(dict(hda)["va_disks"])
 
     def test_trace1_rejects_hda(self):
         with pytest.raises(ValueError, match="trace 2"):
             get_trace(1, SCALE, hda=(("ndisks", 9),))
 
     def test_spec_materialize_round_trips(self):
-        mix = ext_hda.MIXES[1]
-        spec = TraceSpec(2, SCALE, hda=mix.hda)
-        assert spec.materialize().ndisks == sum(mix.trace_disks)
+        hda = MIXES[1][1]["hda"]
+        spec = TraceSpec(2, SCALE, hda=hda)
+        assert spec.materialize().ndisks == sum(dict(hda)["va_disks"])
