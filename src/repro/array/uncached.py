@@ -224,8 +224,6 @@ class _UncachedController(ArrayController):
             self.latent_repaired_scrub += 1
         else:
             self.latent_repaired_write += 1
-        if self.probe is not None:
-            self.probe.on_latent_repair(self, disk, pblock, how)
         if how != "write":
             self.disks[disk].submit(
                 DiskRequest(AccessKind.WRITE, pblock, 1, priority=Priority.DESTAGE)

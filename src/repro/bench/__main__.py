@@ -19,7 +19,9 @@ file is the candidate), prints the per-metric table and exits
   ``--advisory``).
 
 ``show`` drills into a campaign manifest written by
-``python -m repro.experiments ... --manifest``.
+``python -m repro.experiments ... --manifest``: per experiment, its
+points by provenance (computed, stored, shared), wall time and events,
+then the slowest points.
 
 ``profile`` runs one experiment under :mod:`cProfile` and prints the
 hottest functions by cumulative and internal time — the first stop when
@@ -109,7 +111,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_show(args: argparse.Namespace) -> int:
-    from repro.experiments.telemetry import read_manifest
+    from repro.experiments.telemetry import PROVENANCES, read_manifest
 
     try:
         header, points = read_manifest(args.manifest)
@@ -129,22 +131,19 @@ def cmd_show(args: argparse.Namespace) -> int:
     rows = []
     for exp_id in sorted(by_exp):
         recs = by_exp[exp_id]
-        computed = sum(1 for r in recs if r["provenance"] == "computed")
-        stored = len(recs) - computed
         wall = sum(r["wall_s"] for r in recs)
         events = sum(r.get("events", 0) for r in recs)
         rows.append(
             [
                 exp_id,
                 str(len(recs)),
-                str(computed),
-                str(stored),
+                *(str(sum(r["provenance"] == p for r in recs)) for p in PROVENANCES),
                 f"{wall:.2f}",
                 f"{events:,}",
                 f"{events / wall:,.0f}" if wall > 0 and events else "-",
             ]
         )
-    header_row = ["experiment", "points", "computed", "stored", "wall_s", "events", "events/s"]
+    header_row = ["experiment", "points", *PROVENANCES, "wall_s", "events", "events/s"]
     widths = [
         max(len(header_row[c]), *(len(r[c]) for r in rows)) if rows else len(header_row[c])
         for c in range(len(header_row))

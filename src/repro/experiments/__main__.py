@@ -6,47 +6,53 @@ Usage::
     python -m repro.experiments fig5 [fig8 ...] [--scale 0.5] [--json out.json]
     python -m repro.experiments all --scale 0.25 --jobs 8
 
-Every invocation runs through the campaign engine
-(:func:`repro.experiments.parallel.run_campaign`).  ``--jobs N`` fans
-the campaign's independent simulation points out over N worker
+Every invocation makes one call to the campaign engine
+(:func:`repro.experiments.parallel.iter_campaign`), which evaluates each
+distinct cell once and hands over each experiment, in campaign order,
+as soon as its last point lands; each is printed then.  ``--jobs N``
+fans the campaign's independent simulation points out over N worker
 processes; the merged output is byte-identical to a serial run
-(``--jobs 1``, the default, which runs and prints one experiment at a
-time).  ``--jobs 0`` uses one worker per core.
+(``--jobs 1``, the default).  ``--jobs 0`` uses one worker per core.
 
-``--manifest PATH`` records per-point telemetry (JSONL manifest plus a
-``*.summary.json``); ``--resume`` serves unchanged points from the
-content-keyed result store.  Inspect manifests with
-``python -m repro.bench show PATH``.
+``--manifest PATH`` records per-point telemetry as a JSONL manifest;
+``--resume`` serves unchanged points from the content-keyed result
+store.  Inspect manifests with ``python -m repro.bench show PATH``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 from repro.experiments.ascii_plot import render_chart
-from repro.experiments.parallel import ProgressPrinter, default_jobs, run_campaign
+from repro.experiments.parallel import (
+    ProgressPrinter,
+    check_scale,
+    default_jobs,
+    iter_campaign,
+)
 from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.experiments.telemetry import CampaignRecorder
+from repro.experiments.telemetry import PROVENANCES, CampaignRecorder
 
 __all__ = ["main"]
 
 
 def _checked(convert, ok, expected: str):
     """An argparse ``type``: *convert* the text and keep it if *ok*, else
-    a usage error saying what was *expected*."""
+    a usage error saying what was *expected*.  Either may reject the
+    text by raising ``ValueError``."""
 
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
-            pass
-        else:
             if ok(value):
                 return value
+        except ValueError:
+            pass
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
     return parse
@@ -60,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("ids", nargs="*", help="experiment ids (or 'all')")
     parser.add_argument(
         "--scale",
-        type=_checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number above 0"),
+        type=_checked(float, check_scale, "a finite number above 0"),
         default=1.0,
         help="multiply the default trace sizes (smaller = faster)",
     )
@@ -86,8 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--manifest",
         metavar="PATH",
-        help="write a per-point JSONL campaign manifest (plus a "
-        "*.summary.json next to it; see README 'Campaign telemetry')",
+        type=_checked(Path, lambda path: not path.is_dir(), "a file path, not a directory"),
+        help="write a per-point JSONL campaign manifest to this file "
+        "(see README 'Campaign telemetry')",
     )
     parser.add_argument(
         "--resume",
@@ -124,54 +131,46 @@ def main(argv: list[str] | None = None) -> int:
 
     jobs = default_jobs() if args.jobs == 0 else args.jobs
     recorder = CampaignRecorder(args.manifest) if args.manifest else None
-    hook = ProgressPrinter() if args.progress else None
-    # Serially, one experiment per call, so each prints as it finishes;
-    # a pool takes the whole campaign at once.
-    batches = [ids] if jobs > 1 else [[exp_id] for exp_id in ids]
     collected = []
-    campaign_t0 = time.time()
-    for batch in batches:
-        t0 = time.time()
-        campaign = run_campaign(
-            batch,
-            args.scale,
-            jobs=jobs,
-            progress=hook,
-            backend=args.backend,
-            recorder=recorder,
-            resume=args.resume,
-        )
-        elapsed = time.time() - t0
-        for exp_id in batch:
-            for result in campaign[exp_id]:
-                print(result.table_str())
+    t0 = time.time()
+    for exp_id, results in iter_campaign(
+        ids,
+        args.scale,
+        jobs=jobs,
+        progress=ProgressPrinter() if args.progress else None,
+        backend=args.backend,
+        recorder=recorder,
+        resume=args.resume,
+    ):
+        for result in results:
+            print(result.table_str())
+            print()
+            if args.plot:
+                print(render_chart(result))
                 print()
-                if args.plot:
-                    print(render_chart(result))
-                    print()
-                collected.append(result.to_dict())
-        print(f"[{' '.join(batch)} done in {elapsed:.1f} s]")
+            collected.append(result.to_dict())
+        print(f"[{exp_id} done at {time.time() - t0:.1f} s]")
         print()
-    campaign_elapsed = time.time() - campaign_t0
+    elapsed = time.time() - t0
 
     print(
-        f"[campaign: {len(ids)} experiment(s) over {jobs} worker(s) "
-        f"in {campaign_elapsed:.1f} s]",
+        f"[campaign: {len(ids)} experiment(s) over {jobs} worker(s) in {elapsed:.1f} s]",
         file=sys.stderr,
     )
     if recorder is not None:
-        summary = recorder.finalize(
+        recorder.finalize(
             experiments=ids,
             scale=args.scale,
             jobs=jobs,
             backend=args.backend,
             resume=args.resume,
-            elapsed_s=round(campaign_elapsed, 4),
+            elapsed_s=round(elapsed, 4),
         )
+        counts = Counter(record.provenance for record in recorder.records)
         print(
-            f"[manifest: {recorder.manifest_path} — {summary['points']} point(s), "
-            f"{summary['computed']} computed, {summary['stored']} stored; "
-            f"summary: {recorder.summary_path}]",
+            f"[manifest: {recorder.manifest_path} — {len(recorder.records)} point(s): "
+            + ", ".join(f"{counts[p]} {p}" for p in PROVENANCES)
+            + "]",
             file=sys.stderr,
         )
     if args.json:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from repro.sim import Organization, RunResult, SystemConfig, run_trace
 from repro.trace import (
     Trace,
     generate_trace,
@@ -47,9 +46,6 @@ __all__ = [
     "T1_BASE_SCALE",
     "T2_BASE_SCALE",
     "get_trace",
-    "make_config",
-    "response_time",
-    "split_run_args",
 ]
 
 #: Logical disks simulated for Trace-1 experiments (of the 130 traced).
@@ -134,41 +130,6 @@ def get_trace(
     if speed != 1.0:
         trace = scale_speed(trace, speed)
     return trace
-
-
-def make_config(org: str, trace: Trace, **overrides) -> SystemConfig:
-    """A SystemConfig matched to *trace* with Table 4 defaults."""
-    overrides.setdefault("n", 10)
-    return SystemConfig(
-        organization=Organization.parse(org),
-        blocks_per_disk=trace.blocks_per_disk,
-        **overrides,
-    )
-
-
-def split_run_args(
-    backend: str = "des",
-    failures=None,
-    keep_samples: bool = False,
-    **overrides,
-) -> tuple[dict, dict]:
-    """Split a point's keywords into ``(config overrides, run arguments)``.
-
-    ``backend``, ``failures`` (a :class:`~repro.failure.FailureSchedule`)
-    and ``keep_samples`` route to :func:`~repro.sim.run_trace`;
-    everything else overrides :class:`~repro.sim.SystemConfig` fields.
-    Failure drivers set ``keep_samples=True`` because their headline
-    metric is the p95 during the scenario, which needs the sample store.
-    """
-    run = {"backend": backend, "failures": failures, "keep_samples": keep_samples}
-    return overrides, run
-
-
-def response_time(org: str, trace: Trace, **kwargs) -> RunResult:
-    """Run one (organization, trace) point, its *kwargs* split by
-    :func:`split_run_args`."""
-    overrides, run = split_run_args(**kwargs)
-    return run_trace(make_config(org, trace, **overrides), trace, **run)
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,43 @@
-"""Campaign engine: every experiment runs through :func:`run_campaign`.
+"""Campaign engine: every experiment runs through :func:`iter_campaign`.
 
 The registry describes each experiment as independent
 :class:`~repro.experiments.points.Point` work units (config + trace
-spec, nothing heavyweight) plus an ``assemble`` merge.  One point loop
-evaluates them, in this process (``jobs <= 1``) or over a
-``ProcessPoolExecutor`` (``jobs > 1``), and merges the values
-deterministically:
+spec, nothing heavyweight) plus an ``assemble`` merge.  The engine keeps
+one map from content key (:func:`~repro.experiments.result_store.point_key`)
+to value per call: each key is found in the result store (with
+``resume``) or evaluated once, in this process (``jobs <= 1``) or in one
+worker of a ``ProcessPoolExecutor`` (``jobs > 1``), and every point with
+that key takes the value.  A point's value is a function of its content
+key (the premise on which the store serves stored values), so sharing
+cannot change an answer; each point's record says whether its value was
+``stored``, ``computed`` or ``shared`` (see
+:mod:`~repro.experiments.telemetry`).  The merge is deterministic:
 
 * values are placed by each point's ``key`` and assembled by the
   experiment's ``assemble`` hook, so completion order cannot perturb the
   output — ``--jobs N`` is byte-identical to a serial run;
+* :func:`iter_campaign` hands over each experiment's results in campaign
+  order as soon as its last value lands, and :func:`run_campaign`
+  collects them into a dict;
 * each worker materializes traces through the in-process memo of
   :func:`~repro.experiments.common.get_trace`, so it generates each base
   trace once, not once per point;
-* with ``resume``, points already in the result store are served in the
-  parent and never reach a worker;
 * a point that raises (or a crashed worker) surfaces a
-  :class:`CampaignError` naming the failed point, in both modes; under
-  a pool the remaining work is cancelled first instead of hanging it.
+  :class:`CampaignError` naming the failed point (the first point with
+  its key), in both modes; under a pool the remaining work is cancelled
+  first instead of hanging it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments import result_store
 from repro.experiments.common import ExperimentResult
@@ -36,13 +47,15 @@ from repro.experiments.telemetry import (
     CampaignRecorder,
     PointRecord,
     evaluate_point,
-    stored_record,
+    point_record,
 )
 
 __all__ = [
     "CampaignError",
     "ProgressPrinter",
+    "check_scale",
     "default_jobs",
+    "iter_campaign",
     "run_campaign",
     "run_points",
 ]
@@ -124,28 +137,70 @@ class ProgressPrinter:
             print(text, file=self.stream, flush=True)
 
 
-def _failure(point: Point, exc: Exception) -> CampaignError:
-    return CampaignError(
-        f"campaign unit '{point.label()}' failed: {type(exc).__name__}: {exc}"
-    )
+def _outcome(point: Point, result: Callable[[], Tuple[PointValue, PointRecord]]):
+    """``result()``, with any failure raised as a :class:`CampaignError`
+    naming *point*."""
+    try:
+        return result()
+    except Exception as exc:
+        raise CampaignError(
+            f"campaign unit '{point.label()}' failed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
-def _run_units(
-    points: Sequence[Point],
+def _distinct_values(
+    firsts: Dict[str, Point], jobs: int, resume: bool
+) -> Iterator[Tuple[str, PointValue, PointRecord]]:
+    """Yield ``(key, value, record)`` once for each content key of *firsts*.
+
+    *firsts* maps each key to the first point that has it, and *record*
+    is that point's.  With *resume* a key found in the result store is
+    ``stored``; otherwise its point is evaluated, in this process in
+    order (``jobs <= 1``) or in a pool of *jobs* workers, and is
+    ``computed``.  Pending pool work is cancelled when a point fails or
+    the caller stops early.
+    """
+    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        futures = {}
+        try:
+            for key, point in firsts.items():
+                value = result_store.load_value(key) if resume else None
+                if value is not None:
+                    yield key, value, point_record(point, key, value, "stored")
+                elif pool is None:
+                    yield key, *_outcome(point, partial(evaluate_point, point, resume))
+                else:
+                    futures[pool.submit(evaluate_point, point, resume)] = key, point
+            for fut in as_completed(futures):
+                key, point = futures[fut]
+                yield key, *_outcome(point, fut.result)
+        finally:
+            for fut in futures:
+                fut.cancel()
+
+
+def _grouped_values(
+    groups: Sequence[Sequence[Point]],
     jobs: int,
     progress: Optional[ProgressHook],
     recorder: Optional[CampaignRecorder],
     resume: bool,
-) -> List[PointValue]:
-    """Evaluate *points* into their values, in point order.
+) -> Iterator[Dict[tuple, PointValue]]:
+    """Yield each group's ``key -> value`` map, in group order, as soon
+    as its last value lands.
 
-    ``jobs <= 1`` evaluates in this process, in order; ``jobs > 1``
-    submits the same evaluator to a pool of that many workers.
+    Each distinct content key is evaluated (or loaded) once; every
+    point with that key takes its value, the first one as ``computed``
+    (or ``stored``), the later ones as ``shared`` (or ``stored``).
     """
+    points = [point for group in groups for point in group]
+    holders: Dict[str, List[int]] = {}
+    for i, point in enumerate(points):
+        holders.setdefault(result_store.point_key(point), []).append(i)
     values: List[Optional[PointValue]] = [None] * len(points)
     done = 0
 
-    def finish(i: int, value: PointValue, record: PointRecord) -> None:
+    def land(i: int, value: PointValue, record: PointRecord) -> None:
         nonlocal done
         values[i] = value
         if recorder is not None:
@@ -154,41 +209,20 @@ def _run_units(
         if progress is not None:
             progress(done, len(points), points[i].label())
 
-    pending = range(len(points))
-    if resume:
-        # Without this pre-check a warm re-run would wait one pool
-        # round trip per stored point.
-        pending = []
-        for i, point in enumerate(points):
-            t0 = time.perf_counter()
-            key = result_store.point_key(point)
-            value = result_store.load_value(key)
-            if value is not None:
-                finish(i, value, stored_record(point, key, value, time.perf_counter() - t0))
-                continue
-            pending.append(i)
-
-    if jobs <= 1:
-        for i in pending:
-            try:
-                value, record = evaluate_point(points[i], resume)
-            except Exception as exc:
-                raise _failure(points[i], exc) from exc
-            finish(i, value, record)
-        return values
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(evaluate_point, points[i], resume): i for i in pending}
-        for fut in as_completed(futures):
-            i = futures[fut]
-            try:
-                value, record = fut.result()
-            except Exception as exc:
-                for other in futures:
-                    other.cancel()
-                raise _failure(points[i], exc) from exc
-            finish(i, value, record)
-    return values
+    firsts = {key: points[held[0]] for key, held in holders.items()}
+    with contextlib.closing(_distinct_values(firsts, jobs, resume)) as evaluations:
+        start = 0
+        for group in groups:
+            end = start + len(group)
+            while None in values[start:end]:
+                key, value, record = next(evaluations)
+                first, *rest = holders[key]
+                land(first, value, record)
+                later = "stored" if record.provenance == "stored" else "shared"
+                for i in rest:
+                    land(i, value, point_record(points[i], key, value, later))
+            yield {point.key: value for point, value in zip(group, values[start:end])}
+            start = end
 
 
 def _check_unique(points: Sequence[Point]) -> None:
@@ -210,15 +244,22 @@ def run_points(
 
     Keys must be unique across the sequence.  *jobs*, *progress*,
     *recorder* and *resume* mean what they mean for
-    :func:`run_campaign`.
+    :func:`iter_campaign`.
     """
     points = list(points)
     _check_unique(points)
-    values = _run_units(points, jobs, progress, recorder, resume)
-    return {point.key: value for point, value in zip(points, values)}
+    (values,) = _grouped_values([points], jobs, progress, recorder, resume)
+    return values
 
 
-def run_campaign(
+def check_scale(scale: float) -> float:
+    """*scale* if it is a finite number above 0, else ``ValueError``."""
+    if math.isfinite(scale) and scale > 0:
+        return scale
+    raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
+
+
+def iter_campaign(
     exp_ids: Sequence[str],
     scale: float = 1.0,
     jobs: int = 1,
@@ -226,23 +267,31 @@ def run_campaign(
     backend: str = "des",
     recorder: Optional[CampaignRecorder] = None,
     resume: bool = False,
-) -> Dict[str, List[ExperimentResult]]:
-    """Run the experiments and return ``exp_id -> results``, in order.
+) -> Iterator[Tuple[str, List[ExperimentResult]]]:
+    """Yield ``(exp_id, results)`` per experiment, in order, each as
+    soon as its last point value lands.
+
+    Closing the iterator early cancels the pool work still pending.
 
     Parameters
     ----------
     exp_ids:
         Experiment ids, already resolved against the registry.
+    scale:
+        A finite number above 0 (else ``ValueError``, before any point
+        runs) multiplying each experiment's trace sizes.
     jobs:
         ``<= 1`` evaluates every point in this process, in order;
         ``> 1`` fans the points out over that many worker processes.
         The results are byte-identical either way.
     progress:
-        Optional ``hook(done, total, label)`` called per finished point.
+        Optional ``hook(done, total, label)`` called once per point of
+        the whole campaign, ``done`` counting 1..total.
     backend:
         Evaluate simulation points on ``"des"`` (default) or the
-        ``"analytic"`` fast solver.  Failure-scenario points always
-        run on the DES.
+        ``"analytic"`` fast solver.  Points with a
+        :attr:`~repro.experiments.points.Point.des_reason` always run
+        on the DES.
     recorder:
         Optional :class:`~repro.experiments.telemetry.CampaignRecorder`
         collecting one telemetry record per point (the caller finalizes
@@ -252,16 +301,21 @@ def run_campaign(
         store and persist fresh values into it, so interrupted or
         repeated campaigns only compute what is missing.
     """
+    check_scale(scale)
     plan = []
     for exp in map(get_experiment, exp_ids):
         points = with_backend(exp.points(scale), backend)
         _check_unique(points)
         plan.append((exp, points))
+    groups = _grouped_values([points for _, points in plan], jobs, progress, recorder, resume)
+    with contextlib.closing(groups):
+        for (exp, _), values in zip(plan, groups):
+            yield exp.exp_id, exp.assemble(scale, values)
 
-    values = iter(
-        _run_units([p for _, points in plan for p in points], jobs, progress, recorder, resume)
-    )
-    return {
-        exp.exp_id: exp.assemble(scale, {p.key: next(values) for p in points})
-        for exp, points in plan
-    }
+
+def run_campaign(exp_ids: Sequence[str], scale: float = 1.0, **options) -> Dict[str, List[ExperimentResult]]:
+    """Run the experiments and return ``exp_id -> results``, in order.
+
+    *options* are those of :func:`iter_campaign`.
+    """
+    return dict(iter_campaign(exp_ids, scale, **options))

@@ -14,7 +14,7 @@ over worker processes:
   :func:`~repro.experiments.common.get_trace`, which generates each base
   trace once per process;
 * a :class:`Point` is one cell: the spec plus the organization and the
-  ``response_time``/``simulate_hit_ratios`` keyword overrides, tagged
+  ``run_trace``/``simulate_hit_ratios`` keyword overrides, tagged
   with a hashable ``key`` the experiment uses to place the value back into
   its figure;
 * :func:`run_point` evaluates one cell and returns a compact, picklable
@@ -72,7 +72,7 @@ class Point:
     """One independent work unit of an experiment.
 
     ``kind`` selects the evaluator: ``"sim"`` runs the full
-    discrete-event simulation (``response_time``), ``"hitratio"`` the
+    simulation (``run_trace``, see :meth:`sim_args`), ``"hitratio"`` the
     fast cache-only pass (``simulate_hit_ratios``).  ``overrides`` is a
     sorted tuple of keyword pairs so the point stays hashable and
     pickles canonically.
@@ -114,6 +114,30 @@ class Point:
     def kwargs(self) -> Dict[str, Any]:
         return dict(self.overrides)
 
+    def sim_args(self, blocks_per_disk: Optional[int] = None) -> Tuple[Any, Dict[str, Any]]:
+        """This simulation point as ``(SystemConfig, run_trace keywords)``.
+
+        ``backend``, ``failures`` (a
+        :class:`~repro.failure.FailureSchedule`) and ``keep_samples``
+        route to :func:`~repro.sim.run_trace`; every other keyword
+        overrides a :class:`~repro.sim.SystemConfig` field.  The config
+        takes *blocks_per_disk* from the trace it will run, if given.
+        Failure sweeps set ``keep_samples=True`` because their headline
+        metric is the p95 during the scenario, which needs the sample
+        store.
+        """
+        from repro.sim import Organization, SystemConfig
+
+        overrides = self.kwargs
+        run = {
+            "backend": overrides.pop("backend", "des"),
+            "failures": overrides.pop("failures", None),
+            "keep_samples": overrides.pop("keep_samples", False),
+        }
+        if blocks_per_disk is not None:
+            overrides["blocks_per_disk"] = blocks_per_disk
+        return SystemConfig(organization=Organization.parse(self.org), **overrides), run
+
     @property
     def des_reason(self) -> Optional[str]:
         """Why this point runs on the DES under every backend, or ``None``:
@@ -121,11 +145,8 @@ class Point:
         if self.kind != "sim":
             return None
         from repro.analytic import unsupported
-        from repro.experiments.common import split_run_args
-        from repro.sim import Organization, SystemConfig
 
-        overrides, run = split_run_args(**self.kwargs)
-        config = SystemConfig(organization=Organization.parse(self.org), **overrides)
+        config, run = self.sim_args()
         return unsupported(config, run["failures"])
 
     def label(self) -> str:
@@ -157,9 +178,10 @@ def run_point(point: Point) -> PointValue:
     """Evaluate one work unit (in whatever process this is called)."""
     trace = point.spec.materialize()
     if point.kind == "sim":
-        from repro.experiments.common import response_time
+        from repro.sim import run_trace
 
-        res = response_time(point.org, trace, **point.kwargs)
+        config, run = point.sim_args(trace.blocks_per_disk)
+        res = run_trace(config, trace, **run)
         extras = [("events", float(res.events))]
         if res.failures is not None:
             # Failure-scenario points carry the scenario outcome in the

@@ -8,10 +8,12 @@ hash to the evaluated :class:`~repro.experiments.points.PointValue` as
 a small JSON file.
 
 Because point evaluation is deterministic (seeded RNGs, traces built
-from their recipe), a stored value is *the* value: serving it instead of
-recomputing cannot change campaign output.  That gives two behaviours
-for free:
+from their recipe), a point's value is a function of its hash: serving
+a stored value instead of recomputing it cannot change campaign output.
+That gives three behaviours for free:
 
+* one evaluation per distinct cell: the campaign engine evaluates each
+  hash once per call, and every point with that hash shares the value;
 * ``--resume``: a campaign interrupted half-way re-runs only the
   missing points (workers persist each value as soon as it is
   computed);
@@ -20,8 +22,9 @@ for free:
   changes the hash so stale values can never alias.
 
 The store is consulted only when a caller opts in (the engine's
-``resume`` flag); provenance — served from the store vs computed — is
-recorded per point in the campaign manifest.
+``resume`` flag); provenance — computed, served from the store, or
+shared with an earlier point — is recorded per point in the campaign
+manifest.
 
 Environment variables
 ---------------------
@@ -30,8 +33,7 @@ Environment variables
     ``off`` (or ``0``/``none``) to disable the store even when a
     campaign asks to resume.
 
-:func:`atomic_open` is also how the campaign manifest and summary are
-written.
+:func:`atomic_open` is also how the campaign manifest is written.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from repro.experiments.points import Point, PointValue
 
 __all__ = [
     "atomic_open",
-    "env_dir",
     "load_value",
     "point_key",
     "store_dir",
@@ -59,27 +60,6 @@ __all__ = [
 #: Bump when the PointValue layout or the evaluators' semantics change —
 #: stored values from older formats must never be served.
 _FORMAT_VERSION = 1
-
-_VALUE_FIELDS = (
-    "mean_response_ms",
-    "read_hit_ratio",
-    "write_hit_ratio",
-    "physical_disks",
-)
-
-
-def env_dir(var: str, default_name: str) -> Optional[Path]:
-    """The directory environment variable *var* names, or ``None``.
-
-    Unset means ``~/.cache/repro/<default_name>``; ``off``, ``0``,
-    ``none`` or empty means disabled.
-    """
-    raw = os.environ.get(var)
-    if raw is None:
-        return Path.home() / ".cache" / "repro" / default_name
-    if raw.strip().lower() in ("off", "0", "none", ""):
-        return None
-    return Path(raw).expanduser()
 
 
 @contextlib.contextmanager
@@ -103,8 +83,17 @@ def atomic_open(path: Path, mode: str = "w") -> Iterator[IO]:
 
 
 def store_dir() -> Optional[Path]:
-    """The on-disk store directory, or ``None`` when disabled."""
-    return env_dir("REPRO_RESULT_STORE", "results")
+    """The store directory ``REPRO_RESULT_STORE`` names, or ``None``.
+
+    Unset means ``~/.cache/repro/results``; ``off``, ``0``, ``none`` or
+    empty means disabled.
+    """
+    raw = os.environ.get("REPRO_RESULT_STORE")
+    if raw is None:
+        return Path.home() / ".cache" / "repro" / "results"
+    if raw.strip().lower() in ("off", "0", "none", ""):
+        return None
+    return Path(raw).expanduser()
 
 
 def point_key(point: Point) -> str:
@@ -112,7 +101,8 @@ def point_key(point: Point) -> str:
 
     The figure-placement identity (``exp_id``, ``key``) is deliberately
     excluded: two figures sweeping the same (trace, organization,
-    overrides) cell share one stored value.
+    overrides) cell share one value, evaluated once per campaign and
+    stored once.
     """
     payload = {
         "__format__": _FORMAT_VERSION,

@@ -45,7 +45,6 @@ TAPS: dict[str, tuple[str, ...]] = {
     "parity_update": ("controller", "run", "parity_runs"),
     "degraded": ("controller", "kind"),
     "data_loss": ("controller", "kind", "disk", "pblock"),
-    "latent_repair": ("controller", "disk", "pblock", "how"),
     "mirror_route": ("controller", "run", "chosen", "alternate", "seek_chosen", "seek_alt"),
     # The runner: a request released (with its root process) and
     # completed, and each response time it measures after warm-up.

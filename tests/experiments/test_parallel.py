@@ -1,17 +1,22 @@
-"""Serial/parallel campaign equivalence and failure handling."""
+"""Serial/parallel campaign equivalence, shared cells and failure
+handling."""
 
 import json
+import multiprocessing
+from collections import Counter
 
 import pytest
 
 from repro.experiments.parallel import (
     CampaignError,
     default_jobs,
+    iter_campaign,
     run_campaign,
     run_points,
 )
 from repro.experiments.points import Point, TraceSpec
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+from repro.experiments.result_store import point_key
 from repro.experiments.telemetry import CampaignRecorder
 
 #: Small enough to keep the suite fast, large enough that the sweeps
@@ -21,6 +26,9 @@ SCALE = 0.01
 #: computation (fig6: trace statistics, no points, computed in its
 #: assemble).
 IDS = ["fig8", "fig6"]
+#: Two hit-ratio replays (seconds to run): fig15's RAID5 cells at 8, 16,
+#: 32 and 64 MB, on each trace, are cells of fig11 too.
+SHARING = ["fig11", "fig15"]
 
 
 def campaign_dicts(campaign):
@@ -73,6 +81,69 @@ def test_progress_hook_sees_every_unit():
     total = len(get_experiment("fig8").points(SCALE))  # fig6 has no points
     assert [c[0] for c in calls] == list(range(1, total + 1))
     assert all(c[1] == total for c in calls)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_counts_every_point_of_one_call(jobs):
+    calls = []
+    run_campaign(
+        SHARING, SCALE, jobs=jobs, progress=lambda done, total, label: calls.append((done, total))
+    )
+    total = sum(len(get_experiment(e).points(SCALE)) for e in SHARING)
+    assert [c[0] for c in calls] == list(range(1, total + 1))
+    assert all(c[1] == total for c in calls)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_repeated_cell_is_evaluated_once_and_shared(jobs, tmp_path):
+    recorder = CampaignRecorder(tmp_path / "m.jsonl")
+    campaign = run_campaign(SHARING, SCALE, jobs=jobs, recorder=recorder)
+    provenance = Counter((r.exp_id, r.provenance) for r in recorder.records)
+    assert provenance == {
+        ("fig11", "computed"): 24,
+        ("fig15", "shared"): 8,
+        ("fig15", "computed"): 8,
+    }
+    fig11_keys = {point_key(p) for p in get_experiment("fig11").points(SCALE)}
+    for record in recorder.records:
+        if record.exp_id == "fig15":
+            assert (record.provenance == "shared") == (record.config_hash in fig11_keys)
+    alone = run_campaign(["fig15"], SCALE, jobs=jobs)
+    assert campaign_dicts(alone)["fig15"] == campaign_dicts(campaign)["fig15"]
+
+
+def test_each_experiment_is_handed_over_once_its_last_value_lands():
+    """fig11 arrives before any point only fig15 has is evaluated."""
+    evaluated = []
+    campaign = iter_campaign(
+        SHARING, SCALE, progress=lambda done, total, label: evaluated.append(label)
+    )
+    exp_id, _ = next(campaign)
+    assert exp_id == "fig11"
+    assert len(evaluated) == 24 + 8  # fig11's cells, and fig15's copies of them
+    assert [e for e, _ in campaign] == ["fig15"]
+    assert len(evaluated) == 24 + 16
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_closing_the_campaign_early_stops_it(jobs):
+    campaign = iter_campaign(SHARING + ["fig8"], SCALE, jobs=jobs)
+    assert next(campaign)[0] == "fig11"
+    campaign.close()
+    assert multiprocessing.active_children() == []
+    with pytest.raises(StopIteration):
+        next(campaign)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_shared_cell_raises_once_naming_its_first_point(jobs):
+    spec = TraceSpec(2, 0.02)
+    first = Point.sim("first", ("a",), spec, "no_such_org")
+    second = Point.sim("second", ("b",), spec, "no_such_org")
+    assert point_key(first) == point_key(second)
+    with pytest.raises(CampaignError, match="'first no_such_org a'") as failure:
+        run_points([first, second], jobs=jobs)
+    assert "second" not in str(failure.value)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -5,14 +5,24 @@ import json
 import pytest
 
 from repro.experiments import EXPERIMENTS, get_experiment, run_experiment
-from repro.experiments.common import (
-    ExperimentResult,
-    Series,
-    get_trace,
-    make_config,
-)
+from repro.experiments import telemetry
+from repro.experiments.common import ExperimentResult, Series, get_trace
+from repro.experiments.parallel import run_campaign
+from repro.experiments.points import Point, TraceSpec
 from repro.experiments.registry import Experiment
 from repro.experiments.__main__ import main
+from repro.failure import FailureSchedule
+from repro.sim import Organization
+
+
+@pytest.fixture
+def no_point_runs(monkeypatch):
+    """Fail the test if any campaign point is evaluated."""
+
+    def run_point(point):
+        raise AssertionError(f"point {point.label()} ran")
+
+    monkeypatch.setattr(telemetry, "run_point", run_point)
 
 
 class TestRegistry:
@@ -44,6 +54,22 @@ class TestRegistry:
     def test_run_experiment_dispatch(self):
         results = run_experiment("table4")
         assert results[0].exp_id == "table4"
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -2.0])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda scale: run_experiment("table4", scale),
+            lambda scale: run_experiment("fig8", scale),
+            lambda scale: run_campaign(["table4", "fig8"], scale),
+        ],
+        ids=["run_experiment-table4", "run_experiment-fig8", "run_campaign"],
+    )
+    def test_bad_scale_raises_before_any_point_runs(self, run, scale, no_point_runs):
+        """The engine checks scale itself, as the CLI does: a library
+        caller gets a ValueError, not a result or a failed point."""
+        with pytest.raises(ValueError, match="scale must be a finite number above 0"):
+            run(scale)
 
     @pytest.mark.parametrize(
         "form",
@@ -120,11 +146,23 @@ class TestGetTrace:
         b = get_trace(2, scale=0.1)
         assert a.records is b.records
 
-    def test_make_config(self):
+    def test_sim_args_match_the_trace(self):
+        """A point's keywords split into a config matched to its trace
+        and the keywords run_trace takes itself."""
         trace = get_trace(2, scale=0.1)
-        cfg = make_config("raid5", trace, striping_unit=4)
+        schedule = FailureSchedule.single_failure(at_ms=0.0, disk=0)
+        point = Point.sim(
+            "x", ("k",), TraceSpec(2, 0.1), "raid5",
+            striping_unit=4, failures=schedule, keep_samples=True,
+        )
+        cfg, run = point.sim_args(trace.blocks_per_disk)
+        assert cfg.organization is Organization.RAID5
         assert cfg.blocks_per_disk == trace.blocks_per_disk
         assert cfg.striping_unit == 4
+        assert run == {"backend": "des", "failures": schedule, "keep_samples": True}
+        plain_cfg, plain_run = Point.sim("x", ("k",), TraceSpec(2, 0.1), "base").sim_args()
+        assert plain_cfg.organization is Organization.BASE
+        assert plain_run == {"backend": "des", "failures": None, "keep_samples": False}
 
 
 class TestCLI:
@@ -164,6 +202,38 @@ class TestCLI:
         assert captured.out == ""
         assert f"error: argument {argv[0]}" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_manifest_naming_a_directory_is_a_usage_error(
+        self, tmp_path, capsys, no_point_runs
+    ):
+        """Rejected by argparse before any point runs, not by a traceback
+        once the whole campaign has run."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["fig8", "--scale", "0.01", "--manifest", str(tmp_path)])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --manifest: expected a file path" in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serial_cli_prints_each_experiment_once_assembled(self, capsys, monkeypatch):
+        """One engine call: fig11's tables print before any point only
+        fig15 has runs, and fig15's once its last point has run."""
+        run_point = telemetry.run_point
+
+        def marked(point):
+            print(f"<run {point.exp_id}>")
+            return run_point(point)
+
+        monkeypatch.setattr(telemetry, "run_point", marked)
+        assert main(["fig11", "fig15", "--scale", "0.01"]) == 0
+        out = capsys.readouterr().out
+        fig11_table = out.index("fig11: ")
+        fig15_table = out.index("fig15: ")
+        assert out.rindex("<run fig11>") < fig11_table < out.index("<run fig15>")
+        assert out.rindex("<run fig15>") < fig15_table
+        assert out.index("[fig11 done at") < out.index("<run fig15>")
 
     def test_run_and_json(self, tmp_path, capsys):
         out_json = tmp_path / "r.json"

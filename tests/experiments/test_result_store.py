@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -110,11 +111,10 @@ class TestResume:
 
         rec2 = CampaignRecorder(tmp_path / "warm.jsonl")
         warm = run_campaign(ids, SCALE, jobs=1, recorder=rec2, resume=True)
-        summary = rec2.finalize()
-        _, warm_points = read_manifest(rec2.manifest_path)
+        rec2.finalize()
+        header, warm_points = read_manifest(rec2.manifest_path)
+        assert header["points"] == len(warm_points) == len(cold_points)
         assert all(p["provenance"] == "stored" for p in warm_points)
-        assert summary["computed"] == 0
-        assert summary["stored"] == len(cold_points)
 
         as_dicts = lambda c: {e: [r.to_dict() for r in rs] for e, rs in c.items()}
         assert as_dicts(cold) == as_dicts(warm)
@@ -131,6 +131,25 @@ class TestResume:
         rec.finalize()
         _, points = read_manifest(rec.manifest_path)
         assert points and all(p["provenance"] == "stored" for p in points)
+
+        as_dicts = lambda c: {e: [r.to_dict() for r in rs] for e, rs in c.items()}
+        assert as_dicts(cold) == as_dicts(warm)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_resume_stores_the_cells_shared_on_the_cold_run(self, tmp_path, jobs):
+        from repro.experiments.parallel import run_campaign
+        from repro.experiments.telemetry import CampaignRecorder
+
+        ids = ["fig11", "fig15"]
+        cold_rec = CampaignRecorder(tmp_path / "cold.jsonl")
+        cold = run_campaign(ids, SCALE, jobs=jobs, recorder=cold_rec, resume=True)
+        cold_provenance = Counter(r.provenance for r in cold_rec.records)
+        assert cold_provenance == {"computed": 32, "shared": 8}
+        assert len(list(store_dir().glob("*.json"))) == 32
+
+        warm_rec = CampaignRecorder(tmp_path / "warm.jsonl")
+        warm = run_campaign(ids, SCALE, jobs=jobs, recorder=warm_rec, resume=True)
+        assert Counter(r.provenance for r in warm_rec.records) == {"stored": 40}
 
         as_dicts = lambda c: {e: [r.to_dict() for r in rs] for e, rs in c.items()}
         assert as_dicts(cold) == as_dicts(warm)

@@ -22,34 +22,33 @@ def no_result_store(monkeypatch):
     monkeypatch.setenv("REPRO_RESULT_STORE", "off")
 
 
-def run_with_manifest(tmp_path, name, jobs):
+def run_with_manifest(tmp_path, name, jobs, ids=IDS):
     recorder = CampaignRecorder(tmp_path / f"{name}.jsonl")
-    campaign = run_campaign(IDS, SCALE, jobs=jobs, recorder=recorder)
-    summary = recorder.finalize(
-        experiments=IDS, scale=SCALE, jobs=jobs, backend="des"
-    )
-    return campaign, recorder, summary
+    campaign = run_campaign(ids, SCALE, jobs=jobs, recorder=recorder)
+    recorder.finalize(experiments=ids, scale=SCALE, jobs=jobs, backend="des")
+    return campaign, recorder
 
 
 def test_manifest_covers_every_point(tmp_path):
-    _, recorder, summary = run_with_manifest(tmp_path, "m", jobs=1)
+    _, recorder = run_with_manifest(tmp_path, "m", jobs=1)
     header, points = read_manifest(recorder.manifest_path)
     expected = len(get_experiment("fig8").points(SCALE))  # fig6 has no points
     assert header["schema"] == MANIFEST_SCHEMA
     assert header["points"] == expected
     assert len(points) == expected
-    assert summary["points"] == expected
     # Every decomposed point of fig8 appears exactly once.
     keys = {tuple(p["key"]) for p in points if p["exp_id"] == "fig8"}
     assert keys == {p.key for p in get_experiment("fig8").points(SCALE)}
+    # The manifest is the only file a campaign with a recorder writes.
+    assert list(tmp_path.iterdir()) == [recorder.manifest_path]
 
 
 def test_records_are_well_formed(tmp_path):
-    _, recorder, _ = run_with_manifest(tmp_path, "m", jobs=1)
+    _, recorder = run_with_manifest(tmp_path, "m", jobs=1)
     _, points = read_manifest(recorder.manifest_path)
     for p in points:
         assert p["provenance"] == "computed"
-        assert p["wall_s"] >= 0
+        assert p["wall_s"] > 0
         assert p["worker_pid"] > 0
         assert p["backend"] in ("des", "analytic", "fastsim")
         if p["kind"] == "sim":
@@ -58,8 +57,22 @@ def test_records_are_well_formed(tmp_path):
             assert len(p["config_hash"]) == 32
 
 
+def test_shared_records_cost_nothing(tmp_path):
+    """A shared record names the value it took by its config hash; the
+    computed record of that hash carries the time and the events."""
+    _, recorder = run_with_manifest(tmp_path, "m", jobs=1, ids=["fig11", "fig15"])
+    _, points = read_manifest(recorder.manifest_path)
+    computed = {p["config_hash"]: p for p in points if p["provenance"] == "computed"}
+    shared = [p for p in points if p["provenance"] == "shared"]
+    assert len(shared) == 8
+    for p in shared:
+        assert p["exp_id"] == "fig15"
+        assert computed[p["config_hash"]]["exp_id"] == "fig11"
+        assert p["wall_s"] == p["events"] == p["events_per_s"] == 0
+
+
 def test_manifest_is_strict_jsonl(tmp_path):
-    _, recorder, _ = run_with_manifest(tmp_path, "m", jobs=1)
+    _, recorder = run_with_manifest(tmp_path, "m", jobs=1)
     text = recorder.manifest_path.read_text()
     for line in text.strip().splitlines():
         doc = json.loads(line)  # would raise on NaN/Infinity
@@ -77,9 +90,9 @@ def stable(points):
     return [{k: v for k, v in p.items() if k not in VOLATILE} for p in points]
 
 
-def test_serial_and_parallel_manifests_equivalent(tmp_path):
-    serial_campaign, serial_rec, _ = run_with_manifest(tmp_path, "serial", jobs=1)
-    parallel_campaign, parallel_rec, _ = run_with_manifest(tmp_path, "par", jobs=2)
+def assert_serial_and_parallel_manifests_equivalent(tmp_path, ids):
+    serial_campaign, serial_rec = run_with_manifest(tmp_path, "serial", jobs=1, ids=ids)
+    parallel_campaign, parallel_rec = run_with_manifest(tmp_path, "par", jobs=2, ids=ids)
 
     _, serial_points = read_manifest(serial_rec.manifest_path)
     _, parallel_points = read_manifest(parallel_rec.manifest_path)
@@ -92,30 +105,21 @@ def test_serial_and_parallel_manifests_equivalent(tmp_path):
     assert as_dicts(serial_campaign) == as_dicts(parallel_campaign)
 
 
+def test_serial_and_parallel_manifests_equivalent(tmp_path):
+    assert_serial_and_parallel_manifests_equivalent(tmp_path, IDS)
+
+
+def test_serial_and_parallel_manifests_equivalent_with_shared_cells(tmp_path):
+    """Which point computes a cell and which share it does not depend
+    on the worker count."""
+    assert_serial_and_parallel_manifests_equivalent(tmp_path, ["fig11", "fig15"])
+
+
 def test_campaign_with_recorder_matches_plain_run(tmp_path):
     plain = run_campaign(IDS, SCALE, jobs=1)
-    recorded, _, _ = run_with_manifest(tmp_path, "m", jobs=1)
+    recorded, _ = run_with_manifest(tmp_path, "m", jobs=1)
     as_dicts = lambda c: {e: [r.to_dict() for r in rs] for e, rs in c.items()}
     assert as_dicts(plain) == as_dicts(recorded)
-
-
-def test_summary_totals_and_latency(tmp_path):
-    _, recorder, summary = run_with_manifest(tmp_path, "m", jobs=1)
-    assert summary["computed"] == summary["points"]
-    assert summary["stored"] == 0
-    assert summary["events"] > 0
-    assert summary["events_per_s"] > 0
-    assert "des" in summary["point_latency"]
-    latency = summary["point_latency"]["des"]
-    # fig8's points all run on the des backend, so every record lands
-    # in the same histogram.
-    assert latency["count"] == summary["points"]
-    assert latency["p95_s"] >= latency["p50_s"] > 0
-    assert latency["buckets"]
-    # The summary file on disk is valid JSON and matches.
-    on_disk = json.loads(recorder.summary_path.read_text())
-    assert on_disk["points"] == summary["points"]
-    assert on_disk["schema"] == summary["schema"]
 
 
 def test_read_manifest_rejects_garbage(tmp_path):
@@ -165,13 +169,25 @@ def test_evaluate_point_matches_run_point():
 
 
 def test_bench_show_renders_manifest(tmp_path, capsys):
-    _, recorder, _ = run_with_manifest(tmp_path, "m", jobs=1)
+    _, recorder = run_with_manifest(tmp_path, "m", jobs=1)
     from repro.bench.__main__ import main
 
     assert main(["show", str(recorder.manifest_path)]) == 0
     out = capsys.readouterr().out
     assert "fig8" in out and "fig6" in out
     assert "slowest" in out
+
+
+def test_bench_show_counts_each_provenance(tmp_path, capsys):
+    _, recorder = run_with_manifest(tmp_path, "m", jobs=1, ids=["fig11", "fig15"])
+    from repro.bench.__main__ import main
+
+    assert main(["show", str(recorder.manifest_path)]) == 0
+    out = capsys.readouterr().out
+    rows = {line.split()[0]: line.split() for line in out.splitlines() if line.strip()}
+    assert rows["experiment"][:5] == ["experiment", "points", "computed", "stored", "shared"]
+    assert rows["fig11"][1:5] == ["24", "24", "0", "0"]
+    assert rows["fig15"][1:5] == ["16", "8", "0", "8"]
 
 
 def test_bench_show_renders_manifest_with_trace_cache_fields(tmp_path, capsys):

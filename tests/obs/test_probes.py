@@ -7,10 +7,11 @@ import pytest
 
 import repro
 from repro.des import Environment
-from repro.obs import TAPS, ProbeBus, Tracer
+from repro.obs import TAPS, MetricsCollector, ProbeBus, Tracer
 from repro.obs.probes import probe_slots
 from repro.sim.system import build_system
 from repro.validate import ValidationMonitor
+from repro.validate.monitor import default_checkers
 from tests.validate.workload import config
 
 
@@ -34,6 +35,14 @@ class TestTapDeclarations:
         assert {tap for _, tap, _ in calls} == set(TAPS)
         for path, tap, nargs in calls:
             assert nargs == len(TAPS[tap]), f"{path}: on_{tap} passes {nargs} args"
+
+    def test_every_declared_tap_has_a_stock_subscriber(self):
+        """A tap nothing shipped listens to is dead weight at its call
+        site: each one is defined by the tracer, the metrics collector
+        or a stock invariant checker."""
+        stock = [Tracer, MetricsCollector, *map(type, default_checkers())]
+        unheard = [tap for tap in TAPS if not any(hasattr(s, f"on_{tap}") for s in stock)]
+        assert unheard == []
 
     def test_misspelt_tap_is_rejected(self):
         class Typo:
