@@ -14,9 +14,13 @@ fans the campaign's independent simulation points out over N worker
 processes; the merged output is byte-identical to a serial run
 (``--jobs 1``, the default).  ``--jobs 0`` uses one worker per core.
 
-``--manifest PATH`` records per-point telemetry as a JSONL manifest;
-``--resume`` serves unchanged points from the content-keyed result
-store.  Inspect manifests with ``python -m repro.bench show PATH``.
+``--manifest PATH`` records per-point telemetry and values as a JSONL
+manifest, appending each point as it lands.  ``--resume`` (which needs
+``--manifest``) first reads the values of the manifest already at PATH,
+if this code wrote it, and computes only the points it lacks, so an
+interrupted or repeated campaign picks up where it stopped.  An unusable
+manifest fails before any point runs.  Inspect manifests with
+``python -m repro.bench show PATH``.
 """
 
 from __future__ import annotations
@@ -99,8 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="serve unchanged points from the content-keyed result store "
-        "and persist fresh ones (REPRO_RESULT_STORE sets the directory)",
+        help="serve the points the --manifest file already holds instead "
+        "of computing them again, and append the rest to it",
     )
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument("--json", metavar="PATH", help="also dump results as JSON")
@@ -108,6 +112,8 @@ def main(argv: list[str] | None = None) -> int:
         "--plot", action="store_true", help="render each figure as an ASCII chart"
     )
     args = parser.parse_args(argv)
+    if args.resume and not args.manifest:
+        parser.error("--resume needs --manifest: the manifest is what a campaign resumes from")
 
     if args.list or not args.ids:
         for exp in EXPERIMENTS.values():
@@ -118,6 +124,14 @@ def main(argv: list[str] | None = None) -> int:
     # Resolve aliases (e.g. fig05 -> fig5) and fail early on unknown ids.
     experiments = [get_experiment(i) for i in ids]
     ids = [exp.exp_id for exp in experiments]
+    recorder = None
+    if args.manifest:
+        try:
+            recorder = CampaignRecorder(args.manifest, resume=args.resume)
+        except OSError as exc:
+            parser.error(f"argument --manifest: cannot use {args.manifest}: {exc}")
+        except ValueError as exc:
+            parser.error(f"argument --manifest: {exc}")
     if args.backend != "des":
         for exp in experiments:
             reasons = {point.des_reason for point in exp.points(args.scale)} - {None}
@@ -130,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
 
     jobs = default_jobs() if args.jobs == 0 else args.jobs
-    recorder = CampaignRecorder(args.manifest) if args.manifest else None
     collected = []
     t0 = time.time()
     for exp_id, results in iter_campaign(
@@ -140,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
         progress=ProgressPrinter() if args.progress else None,
         backend=args.backend,
         recorder=recorder,
-        resume=args.resume,
     ):
         for result in results:
             print(result.table_str())

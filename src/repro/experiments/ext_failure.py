@@ -17,11 +17,11 @@ Two campaigns over the knobs of :mod:`repro.failure`:
   them, and the exposure window (injection → repair) grows with the
   scrub period while the scrub's foreground interference shrinks.
 
-Both are grids over Trace 2, so they parallelize (``--jobs``), memoize
-(result store) and telemeter (manifests) like every other registered
-experiment.  The failure schedule rides inside each point's overrides —
-its repr is part of the point's content hash, which is what keeps
-degraded results from ever aliasing healthy memoized entries.
+Both are grids over Trace 2, so they parallelize (``--jobs``), resume
+and telemeter (manifests) like every other registered experiment.  The
+failure schedule rides inside each point's overrides — its repr is part
+of the point's content hash, which is what keeps degraded results from
+ever aliasing healthy ones in a campaign or a resumed manifest.
 """
 
 from __future__ import annotations

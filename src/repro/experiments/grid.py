@@ -21,7 +21,7 @@ The fields mean:
   the grid's scale;
 * anything else — a :class:`~repro.sim.SystemConfig` override or a run
   argument (``failures``, ``keep_samples``), passed as it is.
-  :func:`~repro.experiments.result_store.point_key` hashes each value's
+  :func:`~repro.experiments.points.point_key` hashes each value's
   ``repr``, so ``8`` and ``8.0`` are different cells.
 
 A curve plots a :class:`PointValue` field or a function of the cell and

@@ -3,15 +3,18 @@
 The registry describes each experiment as independent
 :class:`~repro.experiments.points.Point` work units (config + trace
 spec, nothing heavyweight) plus an ``assemble`` merge.  The engine keeps
-one map from content key (:func:`~repro.experiments.result_store.point_key`)
-to value per call: each key is found in the result store (with
-``resume``) or evaluated once, in this process (``jobs <= 1``) or in one
+one map from content key (:func:`~repro.experiments.points.point_key`)
+to value per call: each key is found among the values a resumed
+:class:`~repro.experiments.telemetry.CampaignRecorder` read from its
+manifest, or evaluated once, in this process (``jobs <= 1``) or in one
 worker of a ``ProcessPoolExecutor`` (``jobs > 1``), and every point with
 that key takes the value.  A point's value is a function of its content
-key (the premise on which the store serves stored values), so sharing
-cannot change an answer; each point's record says whether its value was
-``stored``, ``computed`` or ``shared`` (see
-:mod:`~repro.experiments.telemetry`).  The merge is deterministic:
+key and the code (which the manifest's fingerprint pins), so sharing or
+resuming cannot change an answer; each point's record says whether its
+value was ``stored``, ``computed`` or ``shared`` (see
+:mod:`~repro.experiments.telemetry`).  Workers only compute: every
+record, and so every manifest write, is made in this process.  The
+merge is deterministic:
 
 * values are placed by each point's ``key`` and assembled by the
   experiment's ``assemble`` hook, so completion order cannot perturb the
@@ -39,9 +42,8 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.experiments import result_store
 from repro.experiments.common import ExperimentResult
-from repro.experiments.points import Point, PointValue, with_backend
+from repro.experiments.points import Point, PointValue, point_key, with_backend
 from repro.experiments.registry import get_experiment
 from repro.experiments.telemetry import (
     CampaignRecorder,
@@ -91,8 +93,7 @@ class ProgressPrinter:
     On a TTY the line rewrites in place (``\\r``); on CI logs and other
     non-TTY streams it falls back to plain lines, throttled to one per
     *interval* seconds so a thousand-point campaign does not emit a
-    thousand lines.  The first and last units always print, and a new
-    campaign (``done`` resetting) restarts the clock.
+    thousand lines.  The first and last units always print.
     """
 
     def __init__(self, interval_s: float = 1.0, stream=None) -> None:
@@ -100,7 +101,6 @@ class ProgressPrinter:
         self.stream = stream if stream is not None else sys.stderr
         self._t0: Optional[float] = None
         self._last_print = -float("inf")
-        self._last_done = 0
         self._line_open = False
 
     def _is_tty(self) -> bool:
@@ -109,10 +109,8 @@ class ProgressPrinter:
 
     def __call__(self, done: int, total: int, label: str) -> None:
         now = time.perf_counter()
-        if self._t0 is None or done <= self._last_done:
+        if self._t0 is None:
             self._t0 = now
-            self._last_print = -float("inf")
-        self._last_done = done
 
         final = done >= total
         if not final and done > 1 and now - self._last_print < self.interval_s:
@@ -149,28 +147,27 @@ def _outcome(point: Point, result: Callable[[], Tuple[PointValue, PointRecord]])
 
 
 def _distinct_values(
-    firsts: Dict[str, Point], jobs: int, resume: bool
+    firsts: Dict[str, Point], jobs: int, stored: Dict[str, PointValue]
 ) -> Iterator[Tuple[str, PointValue, PointRecord]]:
     """Yield ``(key, value, record)`` once for each content key of *firsts*.
 
     *firsts* maps each key to the first point that has it, and *record*
-    is that point's.  With *resume* a key found in the result store is
-    ``stored``; otherwise its point is evaluated, in this process in
-    order (``jobs <= 1``) or in a pool of *jobs* workers, and is
-    ``computed``.  Pending pool work is cancelled when a point fails or
-    the caller stops early.
+    is that point's.  A key in *stored* is ``stored``; otherwise its
+    point is evaluated, in this process in order (``jobs <= 1``) or in a
+    pool of *jobs* workers, and is ``computed``.  Pending pool work is
+    cancelled when a point fails or the caller stops early.
     """
     with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         futures = {}
         try:
             for key, point in firsts.items():
-                value = result_store.load_value(key) if resume else None
+                value = stored.get(key)
                 if value is not None:
                     yield key, value, point_record(point, key, value, "stored")
                 elif pool is None:
-                    yield key, *_outcome(point, partial(evaluate_point, point, resume))
+                    yield key, *_outcome(point, partial(evaluate_point, point))
                 else:
-                    futures[pool.submit(evaluate_point, point, resume)] = key, point
+                    futures[pool.submit(evaluate_point, point)] = key, point
             for fut in as_completed(futures):
                 key, point = futures[fut]
                 yield key, *_outcome(point, fut.result)
@@ -184,19 +181,19 @@ def _grouped_values(
     jobs: int,
     progress: Optional[ProgressHook],
     recorder: Optional[CampaignRecorder],
-    resume: bool,
 ) -> Iterator[Dict[tuple, PointValue]]:
     """Yield each group's ``key -> value`` map, in group order, as soon
     as its last value lands.
 
-    Each distinct content key is evaluated (or loaded) once; every
-    point with that key takes its value, the first one as ``computed``
-    (or ``stored``), the later ones as ``shared`` (or ``stored``).
+    Each distinct content key is evaluated (or found among the values
+    *recorder* resumed) once; every point with that key takes its
+    value, the first one as ``computed`` (or ``stored``), the later ones
+    as ``shared`` (or ``stored``).
     """
     points = [point for group in groups for point in group]
     holders: Dict[str, List[int]] = {}
     for i, point in enumerate(points):
-        holders.setdefault(result_store.point_key(point), []).append(i)
+        holders.setdefault(point_key(point), []).append(i)
     values: List[Optional[PointValue]] = [None] * len(points)
     done = 0
 
@@ -210,7 +207,8 @@ def _grouped_values(
             progress(done, len(points), points[i].label())
 
     firsts = {key: points[held[0]] for key, held in holders.items()}
-    with contextlib.closing(_distinct_values(firsts, jobs, resume)) as evaluations:
+    stored = recorder.stored if recorder is not None else {}
+    with contextlib.closing(_distinct_values(firsts, jobs, stored)) as evaluations:
         start = 0
         for group in groups:
             end = start + len(group)
@@ -238,17 +236,15 @@ def run_points(
     jobs: int = 1,
     progress: Optional[ProgressHook] = None,
     recorder: Optional[CampaignRecorder] = None,
-    resume: bool = False,
 ) -> Dict[tuple, PointValue]:
     """Evaluate *points* into a ``key -> value`` map.
 
-    Keys must be unique across the sequence.  *jobs*, *progress*,
-    *recorder* and *resume* mean what they mean for
-    :func:`iter_campaign`.
+    Keys must be unique across the sequence.  *jobs*, *progress* and
+    *recorder* mean what they mean for :func:`iter_campaign`.
     """
     points = list(points)
     _check_unique(points)
-    (values,) = _grouped_values([points], jobs, progress, recorder, resume)
+    (values,) = _grouped_values([points], jobs, progress, recorder)
     return values
 
 
@@ -266,7 +262,6 @@ def iter_campaign(
     progress: Optional[ProgressHook] = None,
     backend: str = "des",
     recorder: Optional[CampaignRecorder] = None,
-    resume: bool = False,
 ) -> Iterator[Tuple[str, List[ExperimentResult]]]:
     """Yield ``(exp_id, results)`` per experiment, in order, each as
     soon as its last point value lands.
@@ -294,12 +289,11 @@ def iter_campaign(
         on the DES.
     recorder:
         Optional :class:`~repro.experiments.telemetry.CampaignRecorder`
-        collecting one telemetry record per point (the caller finalizes
-        it into the manifest).
-    resume:
-        Serve previously computed points from the content-keyed result
-        store and persist fresh values into it, so interrupted or
-        repeated campaigns only compute what is missing.
+        appending one telemetry record per point to its manifest as the
+        value lands (the caller finalizes it).  A point whose content
+        key is among the values a resumed recorder read from its
+        manifest is served from there as ``stored``, so an interrupted
+        or repeated campaign computes only what is missing.
     """
     check_scale(scale)
     plan = []
@@ -307,7 +301,7 @@ def iter_campaign(
         points = with_backend(exp.points(scale), backend)
         _check_unique(points)
         plan.append((exp, points))
-    groups = _grouped_values([points for _, points in plan], jobs, progress, recorder, resume)
+    groups = _grouped_values([points for _, points in plan], jobs, progress, recorder)
     with contextlib.closing(groups):
         for (exp, _), values in zip(plan, groups):
             yield exp.exp_id, exp.assemble(scale, values)

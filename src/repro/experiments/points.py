@@ -18,7 +18,10 @@ over worker processes:
   with a hashable ``key`` the experiment uses to place the value back into
   its figure;
 * :func:`run_point` evaluates one cell and returns a compact, picklable
-  :class:`PointValue`.
+  :class:`PointValue`;
+* :func:`point_key` hashes everything that decides a cell's value, so
+  the engine evaluates each distinct cell once per campaign and a
+  resumed campaign finds a value in its manifest by that hash.
 
 Determinism: evaluating a point touches no shared mutable state beyond
 the per-process trace memo (which holds exactly what the generator
@@ -30,6 +33,8 @@ process layout, yields the same values.  That is what makes
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -38,6 +43,7 @@ __all__ = [
     "Point",
     "PointValue",
     "TraceSpec",
+    "point_key",
     "run_point",
     "with_backend",
 ]
@@ -54,7 +60,7 @@ class TraceSpec:
     #: Heterogeneous-array generator overrides (sorted keyword pairs for
     #: :class:`~repro.trace.synthetic.SyntheticTraceConfig`, e.g.
     #: ``ndisks``/``va_disks``/``va_weights``/``va_write_skew``).  Empty
-    #: for every legacy spec, so their pickles and store hashes are
+    #: for every legacy spec, so their pickles and content hashes are
     #: unchanged.
     hda: Tuple[Tuple[str, Any], ...] = ()
 
@@ -172,6 +178,41 @@ class PointValue:
     write_hit_ratio: float = math.nan
     physical_disks: int = 0
     extras: Tuple[Tuple[str, float], ...] = field(default=())
+
+
+#: Hashed into every point key.  It stays 1: the manifest's code
+#: fingerprint, not the key, tells values of other code apart, and a
+#: new value would change every key that ``tests/experiments/cells.json``
+#: pins.
+_FORMAT_VERSION = 1
+
+
+def point_key(point: Point) -> str:
+    """Stable content hash of everything that determines a point's value.
+
+    The figure-placement identity (``exp_id``, ``key``) is deliberately
+    excluded: two figures sweeping the same (trace, organization,
+    overrides) cell share one value, evaluated once per campaign.
+    """
+    payload = {
+        "__format__": _FORMAT_VERSION,
+        "spec": {
+            "which": point.spec.which,
+            "scale": point.spec.scale,
+            "speed": point.spec.speed,
+            "n": point.spec.n,
+        },
+        "kind": point.kind,
+        "org": point.org,
+        "overrides": [[k, repr(v)] for k, v in point.overrides],
+    }
+    if point.spec.hda:
+        # Added only when present so every legacy point's hash survives
+        # unchanged.
+        payload["spec"]["hda"] = [[k, repr(v)] for k, v in point.spec.hda]
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()[:32]
 
 
 def run_point(point: Point) -> PointValue:

@@ -4,7 +4,7 @@
 order, the ``(kind, point_key)`` of each of its points at two scales, in
 point order.  A change to how experiments are declared must leave it
 as it is: the same cells, in the same order, with the same override
-types (:func:`~repro.experiments.result_store.point_key` hashes each
+types (:func:`~repro.experiments.points.point_key` hashes each
 override's ``repr``, so ``8`` and ``8.0`` are different cells).
 
 After an *intentional* change to the campaign, regenerate with::
@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.points import point_key
 from repro.experiments.registry import EXPERIMENTS
-from repro.experiments.result_store import point_key
 
 FIXTURE = Path(__file__).with_name("cells.json")
 SCALES = ("1.0", "0.25")

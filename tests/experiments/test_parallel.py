@@ -14,9 +14,8 @@ from repro.experiments.parallel import (
     run_campaign,
     run_points,
 )
-from repro.experiments.points import Point, TraceSpec
+from repro.experiments.points import Point, TraceSpec, point_key
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
-from repro.experiments.result_store import point_key
 from repro.experiments.telemetry import CampaignRecorder
 
 #: Small enough to keep the suite fast, large enough that the sweeps
@@ -61,15 +60,20 @@ def test_run_points_parallel_matches_serial():
 
 
 def test_campaign_without_resume_writes_nothing_under_home(tmp_path, monkeypatch):
-    """Traces live in each process's memo: a campaign that does not
-    resume leaves no file in the user's home directory."""
+    """Traces live in each process's memo and values in the manifest the
+    campaign is given: neither a campaign nor one resumed from its
+    manifest leaves a file in the user's home directory."""
     from repro.experiments import common
 
     home = tmp_path / "home"
     home.mkdir()
     monkeypatch.setenv("HOME", str(home))
     common._base_trace.cache_clear()  # make the campaign generate its traces
-    run_campaign(IDS, SCALE, jobs=2)
+    manifest = tmp_path / "m.jsonl"
+    run_campaign(IDS, SCALE, jobs=2, recorder=CampaignRecorder(manifest))
+    resumed = CampaignRecorder(manifest, resume=True)
+    run_campaign(IDS, SCALE, jobs=2, recorder=resumed)
+    assert resumed.records and {r.provenance for r in resumed.records} == {"stored"}
     assert list(home.rglob("*")) == []
 
 

@@ -65,16 +65,6 @@ class TestPlainLines:
         printer(2, 2, "b")
         assert "eta" not in stream.getvalue().strip().splitlines()[-1]
 
-    def test_new_campaign_resets_clock(self):
-        stream = io.StringIO()
-        printer = ProgressPrinter(interval_s=3600, stream=stream)
-        printer(1, 2, "a")
-        printer(2, 2, "b")
-        printer(1, 2, "c")  # done went backwards: a fresh campaign
-        lines = stream.getvalue().strip().splitlines()
-        assert len(lines) == 3
-        assert lines[-1].startswith("[1/2]")
-
 
 class TestTty:
     def test_rewrites_in_place_with_carriage_return(self):

@@ -25,6 +25,19 @@ def no_point_runs(monkeypatch):
     monkeypatch.setattr(telemetry, "run_point", run_point)
 
 
+def usage_error(argv, capsys) -> str:
+    """The one error line the CLI exits 2 with on *argv*, having printed
+    nothing else but its usage."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (error,) = [line for line in captured.err.splitlines() if "error:" in line]
+    return error
+
+
 class TestRegistry:
     def test_all_paper_artifacts_registered(self):
         expected = {"table1", "table2", "table3", "table4"} | {
@@ -216,6 +229,35 @@ class TestCLI:
         assert "error: argument --manifest: expected a file path" in captured.err
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    def test_resume_without_manifest_is_a_usage_error(self, capsys, no_point_runs):
+        error = usage_error(["fig8", "--scale", "0.01", "--resume"], capsys)
+        assert "error: --resume needs --manifest" in error
+
+    def test_unwritable_manifest_is_a_usage_error(self, tmp_path, capsys, no_point_runs):
+        """The path lies below a regular file, so no user, root included,
+        can write it; that fails before any point runs."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        argv = ["fig8", "--scale", "0.01", "--manifest", str(blocker / "m.jsonl")]
+        error = usage_error(argv, capsys)
+        assert "error: argument --manifest:" in error and str(blocker) in error
+        assert blocker.read_text() == "a file, not a directory\n"
+
+    def test_resume_refuses_a_manifest_of_other_code(
+        self, tmp_path, capsys, monkeypatch, no_point_runs
+    ):
+        manifest = tmp_path / "m.jsonl"
+        assert main(["table4", "--manifest", str(manifest)]) == 0
+        before = manifest.read_text()
+        ours = telemetry.code_fingerprint()
+        monkeypatch.setattr(telemetry, "code_fingerprint", lambda: "0" * 16)
+        capsys.readouterr()
+        argv = ["fig8", "--scale", "0.01", "--manifest", str(manifest), "--resume"]
+        error = usage_error(argv, capsys)
+        assert "recorded by other code" in error
+        assert ours in error and "0" * 16 in error
+        assert manifest.read_text() == before
 
     def test_serial_cli_prints_each_experiment_once_assembled(self, capsys, monkeypatch):
         """One engine call: fig11's tables print before any point only

@@ -1,6 +1,7 @@
 """Campaign manifest well-formedness and serial/parallel equivalence."""
 
 import json
+import os
 
 import pytest
 
@@ -17,11 +18,6 @@ SCALE = 0.01
 IDS = ["fig8", "fig6"]  # one simulated experiment, one with no points
 
 
-@pytest.fixture(autouse=True)
-def no_result_store(monkeypatch):
-    monkeypatch.setenv("REPRO_RESULT_STORE", "off")
-
-
 def run_with_manifest(tmp_path, name, jobs, ids=IDS):
     recorder = CampaignRecorder(tmp_path / f"{name}.jsonl")
     campaign = run_campaign(ids, SCALE, jobs=jobs, recorder=recorder)
@@ -34,6 +30,7 @@ def test_manifest_covers_every_point(tmp_path):
     header, points = read_manifest(recorder.manifest_path)
     expected = len(get_experiment("fig8").points(SCALE))  # fig6 has no points
     assert header["schema"] == MANIFEST_SCHEMA
+    assert header["fingerprint"] == recorder.fingerprint
     assert header["points"] == expected
     assert len(points) == expected
     # Every decomposed point of fig8 appears exactly once.
@@ -120,6 +117,21 @@ def test_campaign_with_recorder_matches_plain_run(tmp_path):
     recorded, _ = run_with_manifest(tmp_path, "m", jobs=1)
     as_dicts = lambda c: {e: [r.to_dict() for r in rs] for e, rs in c.items()}
     assert as_dicts(plain) == as_dicts(recorded)
+
+
+def test_manifest_gets_the_mode_a_plain_open_gives(tmp_path):
+    """The manifest is as readable as the ``--json`` file beside it."""
+    from repro.experiments.__main__ import main
+
+    umask = os.umask(0o022)
+    try:
+        argv = ["table1", "--json", str(tmp_path / "t.json"),
+                "--manifest", str(tmp_path / "t.jsonl")]
+        assert main(argv) == 0
+    finally:
+        os.umask(umask)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in tmp_path.iterdir()}
+    assert modes == {"t.json": 0o644, "t.jsonl": 0o644}
 
 
 def test_read_manifest_rejects_garbage(tmp_path):

@@ -6,9 +6,8 @@ import json
 import pytest
 
 from repro.experiments.parallel import CampaignError, run_campaign, run_points
-from repro.experiments.points import Point, TraceSpec, with_backend
+from repro.experiments.points import Point, TraceSpec, point_key, with_backend
 from repro.experiments.registry import get_experiment
-from repro.experiments.result_store import point_key
 from repro.failure import DiskFailure, FailureSchedule
 
 SCALE = 0.01

@@ -2,7 +2,7 @@
 
 Checks the three contracts the experiment rides on: the
 run_experiment == assemble(run_points(points)) decomposition (what
-makes ``--jobs N`` byte-identical), the result-store hash extension
+makes ``--jobs N`` byte-identical), the content-hash extension
 (HDA points get their own hashes, legacy points keep their historical
 ones), and the trace plumbing (``TraceSpec.hda`` reaches the generator;
 trace 1 rejects it).
@@ -14,9 +14,8 @@ import pytest
 
 from repro.experiments.common import get_trace
 from repro.experiments.parallel import run_points
-from repro.experiments.points import Point, TraceSpec
+from repro.experiments.points import Point, TraceSpec, point_key
 from repro.experiments.registry import get_experiment, run_experiment
-from repro.experiments.result_store import point_key
 from repro.layout import POLICIES
 
 SCALE = 0.02
@@ -66,8 +65,8 @@ class TestCampaign:
 class TestStoreKeys:
     def test_legacy_hashes_preserved(self):
         # Pinned pre-HDA hashes: the spec payload must not change for
-        # points with no hda overrides, or every stored campaign value
-        # (and --resume) silently invalidates.
+        # points with no hda overrides, or every pinned campaign cell
+        # (tests/experiments/cells.json) moves.
         p = Point.sim("fig5", ("raid5", 10), TraceSpec(2, 1.0), "raid5", n=10)
         assert point_key(p) == "9d0b4c5222ffb3d46ee74589cac37f0c"
         p2 = Point.sim("t", ("x",), TraceSpec(1, 0.5, speed=2.0, n=5),
