@@ -149,28 +149,7 @@ def _weights(block_counts: np.ndarray) -> np.ndarray:
     return block_counts / total
 
 
-# -- per-organization mapping -------------------------------------------------
-
-
-def _data_disks(config: SystemConfig, layout, blocks: np.ndarray) -> np.ndarray:
-    disks, _ = layout.map_blocks(blocks)
-    return disks
-
-
-def _parity_disks(config: SystemConfig, layout, blocks: np.ndarray) -> np.ndarray:
-    org = config.organization
-    n = config.n
-    if org in (Organization.RAID5, Organization.RAID4):
-        rows = (blocks // config.striping_unit) // n
-        if org is Organization.RAID5:
-            return rows % (n + 1)
-        return np.full(len(blocks), n, dtype=np.int64)
-    # Parity Striping: group of (disk, data_area[, grain chunk]).
-    disk, q = np.divmod(blocks, layout.data_blocks_per_disk)
-    k, off = np.divmod(q, layout.area_blocks)
-    if layout.parity_grain is not None:
-        k = k + off // layout.parity_grain
-    return (disk + 1 + k % n) % (n + 1)
+# -- per-organization fan-out (model approximations) --------------------------
 
 
 def _disk_span(config: SystemConfig, layout, lb: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -214,8 +193,8 @@ def decompose(
 
     One :class:`ArrayLoad` per entry of
     :meth:`~repro.sim.config.SystemConfig.arrays_for`, in address order
-    (a heterogeneous config's arrays are its VAs), so all the
-    per-organization mapping above applies to each array's own config.
+    (a heterogeneous config's arrays are its VAs), so the layout mapping
+    and the fan-out above apply to each array's own config.
     """
     arrays = config.arrays_for(trace.ndisks, trace.blocks_per_disk)
     records = trace.records
@@ -317,9 +296,7 @@ def _decompose_array(
 
     # -- read side -----------------------------------------------------------
     blocks_r = _expand(lb_r, nb_r)
-    cr = np.bincount(
-        _data_disks(config, layout, blocks_r), minlength=ndisks
-    ).astype(np.float64)
+    cr = np.bincount(layout.map_blocks(blocks_r)[0], minlength=ndisks).astype(np.float64)
     if mirror:
         # Shortest-of-two routing: half of each pair's load per member.
         pair = cr + cr[np.arange(ndisks) ^ 1]
@@ -344,9 +321,7 @@ def _decompose_array(
 
     # -- write side ----------------------------------------------------------
     blocks_w = _expand(lb_w, nb_w)
-    cw = np.bincount(
-        _data_disks(config, layout, blocks_w), minlength=ndisks
-    ).astype(np.float64)
+    cw = np.bincount(layout.map_blocks(blocks_w)[0], minlength=ndisks).astype(np.float64)
     if mirror:
         cw = cw + cw[np.arange(ndisks) ^ 1]  # both members written
     m_w = _disk_span(config, layout, lb_w, nb_w)
@@ -358,9 +333,7 @@ def _decompose_array(
     g_w = np.zeros(0, dtype=np.int64)
     w_parity = np.full(ndisks, 1.0 / ndisks)
     if parity and len(lb_w):
-        cp = np.bincount(
-            _parity_disks(config, layout, blocks_w), minlength=ndisks
-        ).astype(np.float64)
+        cp = np.bincount(layout.map_parity(blocks_w)[0], minlength=ndisks).astype(np.float64)
         g_w = _parity_span(config, lb_w, nb_w, m_w)
         w_parity = _weights(cp)
 

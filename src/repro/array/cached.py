@@ -269,7 +269,7 @@ class CachedController(ArrayController):
             for prun in self._parity_runs_for(run):
                 for pblock in range(prun.start, prun.end):
                     if pblock not in full_map:
-                        full_map[pblock] = self._stripe_fully_dirty(pblock)
+                        full_map[pblock] = self._stripe_fully_dirty(prun.disk, pblock)
         return full_map
 
     def _delayed_destage(
@@ -423,17 +423,13 @@ class CachedController(ArrayController):
         yield AllOf(env, [data_req.done] + direct_done)
         self._kick_spooler()
 
-    def _stripe_fully_dirty(self, parity_pblock: int) -> bool:
+    def _stripe_fully_dirty(self, disk: int, parity_pblock: int) -> bool:
         """True if every data block protected by this parity block is
         dirty or destaging — then the actual parity is cached and the
         spooler can write it without reading the old parity."""
         layout = self.layout
-        assert isinstance(layout, Raid4Layout)
-        su = layout.striping_unit
-        row, offset = divmod(parity_pblock, su)
-        for j in range(layout.n):
-            lblock = (row * layout.n + j) * su + offset
-            entry = self.cache.get(lblock)
+        for src in layout.reconstruction_sources(disk, parity_pblock):
+            entry = self.cache.get(layout.logical_of(src.disk, src.block))
             if entry is None or entry.state is not BlockState.DIRTY:
                 return False
         return True

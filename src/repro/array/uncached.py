@@ -495,12 +495,10 @@ class UncachedParityController(_UncachedController):
 
     def _reconstruct_read(self, disk: int, pblock: int) -> Generator[Event, None, None]:
         """Read all surviving sources, then ship the block to the host."""
-        from repro.failure.degraded import reconstruction_sources
-
         if (disk, pblock) in self.lost_blocks:
             self._note_lost("read", disk, pblock)
             return
-        sources = reconstruction_sources(self.layout, disk, pblock)
+        sources = self.layout.reconstruction_sources(disk, pblock)
         if any(self._is_unreadable(src.disk, src.block) for src in sources):
             # A second unreadable block in the group: nothing left to
             # XOR from.  The request completes without the data.
@@ -539,8 +537,6 @@ class UncachedParityController(_UncachedController):
             for run in group.data_runs + group.read_runs + group.parity_runs
         ):
             return [group]
-        from repro.failure.degraded import reconstruction_sources
-
         self._note_degraded("write")
         gone = self._is_failed
         written = {
@@ -549,7 +545,7 @@ class UncachedParityController(_UncachedController):
         planned: list[tuple[tuple[WriteMode, bool], list, list, list]] = []
         for run in group.parity_runs:
             for pb in range(run.start, run.end):
-                members = reconstruction_sources(self.layout, run.disk, pb)
+                members = self.layout.reconstruction_sources(run.disk, pb)
                 data = [m for m in members if (m.disk, m.block) in written]
                 rest = [m for m in members if (m.disk, m.block) not in written]
                 parity = [PhysicalAddress(run.disk, pb)]

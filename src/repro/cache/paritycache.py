@@ -131,7 +131,3 @@ class ParityCacheQueue:
             del self._by_block[nxt.pblock]
             run.append(nxt)
         return run, direction
-
-    def peek_all(self) -> list[int]:
-        """Pending parity block numbers in ascending order."""
-        return list(self._sorted)

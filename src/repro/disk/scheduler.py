@@ -44,14 +44,6 @@ class DiskScheduler(ABC):
     def __iter__(self) -> Iterator[DiskRequest]:
         """Iterate over queued requests (service order not guaranteed)."""
 
-    def peek_priority(self) -> Optional[float]:
-        """Priority of the most urgent queued request, or None if empty."""
-        best: Optional[float] = None
-        for req in self:
-            if best is None or req.priority < best:
-                best = req.priority
-        return best
-
 
 class FCFSScheduler(DiskScheduler):
     """Priority classes served lowest-value first, FIFO within a class."""

@@ -7,7 +7,9 @@ latent sector errors, periodic scrubbing) driven into the DES by a
 :class:`ScrubProcess` activity competing with foreground traffic, and a
 per-run :class:`FailureReport` summarizing the outcome.  The failure
 state lives in the uncached controllers of :mod:`repro.array.uncached`,
-which degrade gracefully instead of crashing.
+which degrade gracefully instead of crashing; every block's redundancy
+group comes from its layout
+(:meth:`~repro.layout.common.Layout.reconstruction_sources`).
 
 Entry point: ``run_trace(config, workload, failures=FailureSchedule(...))``
 — see :mod:`repro.sim.runner`.  The experiment drivers ``ext-rebuild``
@@ -16,7 +18,7 @@ knobs (array size, rebuild rate, scrub interval) as registered
 campaigns.
 """
 
-from repro.failure.degraded import RebuildProcess, reconstruction_sources
+from repro.failure.degraded import RebuildProcess
 from repro.failure.errors import DataLossError, FailureScheduleError
 from repro.failure.injector import FailureInjector
 from repro.failure.report import FailureReport, RebuildStats, ScrubStats, build_report
@@ -44,5 +46,4 @@ __all__ = [
     "ScrubStats",
     "SpareArrival",
     "build_report",
-    "reconstruction_sources",
 ]

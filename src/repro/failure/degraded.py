@@ -4,13 +4,16 @@ The paper's motivation is media recovery: redundant arrays survive a
 disk failure and keep serving requests, at a performance cost the paper
 mentions explicitly ("large arrays... have worse performance during
 reconstruction following a disk failure", §4.2.1).  This module
-implements that regime for the uncached organizations:
+describes that regime for the uncached organizations and holds their
+rebuild.  A block's redundancy group always comes from its layout's
+:meth:`~repro.layout.common.Layout.reconstruction_sources` (the other
+N-1 data blocks plus parity for the parity organizations, the mirror
+partner for mirrors, nothing for Base):
 
 * **Degraded reads** — a read addressed to the failed disk is serviced
-  by reading all the surviving blocks of its redundancy group (the
-  other N-1 data blocks plus parity for the parity organizations, the
-  mirror partner for mirrors) and XOR-reconstructing, so the response
-  is the max over N concurrent accesses.
+  by reading all the surviving blocks of its redundancy group and
+  XOR-reconstructing, so the response is the max over N concurrent
+  accesses.
 * **Degraded writes** — a write group that touches a failed block is
   re-planned without it, parity block by parity block (the cases of
   Thomasian's RAID5 tutorial): a failed parity block leaves a data-only
@@ -22,9 +25,11 @@ implements that regime for the uncached organizations:
   per run.
 * **Rebuild** — a background process sweeps the failed disk's blocks in
   physical order, reconstructing each onto a hot spare at background
-  priority.  A watermark tracks progress: requests below it use the
-  spare normally, requests above it take the degraded paths.  A
-  completed full-range rebuild returns the array to healthy state.
+  priority; it reads each chunk's sources as one read per maximal run
+  of each surviving disk's source blocks.  A watermark tracks progress:
+  requests below it use the spare normally, requests above it take the
+  degraded paths.  A completed full-range rebuild returns the array to
+  healthy state.
 * **Latent sector errors** — individual blocks injected as unreadable
   (:class:`~repro.failure.schedule.LatentError`).  A read that trips
   over one reconstructs from redundancy and rewrites the block
@@ -60,61 +65,20 @@ from typing import Generator, Optional
 
 from repro.des import AllOf, Event
 from repro.disk.request import AccessKind, DiskRequest, Priority
-from repro.layout.common import Layout, PhysicalAddress
-from repro.layout.mirror import MirrorLayout
-from repro.layout.paritystripe import ParityStripingLayout
-from repro.layout.striped import StripedParityLayout
+from repro.layout.common import PhysicalAddress, merge_runs
 
-__all__ = ["reconstruction_sources", "RebuildProcess"]
-
-
-def reconstruction_sources(layout: Layout, disk: int, pblock: int) -> list[PhysicalAddress]:
-    """Surviving blocks whose XOR reconstructs ``(disk, pblock)``.
-
-    Works for both data and parity blocks of the parity layouts, and
-    for mirror layouts (the single partner copy).
-    """
-    if isinstance(layout, MirrorLayout):
-        return [PhysicalAddress(layout.mirror_of(disk), pblock)]
-
-    if isinstance(layout, StripedParityLayout):
-        # A row's data and parity all sit at the same physical block on
-        # each of the N+1 disks: the sources are simply every other disk.
-        return [
-            PhysicalAddress(d, pblock) for d in range(layout.ndisks) if d != disk
-        ]
-
-    if isinstance(layout, ParityStripingLayout):
-        area, off = divmod(pblock, layout.area_blocks)
-        k = layout._data_area(area)
-        parity_base = layout.parity_area_index * layout.area_blocks
-        if k is None:
-            # Parity block of group `disk`: XOR of all member data blocks.
-            return [
-                PhysicalAddress(d, layout._physical_area(kk) * layout.area_blocks + off)
-                for d, kk in layout.members_of_group(disk, off)
-            ]
-        group = layout.group_of(disk, k, off)
-        sources = [PhysicalAddress(group, parity_base + off)]
-        for d, kk in layout.members_of_group(group, off):
-            if d == disk:
-                continue
-            sources.append(
-                PhysicalAddress(d, layout._physical_area(kk) * layout.area_blocks + off)
-            )
-        return sources
-
-    raise TypeError(f"no redundancy to reconstruct from in {type(layout).__name__}")
+__all__ = ["RebuildProcess"]
 
 
 class RebuildProcess:
     """Background reconstruction of the failed disk onto the spare.
 
     Sweeps the failed disk's physical blocks in ``chunk_blocks`` units:
-    reads all surviving sources of the chunk at background priority,
-    writes the reconstructed chunk to the spare, advances the
-    controller's watermark.  ``delay_ms`` throttles between chunks to
-    bound the interference with foreground traffic.
+    reads all surviving sources of the chunk at background priority
+    (one read per maximal run of each source disk's blocks), writes the
+    reconstructed chunk to the spare, advances the controller's
+    watermark.  ``delay_ms`` throttles between chunks to bound the
+    interference with foreground traffic.
 
     A block whose reconstruction group contains another unreadable
     block — the classic latent-error-during-rebuild scenario — cannot
@@ -172,10 +136,10 @@ class RebuildProcess:
         pblock = 0
         while pblock < self.total_blocks:
             chunk = min(self.chunk_blocks, self.total_blocks - pblock)
-            # Gather the union of surviving source runs for the chunk.
-            per_disk: dict[int, list[int]] = {}
+            # Gather the chunk's surviving sources, disk by disk.
+            per_disk: dict[int, list[PhysicalAddress]] = {}
             for pb in range(pblock, pblock + chunk):
-                sources = reconstruction_sources(layout, failed, pb)
+                sources = layout.reconstruction_sources(failed, pb)
                 if any(ctrl._is_unreadable(src.disk, src.block) for src in sources):
                     # A latent error on a source surfaced mid-rebuild:
                     # this block is unreconstructable.
@@ -183,21 +147,18 @@ class RebuildProcess:
                     self.lost_blocks += 1
                     continue
                 for src in sources:
-                    per_disk.setdefault(src.disk, []).append(src.block)
-            reads = []
-            for disk_idx, blocks in per_disk.items():
-                blocks.sort()
-                start = blocks[0]
-                reads.append(
-                    ctrl.disks[disk_idx].submit(
-                        DiskRequest(
-                            AccessKind.READ,
-                            start,
-                            blocks[-1] - start + 1,
-                            priority=Priority.DESTAGE,
-                        )
+                    per_disk.setdefault(src.disk, []).append(src)
+            # One read per maximal run of each disk's source blocks: under
+            # a parity grain a chunk's sources sit in distant areas.
+            reads = [
+                ctrl.disks[run.disk].submit(
+                    DiskRequest(
+                        AccessKind.READ, run.start, run.nblocks, priority=Priority.DESTAGE
                     )
                 )
+                for addrs in per_disk.values()
+                for run in merge_runs(sorted(addrs, key=lambda a: a.block))
+            ]
             if reads:
                 yield AllOf(env, [r.done for r in reads])
                 write = spare.submit(

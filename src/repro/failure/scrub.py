@@ -21,7 +21,6 @@ from typing import Generator, Optional
 
 from repro.des import AllOf, Event
 from repro.disk.request import AccessKind, DiskRequest, Priority
-from repro.failure.degraded import reconstruction_sources
 from repro.failure.schedule import ScrubPolicy
 
 __all__ = ["ScrubProcess"]
@@ -114,17 +113,13 @@ class ScrubProcess:
     def _repair(self, disk: int, pblock: int) -> Generator[Event, None, None]:
         """Reconstruct the block from its redundancy group and rewrite it."""
         ctrl = self.controller
-        try:
-            sources = reconstruction_sources(ctrl.layout, disk, pblock)
-        except TypeError:
-            # No redundancy (base organization): detected, not repairable.
-            self.unrepairable += 1
-            return
-        if any(ctrl._is_unreadable(src.disk, src.block) for src in sources):
-            # The group is not intact (typically: the array is degraded
-            # and the failed disk is one of the sources).  The error
-            # stays latent — this is precisely the exposure the scrub
-            # interval is meant to bound.
+        sources = ctrl.layout.reconstruction_sources(disk, pblock)
+        if not sources or any(ctrl._is_unreadable(src.disk, src.block) for src in sources):
+            # No redundancy (base organization), or the group is not
+            # intact (typically: the array is degraded and the failed
+            # disk is one of the sources).  The error stays latent —
+            # this is precisely the exposure the scrub interval is meant
+            # to bound.
             self.unrepairable += 1
             return
         reads = [

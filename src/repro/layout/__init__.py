@@ -2,7 +2,9 @@
 
 A *layout* maps the array's logical block space (the equivalent of ``N``
 independent data disks) onto physical ``(disk, block)`` addresses, and
-knows where the redundancy for each logical block lives:
+knows where the redundancy for each logical block lives and which blocks
+reconstruct each physical block
+(:meth:`~repro.layout.common.Layout.reconstruction_sources`):
 
 * :class:`~repro.layout.base.BaseLayout` — no striping, no redundancy.
 * :class:`~repro.layout.mirror.MirrorLayout` — mirrored pairs.

@@ -152,6 +152,14 @@ class Layout(ABC):
         """Location of the parity protecting *lblock* (None if no parity)."""
         return None
 
+    def reconstruction_sources(self, disk: int, pblock: int) -> list[PhysicalAddress]:
+        """The other blocks whose XOR reconstructs ``(disk, pblock)``.
+
+        Covers data and parity blocks alike; empty when the layout keeps
+        no redundancy.
+        """
+        return []
+
     @abstractmethod
     def logical_of(self, disk: int, pblock: int) -> Optional[int]:
         """Inverse mapping; ``None`` for parity/unused blocks."""

@@ -44,6 +44,9 @@ class MirrorLayout(Layout):
         primary = self.map_block(lblock)
         return primary, PhysicalAddress(self.mirror_of(primary.disk), primary.block)
 
+    def reconstruction_sources(self, disk: int, pblock: int) -> list[PhysicalAddress]:
+        return [PhysicalAddress(self.mirror_of(disk), pblock)]
+
     def logical_of(self, disk: int, pblock: int) -> Optional[int]:
         if not 0 <= disk < self.ndisks:
             raise ValueError(f"disk {disk} out of range")

@@ -163,6 +163,25 @@ class ParityStripingLayout(Layout):
         g = self.group_of(disk, k, off)
         return PhysicalAddress(g, self.parity_area_index * self.area_blocks + off)
 
+    def reconstruction_sources(self, disk: int, pblock: int) -> list[PhysicalAddress]:
+        """A data block's parity block, then the other members of its
+        group; a parity block's members (it is the parity of group
+        ``disk``)."""
+        area, off = divmod(pblock, self.area_blocks)
+        k = self._data_area(area)
+        group, sources = disk, []
+        if k is not None:
+            group = self.group_of(disk, k, off)
+            sources.append(
+                PhysicalAddress(group, self.parity_area_index * self.area_blocks + off)
+            )
+        sources += [
+            PhysicalAddress(d, self._physical_area(kk) * self.area_blocks + off)
+            for d, kk in self.members_of_group(group, off)
+            if d != disk
+        ]
+        return sources
+
     def logical_of(self, disk: int, pblock: int) -> Optional[int]:
         if not 0 <= disk < self.ndisks:
             raise ValueError(f"disk {disk} out of range")
@@ -181,6 +200,16 @@ class ParityStripingLayout(Layout):
         p = self.parity_area_index
         phys_area = np.where(k < p, k, k + 1)
         return disks, phys_area * self.area_blocks + off
+
+    def map_parity(self, lblocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`parity_of`; returns ``(disks, pblocks)``."""
+        lb = np.asarray(lblocks, dtype=np.int64)
+        disks, q = np.divmod(lb, self.data_blocks_per_disk)
+        k, off = np.divmod(q, self.area_blocks)
+        if self.parity_grain is not None:
+            k = k + off // self.parity_grain
+        groups = (disks + 1 + k % self.n) % (self.n + 1)
+        return groups, self.parity_area_index * self.area_blocks + off
 
     # -- write planning -----------------------------------------------------------
     def write_plan(self, lstart: int, nblocks: int) -> list[WriteGroup]:

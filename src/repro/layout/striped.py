@@ -97,6 +97,11 @@ class StripedParityLayout(Layout):
         row = unit // self.n
         return PhysicalAddress(self.parity_disk_of_row(row), row * su + offset)
 
+    def reconstruction_sources(self, disk: int, pblock: int) -> list[PhysicalAddress]:
+        # A row's data and parity sit at the same physical block on each
+        # of the N+1 disks: the sources are simply every other disk.
+        return [PhysicalAddress(d, pblock) for d in range(self.ndisks) if d != disk]
+
     def logical_of(self, disk: int, pblock: int) -> Optional[int]:
         if not 0 <= disk < self.ndisks:
             raise ValueError(f"disk {disk} out of range")
@@ -117,6 +122,14 @@ class StripedParityLayout(Layout):
         p = self._parity_disks_of_rows(row)
         disks = np.where(j < p, j, j + 1)
         return disks, row * su + offset
+
+    def map_parity(self, lblocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`parity_of`; returns ``(disks, pblocks)``."""
+        lb = np.asarray(lblocks, dtype=np.int64)
+        su = self.striping_unit
+        unit, offset = np.divmod(lb, su)
+        row = unit // self.n
+        return self._parity_disks_of_rows(row), row * su + offset
 
     def _parity_disks_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`parity_disk_of_row` (overridable)."""

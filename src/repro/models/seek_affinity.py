@@ -7,8 +7,9 @@ disk arm movements.  Data striping decreases seek affinity" (§4.2).
 :func:`empirical_seek_profile` replays a trace's accesses through a
 layout and measures the arm travel each disk would see if it serviced
 its accesses in arrival order — a timing-free way to quantify how much
-affinity each organization preserves (used by the ablation benchmarks
-and to explain Figs. 5, 8 and 9).
+affinity each organization preserves, the mechanism behind Figs. 5, 8
+and 9.  No experiment or benchmark calls it; ``tests/models`` checks
+that striping lowers the affinity it measures.
 """
 
 from __future__ import annotations

@@ -147,10 +147,6 @@ class Trace:
     def is_write(self) -> np.ndarray:
         return self.records["is_write"]
 
-    def logical_disks(self) -> np.ndarray:
-        """Logical (Base) disk index of each request's first block."""
-        return self.records["lblock"] // self.blocks_per_disk
-
     # -- characterisation ---------------------------------------------------------
     def stats(self) -> TraceStats:
         """Compute the Table-2 characteristics of this trace."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.array.uncached import UncachedMirrorController, UncachedParityController
-from repro.failure.degraded import RebuildProcess, reconstruction_sources
+from repro.failure.degraded import RebuildProcess
 from repro.channel import Channel
 from repro.des import Environment
 from repro.disk import Disk
@@ -27,39 +27,33 @@ class TestReconstructionSources:
     @pytest.mark.parametrize("su", [1, 2, 8])
     def test_raid5_sources_are_other_disks_same_block(self, su):
         layout = Raid5Layout(4, BPD, striping_unit=su)
-        sources = reconstruction_sources(layout, 2, 17)
-        assert len(sources) == 4
-        assert all(src.block == 17 for src in sources)
-        assert {src.disk for src in sources} == {0, 1, 3, 4}
+        sources = layout.reconstruction_sources(2, 17)
+        assert sources == [PhysicalAddress(d, 17) for d in (0, 1, 3, 4)]
 
     def test_raid4_sources(self):
         layout = Raid4Layout(4, BPD)
-        sources = reconstruction_sources(layout, 0, 5)
-        assert {src.disk for src in sources} == {1, 2, 3, 4}
+        sources = layout.reconstruction_sources(0, 5)
+        assert sources == [PhysicalAddress(d, 5) for d in (1, 2, 3, 4)]
 
     def test_mirror_source_is_partner(self):
         layout = MirrorLayout(4, BPD)
-        assert reconstruction_sources(layout, 3, 9) == [
-            type(reconstruction_sources(layout, 3, 9)[0])(2, 9)
-        ]
+        assert layout.reconstruction_sources(3, 9) == [PhysicalAddress(2, 9)]
 
     def test_parstripe_data_block_sources(self):
         layout = ParityStripingLayout(4, BPD)
         # Data block on disk 0, area 0, offset 7.
         pblock = layout.map_block(7).block
-        sources = reconstruction_sources(layout, 0, pblock)
+        sources = layout.reconstruction_sources(0, pblock)
         assert len(sources) == 4  # parity + 3 other members
         assert 0 not in {src.disk for src in sources}
-        # Exactly one source is a parity block.
-        parity_sources = [
-            s for s in sources if layout.is_parity_block(s.disk, s.block)
-        ]
-        assert len(parity_sources) == 1
+        # The parity block comes first, and it is the only one.
+        assert sources[0] == layout.parity_of(7)
+        assert not any(layout.is_parity_block(s.disk, s.block) for s in sources[1:])
 
     def test_parstripe_parity_block_sources(self):
         layout = ParityStripingLayout(4, BPD)
         parity_pblock = layout.parity_area_index * layout.area_blocks + 3
-        sources = reconstruction_sources(layout, 2, parity_pblock)
+        sources = layout.reconstruction_sources(2, parity_pblock)
         assert len(sources) == 4
         assert all(not layout.is_parity_block(s.disk, s.block) for s in sources)
 
@@ -70,14 +64,13 @@ class TestReconstructionSources:
         layout = Raid5Layout(4, BPD, striping_unit=2)
         for lb in (0, 5, 13):
             addr = layout.map_block(lb)
-            sources = reconstruction_sources(layout, addr.disk, addr.block)
+            sources = layout.reconstruction_sources(addr.disk, addr.block)
             # One source must be the parity of lb.
             parity = layout.parity_of(lb)
             assert parity in sources
 
     def test_base_has_no_redundancy(self):
-        with pytest.raises(TypeError):
-            reconstruction_sources(BaseLayout(4, BPD), 0, 0)
+        assert BaseLayout(4, BPD).reconstruction_sources(0, 0) == []
 
 
 def build_degraded(org, failed=1, spare=False, n=4, **kw):
@@ -308,6 +301,32 @@ class TestRebuild:
         r2 = RebuildProcess(c2, chunk_blocks=12, delay_ms=50.0)
         env2.run(until=r2.process)
         assert r2.duration_ms > r1.duration_ms
+
+    @pytest.mark.parametrize("grain", [None, 1, 8])
+    def test_rebuild_reads_only_the_sources(self, grain):
+        """Rebuilding 60 blocks of an N=4 Parity Striping array reads
+        each block's four sources once and nothing between them.  Under
+        a parity grain a chunk's sources sit in distant areas, where one
+        read per disk from its lowest to its highest source block reads
+        thousands of blocks."""
+        env, ctrl = build_degraded("parity_striping", failed=1, spare=True, parity_grain=grain)
+        issued = {i: spy_submits(d) for i, d in enumerate(ctrl.disks) if i != 1}
+        rebuild = RebuildProcess(ctrl, chunk_blocks=6, used_blocks=60)
+        env.run(until=rebuild.process)
+        reads = [
+            (disk, start, n)
+            for disk, accesses in issued.items()
+            for kind, start, n in accesses
+            if kind is AccessKind.READ
+        ]
+        assert sum(n for _, _, n in reads) == 4 * 60
+        sources = {
+            (src.disk, src.block)
+            for pb in range(60)
+            for src in ctrl.layout.reconstruction_sources(1, pb)
+        }
+        read = {(disk, b) for disk, start, n in reads for b in range(start, start + n)}
+        assert read == sources
 
     def test_mirror_rebuild(self):
         env, ctrl = build_degraded("mirror", failed=0, spare=True)

@@ -148,11 +148,6 @@ class TestParityCacheQueue:
         deltas, _ = queue.pop_scan_run(0, True, max_blocks=4)
         assert len(deltas) == 4
 
-    def test_peek_all_sorted(self, queue):
-        for b in (5, 1, 9):
-            queue.add(b)
-        assert queue.peek_all() == [1, 5, 9]
-
     def test_scan_order_never_skips(self, queue):
         """Elevator property: a full ascending pass visits blocks in
         nondecreasing order until reversal."""

@@ -4,8 +4,9 @@ from hypothesis import settings
 
 #: A deeper budget for Hypothesis tests that do not pin ``max_examples``,
 #: selected with ``--hypothesis-profile=kernel-deep``.  CI runs the kernel
-#: tests and the trace generator's tests (``tests/des``, ``tests/trace``)
-#: under it; the default profile keeps tier-1 fast.
+#: tests, the trace generator's tests and the layout tests (``tests/des``,
+#: ``tests/trace``, ``tests/layout``) under it; the default profile keeps
+#: tier-1 fast.
 settings.register_profile("kernel-deep", max_examples=3000, deadline=None)
 
 

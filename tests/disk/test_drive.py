@@ -334,6 +334,3 @@ class TestSSTFScheduler:
         s.put(r)
         assert len(s) == 1
         assert list(s) == [r]
-        assert s.peek_priority() == Priority.NORMAL
-        f = FCFSScheduler()
-        assert f.peek_priority() is None

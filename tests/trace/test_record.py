@@ -76,9 +76,6 @@ class TestAccessors:
         np.testing.assert_array_equal(trace.nblocks, [1, 2, 1])
         np.testing.assert_array_equal(trace.is_write, [False, True, False])
 
-    def test_logical_disks(self, trace):
-        np.testing.assert_array_equal(trace.logical_disks(), [0, 1, 3])
-
     def test_interarrivals(self, trace):
         np.testing.assert_allclose(trace.interarrival_times(), [1.0, 2.5])
 
