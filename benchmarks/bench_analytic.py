@@ -30,6 +30,15 @@ import time
 
 DEFAULT_EXPERIMENTS = ["fig5", "fig8"]
 
+#: The record's metrics per campaign, ``analytic.<experiment>.<suffix>``:
+#: suffix -> (campaign key, unit, better).
+CAMPAIGN_METRICS = {
+    "analytic_speedup": ("speedup", "x", "higher"),
+    "max_rel_error": ("max_rel_error", "frac", "lower"),
+    "mean_abs_rel_error": ("mean_abs_rel_error", "frac", "lower"),
+    "analytic_s": ("analytic_s", "s", "lower"),
+}
+
 
 def bench_experiment(exp_id: str, scale: float) -> dict:
     from repro.analytic.validation import CAMPAIGN_TOLERANCE
@@ -82,6 +91,23 @@ def bench_experiment(exp_id: str, scale: float) -> dict:
     }
 
 
+def _record(report: dict, context: dict) -> dict:
+    """*report* as a ``repro-bench/1`` record, kept whole under ``raw``,
+    for ``python -m repro.bench compare``."""
+    from repro.bench.schema import BenchRecord, Metric, to_json
+
+    metrics = {
+        "analytic.best_speedup": Metric(float(report["best_speedup"]), "x", "higher")
+    }
+    for campaign in report["campaigns"]:
+        for suffix, (key, unit, direction) in CAMPAIGN_METRICS.items():
+            if campaign[key] is not None:
+                metrics[f"analytic.{campaign['experiment']}.{suffix}"] = Metric(
+                    float(campaign[key]), unit, direction
+                )
+    return to_json(BenchRecord("analytic-vs-des", context, metrics, raw=report))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=1.0,
@@ -96,21 +122,17 @@ def main(argv=None):
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     campaigns = [bench_experiment(e, args.scale) for e in args.experiments]
-    report = {
-        "benchmark": "analytic-vs-des",
+    context = {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cores": cores,
+    }
+    report = {
         "campaigns": campaigns,
         "best_speedup": max((c["speedup"] or 0) for c in campaigns),
     }
-    # Persist in the normalized repro-bench/1 schema (raw report kept
-    # inside) so the file feeds straight into `python -m repro.bench
-    # compare` without the legacy adapter.
-    from repro.bench.schema import normalize, to_json
-
     with open(args.out, "w") as fh:
-        json.dump(to_json(normalize(report, source=args.out)), fh, indent=2)
+        json.dump(_record(report, context), fh, indent=2)
         fh.write("\n")
     print(json.dumps(report, indent=2))
     print(f"wrote {args.out}", file=sys.stderr)

@@ -29,6 +29,21 @@ import time
 
 DEFAULT_EXPERIMENTS = ["fig8", "fig6"]
 
+#: The record's metrics, each ``<report section>.<key>``: (unit, better).
+METRICS = {
+    "campaign.speedup": ("x", "higher"),
+    "campaign.serial_s": ("s", "lower"),
+    "campaign.parallel_s": ("s", "lower"),
+    "campaign.outputs_identical": ("bool", "higher"),
+    "event_throughput.events_per_s": ("events/s", "higher"),
+    "seek_time.lut_speedup": ("x", "higher"),
+    "trace_generation.requests_per_s": ("req/s", "higher"),
+    "streaming.requests": ("req", "higher"),
+    "streaming.requests_per_s": ("req/s", "higher"),
+    "streaming.peak_trace_mb": ("MB", "lower"),
+    "streaming.bounded": ("bool", "higher"),
+}
+
 
 def _campaign_dict(campaign) -> dict:
     return {
@@ -203,6 +218,20 @@ def bench_streaming(n_requests=1_000_000, chunk_requests=65536):
     }
 
 
+def _record(report: dict, context: dict) -> dict:
+    """*report* as a ``repro-bench/1`` record, kept whole under ``raw``,
+    for ``python -m repro.bench compare``."""
+    from repro.bench.schema import BenchRecord, Metric, to_json
+
+    metrics = {}
+    for name, (unit, direction) in METRICS.items():
+        section, key = name.split(".")
+        value = report[section].get(key)
+        if value is not None:
+            metrics[name] = Metric(float(value), unit, direction)
+    return to_json(BenchRecord("campaign+kernel", context, metrics, raw=report))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.02,
@@ -221,18 +250,18 @@ def main(argv=None):
     import os
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    context = {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cores": cores,
+    }
+    report = {}
     # The kernel microbenchmark is the most contention-sensitive number
     # on a shared host: each call is over in ~1s, so a single draw
     # rides whatever scheduling weather that second had.  Sample it at
     # the start, middle, and end of the run — minutes apart — and keep
     # the fastest draw (the same noise-floor rationale as the per-call
     # best-of-five, stretched across the run).
-    report = {
-        "benchmark": "campaign+kernel",
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cores": cores,
-    }
     draws = [bench_event_throughput()]
     report["campaign"] = bench_campaign(args.experiments, args.scale, args.jobs)
     report["seek_time"] = bench_seek()
@@ -243,13 +272,8 @@ def main(argv=None):
     best = min(draws, key=lambda d: d["elapsed_s"])
     best["repeats"] = sum(d["repeats"] for d in draws)
     report["event_throughput"] = best
-    # Persist in the normalized repro-bench/1 schema (raw report kept
-    # inside) so the file feeds straight into `python -m repro.bench
-    # compare` without the legacy adapter.
-    from repro.bench.schema import normalize, to_json
-
     with open(args.out, "w") as fh:
-        json.dump(to_json(normalize(report, source=args.out)), fh, indent=2)
+        json.dump(_record(report, context), fh, indent=2)
         fh.write("\n")
     print(json.dumps(report, indent=2))
     print(f"wrote {args.out}", file=sys.stderr)

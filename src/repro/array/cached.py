@@ -68,7 +68,6 @@ class CachedController(ArrayController):
 
         # Statistics.
         self.sync_writebacks = 0
-        self.destage_cycles = 0
         self.destaged_blocks = 0
 
         policy = config.destage_policy
@@ -84,7 +83,6 @@ class CachedController(ArrayController):
     # Request admission
     # ------------------------------------------------------------------
     def handle(self, lstart: int, nblocks: int, is_write: bool):
-        self.requests_handled += 1
         if self.probe is not None:
             self.probe.on_handle(self, lstart, nblocks, is_write)
         if is_write:
@@ -230,7 +228,6 @@ class CachedController(ArrayController):
             runs = plan_destage_runs(self.cache, self.layout)
             if not runs:
                 continue
-            self.destage_cycles += 1
             # Full-stripe detection must happen now, while every block of
             # the cycle is still dirty — sibling runs may destage first.
             full_map = self._full_parity_map(runs) if self.parity_caching else None

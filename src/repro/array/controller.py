@@ -52,7 +52,6 @@ class ArrayController(ABC):
         self.disks = list(disks)
         self.channel = channel
         self.config = config
-        self.requests_handled = 0
         #: Probe slot: the system's probe bus while anything observes it
         #: (the controller taps of ``repro.obs.probes.TAPS``).  ``None``
         #: keeps request admission at one identity check.

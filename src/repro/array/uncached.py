@@ -231,7 +231,6 @@ class _UncachedController(ArrayController):
 
     # -- reads ---------------------------------------------------------------
     def handle(self, lstart: int, nblocks: int, is_write: bool):
-        self.requests_handled += 1
         if self.probe is not None:
             self.probe.on_handle(self, lstart, nblocks, is_write)
         if is_write:

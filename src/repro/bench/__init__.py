@@ -1,20 +1,17 @@
 """Perf-trajectory analyzer: normalized bench records over time.
 
-``BENCH_*.json`` files were point-in-time snapshots in whatever shape
-the benchmark harness of the day emitted.  This package turns them into
-an *enforced trajectory*:
+``BENCH_*.json`` files are point-in-time snapshots.  This package turns
+them into an *enforced trajectory*:
 
-* :mod:`repro.bench.schema` — a normalized bench-record schema
+* :mod:`repro.bench.schema` — the normalized bench-record schema
   (``repro-bench/1``: named metrics with units and a better-direction)
-  plus adapters that read the historical ``campaign+kernel``
-  (BENCH_5) and ``analytic-vs-des`` (BENCH_6) shapes;
+  that every bench script writes;
 * :mod:`repro.bench.trajectory` — baseline calculation (median of the
   history) and direction-aware regression/improvement detection with a
   configurable threshold;
 * ``python -m repro.bench`` — ``compare`` (trajectory table, nonzero
   exit on regression: the CI gate), ``show`` (campaign-manifest
-  drill-down) and ``normalize`` (rewrite a legacy file in the shared
-  schema).
+  drill-down) and ``profile`` (cProfile one experiment).
 """
 
 from repro.bench.schema import (

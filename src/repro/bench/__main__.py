@@ -5,7 +5,6 @@ Usage::
     python -m repro.bench compare BENCH_5.json BENCH_ci.json \\
         [--threshold 0.2] [--advisory] [--json out.json]
     python -m repro.bench show campaign_manifest.jsonl [--slowest N]
-    python -m repro.bench normalize BENCH_5.json [--out PATH]
     python -m repro.bench profile fig8 --backend des \\
         [--scale 0.05] [--top 25] [--dump out.pstats]
 
@@ -37,12 +36,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.bench.schema import (
-    BenchRecord,
-    BenchSchemaError,
-    load_bench_file,
-    to_json,
-)
+from repro.bench.schema import BenchRecord, BenchSchemaError, load_bench_file
 from repro.bench.trajectory import analyze, render_table
 
 __all__ = ["main"]
@@ -166,20 +160,6 @@ def cmd_show(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_normalize(args: argparse.Namespace) -> int:
-    try:
-        record = load_bench_file(args.file)
-    except BenchSchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    out = args.out or args.file
-    with open(out, "w") as fh:
-        json.dump(to_json(record), fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out} ({len(record.metrics)} metric(s))")
-    return EXIT_OK
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
@@ -253,13 +233,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--slowest", type=int, default=5, help="how many slowest points to list"
     )
     p_show.set_defaults(func=cmd_show)
-
-    p_norm = sub.add_parser(
-        "normalize", help="rewrite a bench file in the repro-bench/1 schema"
-    )
-    p_norm.add_argument("file", help="bench JSON file (any readable shape)")
-    p_norm.add_argument("--out", metavar="PATH", help="write here instead of in place")
-    p_norm.set_defaults(func=cmd_normalize)
 
     p_prof = sub.add_parser(
         "profile", help="cProfile one experiment and print the hot functions"

@@ -82,7 +82,6 @@ class LRUCache:
         self.write_hits = 0
         self.write_misses = 0
         self.evictions = 0
-        self.dirty_evictions = 0
 
     # -- occupancy ------------------------------------------------------------
     def __len__(self) -> int:
@@ -298,11 +297,6 @@ class LRUCache:
             return list(self._dirty)
         return [b for b in self._dirty if not self._entries[b].destaging]
 
-    @property
-    def dirty_count(self) -> int:
-        """Number of dirty blocks (including in-flight destages)."""
-        return len(self._dirty)
-
     def oldest_dirty(self, k: int) -> list[int]:
         """Up to *k* dirty, non-destaging blocks nearest the LRU head.
 
@@ -327,17 +321,6 @@ class LRUCache:
     def iter_blocks(self) -> Iterator[tuple[int, CacheEntry]]:
         """All resident blocks in LRU order."""
         return iter(self._entries.items())
-
-    # -- ratios ----------------------------------------------------------------
-    @property
-    def read_hit_ratio(self) -> float:
-        total = self.read_hits + self.read_misses
-        return self.read_hits / total if total else 0.0
-
-    @property
-    def write_hit_ratio(self) -> float:
-        total = self.write_hits + self.write_misses
-        return self.write_hits / total if total else 0.0
 
     def __repr__(self) -> str:
         return (

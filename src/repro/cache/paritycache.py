@@ -54,7 +54,6 @@ class ParityCacheQueue:
         self._by_block: dict[int, ParityDelta] = {}
         self._sorted: list[int] = []
         self.merged = 0
-        self.added = 0
         self.rejected = 0
 
     def __len__(self) -> int:
@@ -80,7 +79,6 @@ class ParityCacheQueue:
         delta = ParityDelta(pblock, full)
         self._by_block[pblock] = delta
         bisect.insort(self._sorted, pblock)
-        self.added += 1
         return True
 
     def pop_scan(self, position: int, ascending: bool) -> Optional[tuple[ParityDelta, bool]]:

@@ -1,11 +1,11 @@
 """The host ↔ array channel.
 
 A single shared link per array (10 MB/s in Table 1).  Transfers queue
-FCFS (with optional priority) and hold the channel for
-``bytes / rate``.  Channel time matters mainly as a fixed per-request
-cost plus occasional contention when many disks in an array complete at
-once — exactly how the paper uses it ("we account for all channel and
-disk-related effects").
+first come, first served and hold the channel for ``bytes / rate``.
+Channel time matters mainly as a fixed per-request cost plus occasional
+contention when many disks in an array complete at once — exactly how
+the paper uses it ("we account for all channel and disk-related
+effects").
 """
 
 from __future__ import annotations
@@ -21,26 +21,20 @@ CHANNEL_MB_PER_S = 10.0
 
 
 class Channel:
-    """A shared transfer link with a given rate.
+    """A shared transfer link at :data:`CHANNEL_MB_PER_S`.
 
     Parameters
     ----------
     env:
         Simulation environment.
-    rate_mb_per_s:
-        Transfer rate in MB/s (decimal megabytes, as in the paper).
     name:
         Identification for metrics.
     """
 
-    def __init__(
-        self, env: Environment, rate_mb_per_s: float = CHANNEL_MB_PER_S, name: str = "channel"
-    ) -> None:
-        if rate_mb_per_s <= 0:
-            raise ValueError("rate must be positive")
+    def __init__(self, env: Environment, name: str = "channel") -> None:
         self.env = env
         self.name = name
-        self.bytes_per_ms = rate_mb_per_s * 1e6 / 1000.0
+        self.bytes_per_ms = CHANNEL_MB_PER_S * 1e6 / 1000.0
         self._link = Resource(env, capacity=1)
         self.busy_time = 0.0
         self.bytes_transferred = 0
@@ -57,7 +51,7 @@ class Channel:
             raise ValueError("nbytes must be positive")
         return nbytes / self.bytes_per_ms
 
-    def transfer(self, nbytes: int, priority: float = 0.0) -> Generator[Event, None, float]:
+    def transfer(self, nbytes: int) -> Generator[Event, None, float]:
         """Acquire the channel and move *nbytes*; returns completion time.
 
         Use as ``yield from channel.transfer(...)`` inside a process.
@@ -71,7 +65,7 @@ class Channel:
             self.probe.on_channel_request(self, nbytes)
         queue_length = self.queue_length
         queue_length.add(env.now, +1)
-        with self._link.request(priority=priority) as claim:
+        with self._link.request() as claim:
             yield claim
             queue_length.add(env.now, -1)
             duration = nbytes / self.bytes_per_ms  # transfer_time(nbytes)

@@ -33,7 +33,6 @@ class TrackBufferPool:
         self._waiters: deque[tuple[int, Event]] = deque()
         self.peak_in_use = 0
         self.acquisitions = 0
-        self.waits = 0
 
     @property
     def in_use(self) -> int:
@@ -59,7 +58,6 @@ class TrackBufferPool:
         if k > self.capacity:
             raise ValueError(f"cannot acquire {k} of {self.capacity} buffers")
         if self._waiters or self._available < k:
-            self.waits += 1
             grant = Event(self.env)
             self._waiters.append((k, grant))
             yield grant

@@ -2,8 +2,9 @@
 
 :class:`Resource`
     Limited-capacity server pool with priority queueing (lower value =
-    higher priority; FIFO within a priority class).  Used to model the
-    host channel and track-buffer pools.
+    higher priority; FIFO within a priority class).  The host channel
+    is its one simulator user, and claims without a priority, so first
+    come, first served.
 
 :class:`Store` / :class:`PriorityStore`
     Producer/consumer buffers of Python objects.  The simulator does not

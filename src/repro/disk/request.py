@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.des import Event
 
@@ -62,8 +62,6 @@ class DiskRequest:
     data_ready:
         For RMW/WRITE accesses whose payload depends on other reads
         (parity updates): the disk cannot write before this event.
-    tag:
-        Free-form annotation for tracing/debugging.
     """
 
     kind: AccessKind
@@ -77,7 +75,6 @@ class DiskRequest:
     #: ``None`` waits indefinitely (safe for RF/DF, whose dependency is
     #: guaranteed to resolve).
     max_hold_revolutions: Optional[int] = None
-    tag: Any = None
     seq: int = field(default_factory=lambda: next(_req_counter))
 
     # Filled in by Disk.submit().
@@ -119,5 +116,5 @@ class DiskRequest:
     def __repr__(self) -> str:
         return (
             f"DiskRequest({self.kind.value}, start={self.start_block}, "
-            f"n={self.nblocks}, prio={self.priority}, tag={self.tag!r})"
+            f"n={self.nblocks}, prio={self.priority})"
         )

@@ -39,11 +39,6 @@ class MirrorLayout(Layout):
             raise ValueError(f"disk {disk} out of range")
         return disk ^ 1
 
-    def pair_of(self, lblock: int) -> tuple[PhysicalAddress, PhysicalAddress]:
-        """Both physical copies of a logical block."""
-        primary = self.map_block(lblock)
-        return primary, PhysicalAddress(self.mirror_of(primary.disk), primary.block)
-
     def reconstruction_sources(self, disk: int, pblock: int) -> list[PhysicalAddress]:
         return [PhysicalAddress(self.mirror_of(disk), pblock)]
 

@@ -20,13 +20,11 @@ from repro.models.queueing import (
     mg1_waiting_time,
     mm1_response_time,
 )
-from repro.models.seek_affinity import empirical_seek_profile
 from repro.models.reliability import ReliabilityModel, storage_overhead
 
 __all__ = [
     "ReliabilityModel",
     "data_area_access_rate",
-    "empirical_seek_profile",
     "fork_join_response",
     "mg1_priority_waiting_times",
     "mg1_response_time",

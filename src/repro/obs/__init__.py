@@ -12,7 +12,7 @@ path pays one ``probe is not None`` check per tap):
   time, queue time, mirror routing and destage marks.  Exports to JSONL
   (round-trippable) and Chrome trace-event JSON (Perfetto).
 * **metrics** (:mod:`repro.obs.metrics`, :mod:`repro.obs.collect`) — a
-  registry of named counters, gauges, mergeable log-spaced latency
+  registry of named counters, gauges, log-spaced latency
   histograms and sampled time series (per-disk utilization and queue
   depth), exportable as CSV.
 * **analysis** (:mod:`repro.obs.analyze`, ``python -m repro.obs``) —

@@ -1,12 +1,10 @@
 """Metrics registry: counters, gauges, log-bucket histograms, series.
 
-Everything here is designed for *mergeability* and cheap export:
+Everything here is designed for cheap recording and export:
 
-* :class:`Histogram` uses fixed log-spaced bucket edges, so two
-  histograms with the same parameters merge by adding bucket counts —
-  an associative, commutative operation (bucket counts merge exactly;
-  the floating-point ``total`` is subject to addition rounding), which
-  is what lets per-array or per-shard metrics roll up later.
+* :class:`Histogram` uses fixed log-spaced bucket edges, so an
+  observation costs one logarithm and one integer increment, however
+  long the run.
 * :class:`TimeSeries` holds sampled ``(time, value)`` points — the
   utilization and queue-depth timelines the paper's aggregate curves
   hide.
@@ -74,8 +72,6 @@ class Histogram:
     Buckets cover ``[lo, hi)`` with ``buckets_per_decade`` bins per
     factor of ten, plus an underflow bin (everything below ``lo``,
     including zero) and an overflow bin (everything at or above ``hi``).
-    Two histograms with identical parameters merge exactly (bucket
-    counts and observation count are integers).
 
     Percentiles are approximate: linear interpolation inside the
     containing bucket, clamped to the observed min/max.
@@ -162,26 +158,6 @@ class Histogram:
                 return min(max(est, self.min), self.max)
             cum += c
         return self.max
-
-    # -- merging ----------------------------------------------------------------
-    def compatible(self, other: "Histogram") -> bool:
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.buckets_per_decade == other.buckets_per_decade
-        )
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """A new histogram holding both operands' observations."""
-        if not self.compatible(other):
-            raise ValueError("histograms have different bucket layouts")
-        out = Histogram(self.lo, self.hi, self.buckets_per_decade)
-        out.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        out.count = self.count + other.count
-        out.total = self.total + other.total
-        out.min = min(self.min, other.min)
-        out.max = max(self.max, other.max)
-        return out
 
 
 class TimeSeries:

@@ -122,11 +122,6 @@ class RunResult:
             return math.nan
         return float(np.max(np.concatenate([a.disk_utilization for a in self.arrays])))
 
-    @property
-    def io_rate_per_s(self) -> float:
-        span = self.simulated_ms - self.warmup_ms
-        return self.requests / (span / 1000.0) if span > 0 else math.nan
-
     def summary(self) -> str:
         """Human-readable one-run report."""
         if self.response.keeps_samples:

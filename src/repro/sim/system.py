@@ -68,11 +68,6 @@ class ArraySystem:
     def narrays(self) -> int:
         return len(self.controllers)
 
-    @property
-    def total_disks(self) -> int:
-        """Physical disks across all arrays (the equal-capacity cost)."""
-        return sum(len(c.disks) for c in self.controllers)
-
     def controller_for(self, lblock: int) -> tuple[int, ArrayController, int]:
         """Route a global logical block: ``(array, controller, local_block)``."""
         if not 0 <= lblock < self.capacity:

@@ -11,7 +11,6 @@ Two interchange formats:
 
 from __future__ import annotations
 
-import io
 import os
 from typing import TextIO, Union
 
@@ -104,11 +103,3 @@ def read_paper_format(
     records["nblocks"] = nblocks
     records["is_write"] = writes
     return Trace(records, ndisks, blocks_per_disk, name=name)
-
-
-def roundtrip_text(trace: Trace) -> Trace:
-    """Write to text and read back (convenience for tests)."""
-    buf = io.StringIO()
-    write_paper_format(trace, buf)
-    buf.seek(0)
-    return read_paper_format(buf, trace.ndisks, trace.blocks_per_disk, trace.name)

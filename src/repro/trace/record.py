@@ -194,10 +194,6 @@ class Trace:
                 counts[b // bpd] += 1
         return counts
 
-    def interarrival_times(self) -> np.ndarray:
-        """Interarrival times in ms."""
-        return np.diff(self.records["time"])
-
     def __repr__(self) -> str:
         return (
             f"<Trace {self.name!r}: {len(self)} requests, "

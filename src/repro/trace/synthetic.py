@@ -40,7 +40,7 @@ the counts from chunk to chunk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -99,13 +99,6 @@ class SyntheticTraceConfig:
     burst_rate_multiplier: float
     burst_fraction: float
     burst_mean_length: float
-    # Update-intensive pages: short, very hot *write* runs (DB2 free
-    # space maps, index roots, append areas).  These are what make fine
-    # striping units attractive — at a large unit a whole hot run lands
-    # on one disk (and one parity disk) and queues there.
-    hot_write_runs: int = 0
-    hot_write_run_blocks: int = 16
-    hot_write_weight: float = 0.0
     # Per-VA address-space targeting (Heterogeneous Disk Arrays): the
     # logical disks are partitioned into Virtual Arrays of ``va_disks``
     # consecutive disks each, accesses split across VAs by
@@ -122,6 +115,10 @@ class SyntheticTraceConfig:
     def __post_init__(self) -> None:
         if self.ndisks < 1 or self.blocks_per_disk < 1 or self.n_requests < 1:
             raise ValueError("ndisks, blocks_per_disk and n_requests must be positive")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if not isinstance(self.va_disks, tuple):
             object.__setattr__(self, "va_disks", tuple(self.va_disks))
         if not isinstance(self.va_weights, tuple):
@@ -135,8 +132,10 @@ class SyntheticTraceConfig:
                 )
             if self.va_weights and len(self.va_weights) != len(self.va_disks):
                 raise ValueError("va_weights must match va_disks in length")
-            if any(w <= 0 for w in self.va_weights):
-                raise ValueError("va_weights must be positive")
+            if not all(0 < w < math.inf for w in self.va_weights):
+                raise ValueError(
+                    f"va_weights must be positive and finite, got {self.va_weights}"
+                )
             if self.va_write_skew <= 0:
                 raise ValueError("va_write_skew must be positive")
         elif self.va_weights:
@@ -156,28 +155,26 @@ class SyntheticTraceConfig:
                 raise ValueError(f"{f} must be in [0, 1], got {v}")
         if not 0.0 < self.hot_spot_fraction <= 1.0:
             raise ValueError("hot_spot_fraction must be in (0, 1]")
+        if self.multiblock_mean_extra < 1.0:
+            raise ValueError(
+                f"multiblock_mean_extra must be >= 1, got {self.multiblock_mean_extra}"
+            )
         if self.max_request_blocks < 1:
             raise ValueError("max_request_blocks must be >= 1")
+        if self.stack_sigma < 0.0:
+            raise ValueError(f"stack_sigma must be >= 0, got {self.stack_sigma}")
         if self.rehit_window < 1 or self.recent_read_window < 1:
             raise ValueError("rehit_window and recent_read_window must be >= 1")
         if self.burst_rate_multiplier < 1.0:
             raise ValueError("burst_rate_multiplier must be >= 1")
         if not 0.0 <= self.burst_fraction < 1.0:
             raise ValueError("burst_fraction must be in [0, 1)")
-        if not math.isfinite(self.burst_mean_length):
-            raise ValueError(
-                f"burst_mean_length must be finite, got {self.burst_mean_length}"
-            )
         f = self.burst_fraction
         if f > 0.0 and not math.isfinite(self.burst_mean_length * (1.0 - f) / f):
             raise ValueError(
                 f"burst_fraction {f} is too small: the normal-episode mean "
                 f"burst_mean_length*(1-f)/f is not finite"
             )
-        if not 0.0 <= self.hot_write_weight <= 1.0:
-            raise ValueError("hot_write_weight must be in [0, 1]")
-        if self.hot_write_runs < 0 or self.hot_write_run_blocks < 1:
-            raise ValueError("invalid hot write run shape")
 
     def scaled(self, scale: float) -> "SyntheticTraceConfig":
         """Shrink/grow the trace while preserving the arrival rate.
@@ -357,12 +354,12 @@ def _va_disk_cdfs(
 class _WorkloadState:
     """Generator state carried from one chunk of requests to the next.
 
-    Per-disk hot-region origins and sequential cursors, the
-    update-intensive run origins, the counts of requests and of reads
-    generated so far, and two rings of past addresses: request ``g``'s
-    address sits in slot ``g % len(history)`` and the address of read
-    ``k`` (counting reads only) in slot ``k % len(recent_reads)``, so
-    the rings hold the last ``rehit_window`` addresses and the last
+    Per-disk hot-region origins and sequential cursors, the counts of
+    requests and of reads generated so far, and two rings of past
+    addresses: request ``g``'s address sits in slot ``g % len(history)``
+    and the address of read ``k`` (counting reads only) in slot
+    ``k % len(recent_reads)``, so the rings hold the last
+    ``rehit_window`` addresses and the last
     ``recent_read_window`` reads (a trace shorter than a window sizes
     its ring to the trace).  The arrival clock and the burst-episode
     position are the streaming path's own carry.  The full-trace and
@@ -374,7 +371,6 @@ class _WorkloadState:
         "hot_size",
         "hot_start",
         "cursors",
-        "hw_origins",
         "requests",
         "reads",
         "history",
@@ -389,13 +385,11 @@ class _WorkloadState:
         cfg: SyntheticTraceConfig,
         hot_start: np.ndarray,
         cursors: np.ndarray,
-        hw_origins: np.ndarray,
     ) -> None:
         bpd = cfg.blocks_per_disk
         self.hot_size = max(1, int(bpd * cfg.hot_spot_fraction))
         self.hot_start = hot_start
         self.cursors = cursors
-        self.hw_origins = hw_origins
         self.requests = 0
         self.reads = 0
         self.history = np.empty(min(cfg.rehit_window, cfg.n_requests), np.int64)
@@ -414,11 +408,7 @@ class _WorkloadState:
         hot_size = max(1, int(bpd * cfg.hot_spot_fraction))
         hot_start = (rng.random(cfg.ndisks) * (bpd - hot_size)).astype(np.int64)
         cursors = (rng.random(cfg.ndisks) * bpd).astype(np.int64)
-        hw_origins = np.zeros(0, dtype=np.int64)
-        if cfg.hot_write_runs:
-            span = cfg.ndisks * bpd - cfg.hot_write_run_blocks
-            hw_origins = (rng.random(cfg.hot_write_runs) * span).astype(np.int64)
-        return cls(cfg, hot_start, cursors, hw_origins)
+        return cls(cfg, hot_start, cursors)
 
 
 def _ring_store(ring: np.ndarray, start: int, values: np.ndarray) -> None:
@@ -443,7 +433,6 @@ def _fill_addresses(
     u_hot: np.ndarray,
     u_pos: np.ndarray,
     u_war: np.ndarray,
-    u_hw: np.ndarray,
     pick: np.ndarray,
     stack: np.ndarray,
     disks: np.ndarray,
@@ -451,14 +440,13 @@ def _fill_addresses(
     """One logical address per request, given the pre-drawn random
     columns, advancing *state* past them.
 
-    Each request takes the first of five branches whose test passes:
-    an update-intensive hot-write run, a write-after-read copy of a
-    recent read, a re-reference copy of the request a lognormal stack
-    distance back, a sequential continuation of its disk's cursor, or
-    a fresh hot-spot or uniform address.  Every test reads only the
-    request's own columns and two counts known in advance (requests and
-    reads before it), so the branches are boolean masks and each
-    computes on its own rows.  Every float product and float-to-int
+    Each request takes the first of four branches whose test passes: a
+    write-after-read copy of a recent read, a re-reference copy of the
+    request a lognormal stack distance back, a sequential continuation
+    of its disk's cursor, or a fresh hot-spot or uniform address.
+    Every test reads only the request's own columns and two counts
+    known in advance (requests and reads before it), so the branches
+    are boolean masks and each computes on its own rows.  Every float product and float-to-int
     truncation is the one a per-request Python computation makes, on
     the same IEEE doubles, so the addresses equal the per-request
     reference in ``tests/trace/test_address_reference.py`` bit for bit.
@@ -471,26 +459,19 @@ def _fill_addresses(
     read_rows = np.flatnonzero(is_read)
     reads_before = np.cumsum(is_read) - is_read + r0
 
-    hw = is_write & single & (u_hw < cfg.hot_write_weight)
-    hw &= len(state.hw_origins) > 0
-    war = is_write & single & ~hw & (u_war < cfg.write_after_read_prob)
+    war = is_write & single & (u_war < cfg.write_after_read_prob)
     war &= reads_before > 0
     # stack >= 0, so ``stack < min(g, window)`` also says the history is
     # not empty, and it equals ``int(stack) < min(g, window)`` without
     # converting a draw too large for an integer.
     history_len = np.minimum(np.arange(g0, g0 + n), cfg.rehit_window)
-    rehit = single & ~(hw | war) & (u_mode < cfg.rehit_prob) & (stack < history_len)
-    fresh = ~(hw | war | rehit)
+    rehit = single & ~war & (u_mode < cfg.rehit_prob) & (stack < history_len)
+    fresh = ~(war | rehit)
     seq = fresh & single & (u_mode < cfg.rehit_prob + cfg.sequential_prob)
     hot = fresh & ~seq & (u_hot < cfg.hot_spot_weight)
     uniform = fresh & ~seq & ~hot
 
     addr = np.empty(n, np.int64)
-    rows = np.flatnonzero(hw)
-    n_hw = len(state.hw_origins)
-    run = (u_hw[rows] / cfg.hot_write_weight * n_hw).astype(np.int64)
-    offset = (u_pos[rows] * cfg.hot_write_run_blocks).astype(np.int64)
-    addr[rows] = state.hw_origins[np.minimum(run, n_hw - 1)] + offset
     rows = np.flatnonzero(hot)
     d = disks[rows]
     offset = (u_pos[rows] * state.hot_size).astype(np.int64)
@@ -592,10 +573,9 @@ def generate_trace(cfg: SyntheticTraceConfig) -> Trace:
     stack_draw = np.exp(rng.normal(stack_mu, cfg.stack_sigma, size=n))
     pick_idx = rng.random(n)
 
-    # Per-disk state: hot-region origin and sequential cursor (plus the
-    # update-intensive page runs), drawn in the historical order.
+    # Per-disk state: hot-region origin and sequential cursor, drawn in
+    # the historical order.
     state = _WorkloadState.draw(cfg, rng)
-    u_hw = rng.random(n)
 
     if cfg.va_disks:
         disks_of = np.where(
@@ -615,7 +595,6 @@ def generate_trace(cfg: SyntheticTraceConfig) -> Trace:
         u_hot,
         u_pos,
         u_war,
-        u_hw,
         pick_idx,
         stack_draw,
         disks_of,
@@ -742,7 +721,9 @@ class TraceStream:
             u_war = rng.random(count)
             stack_draw = np.exp(rng.normal(stack_mu, cfg.stack_sigma, size=count))
             pick_idx = rng.random(count)
-            u_hw = rng.random(count)
+            # The retired hot-write column: drawn and discarded so that
+            # every later chunk keeps its bytes.
+            rng.random(count)
 
             if write_cdf is not None:
                 disks_of = np.where(
@@ -762,7 +743,6 @@ class TraceStream:
                 u_hot,
                 u_pos,
                 u_war,
-                u_hw,
                 pick_idx,
                 stack_draw,
                 disks_of,

@@ -146,8 +146,8 @@ def inflate_channel_busy(extra_ms: float = 5.0):
     orig = Channel.transfer
     state = {"done": False}
 
-    def faulty(self, nbytes, priority=0.0):
-        result = yield from orig(self, nbytes, priority)
+    def faulty(self, nbytes):
+        result = yield from orig(self, nbytes)
         if not state["done"]:
             state["done"] = True
             self.busy_time += extra_ms

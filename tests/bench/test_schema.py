@@ -1,5 +1,6 @@
-"""Normalized bench-record schema and the legacy-shape adapters."""
+"""The normalized bench-record schema and the scripts that write it."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.bench.schema import (
     SCHEMA,
+    BenchRecord,
     BenchSchemaError,
     Metric,
     load_bench_file,
@@ -17,11 +19,17 @@ from repro.bench.schema import (
 ROOT = Path(__file__).resolve().parent.parent.parent
 
 
+def _script(name):
+    """A bench script under ``benchmarks/`` loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CONTEXT = {"python": "3.12.0", "platform": "test", "cores": 2}
+
 CAMPAIGN_KERNEL = {
-    "benchmark": "campaign+kernel",
-    "python": "3.12.0",
-    "platform": "test",
-    "cores": 2,
     "campaign": {
         "experiments": ["fig8"],
         "scale": 0.01,
@@ -32,15 +40,13 @@ CAMPAIGN_KERNEL = {
         "outputs_identical": True,
     },
     "event_throughput": {"events": 1000, "elapsed_s": 0.01, "events_per_s": 100000},
-    "seek_time": {"calls": 10, "lut_s": 0.1, "closed_form_s": 0.2, "lut_speedup": 2.0},
+    "seek_time": {"calls": 10, "lut_s": 0.1, "closed_form_s": 0.2, "lut_speedup": None},
     "trace_generation": {"requests": 10, "elapsed_s": 0.01, "requests_per_s": 1000},
+    "streaming": {"requests": 20000, "requests_per_s": 15000, "peak_trace_mb": 1.5,
+                  "bounded": True},
 }
 
 ANALYTIC = {
-    "benchmark": "analytic-vs-des",
-    "python": "3.12.0",
-    "platform": "test",
-    "cores": 2,
     "campaigns": [
         {
             "experiment": "fig5",
@@ -58,38 +64,51 @@ ANALYTIC = {
 }
 
 
-class TestAdapters:
-    def test_campaign_kernel_shape(self):
-        record = normalize(CAMPAIGN_KERNEL, source="t")
+class TestScriptRecords:
+    """The bench scripts write ``repro-bench/1`` themselves."""
+
+    def test_campaign_kernel_record(self):
+        doc = _script("bench_campaign")._record(CAMPAIGN_KERNEL, CONTEXT)
+        record = normalize(doc, source="t")
         assert record.bench_id == "campaign+kernel"
-        assert record.metrics["campaign.speedup"].value == 2.0
-        assert record.metrics["campaign.speedup"].direction == "higher"
+        assert record.metrics["campaign.speedup"] == Metric(2.0, "x", "higher")
         assert record.metrics["campaign.serial_s"].direction == "lower"
         assert record.metrics["event_throughput.events_per_s"].value == 100000
         assert record.metrics["campaign.outputs_identical"].value == 1.0
-        assert record.context["cores"] == 2
-        assert record.raw is CAMPAIGN_KERNEL
+        assert record.metrics["streaming.peak_trace_mb"] == Metric(1.5, "MB", "lower")
+        # A null measurement is left out, not written as a number.
+        assert "seek_time.lut_speedup" not in record.metrics
+        assert record.context == CONTEXT
+        assert record.raw == CAMPAIGN_KERNEL
 
-    def test_analytic_shape(self):
-        record = normalize(ANALYTIC, source="t")
+    def test_analytic_record(self):
+        doc = _script("bench_analytic")._record(ANALYTIC, CONTEXT)
+        record = normalize(doc, source="t")
         assert record.bench_id == "analytic-vs-des"
-        assert record.metrics["analytic.fig5.analytic_speedup"].value == 20.0
+        assert record.metrics["analytic.fig5.analytic_speedup"] == Metric(20.0, "x", "higher")
         assert record.metrics["analytic.fig5.max_rel_error"].direction == "lower"
         assert record.metrics["analytic.best_speedup"].value == 20.0
+        assert record.raw == ANALYTIC
 
+
+class TestNormalize:
     def test_normalized_round_trip(self):
-        record = normalize(CAMPAIGN_KERNEL, source="t")
+        record = BenchRecord(
+            "x", CONTEXT, {"a.b": Metric(2.0, "s", "lower")}, raw=ANALYTIC
+        )
         doc = to_json(record)
         assert doc["schema"] == SCHEMA
         again = normalize(doc, source="t2")
         assert again.metrics == record.metrics
         assert again.bench_id == record.bench_id
-        # The original raw document survives the round trip.
-        assert again.raw == CAMPAIGN_KERNEL
+        # The raw document survives the round trip.
+        assert again.raw == ANALYTIC
 
-    def test_unknown_shape_rejected(self):
-        with pytest.raises(BenchSchemaError, match="unrecognized"):
-            normalize({"benchmark": "mystery"}, source="t")
+    @pytest.mark.parametrize("shape", ["campaign+kernel", "analytic-vs-des", "mystery"])
+    def test_benchmark_keyed_document_rejected(self, shape):
+        """The pre-``repro-bench/1`` shapes are no longer adapted."""
+        with pytest.raises(BenchSchemaError, match="unknown schema"):
+            normalize({"benchmark": shape, "best_speedup": 2.0}, source="t")
 
     def test_unknown_schema_version_rejected(self):
         with pytest.raises(BenchSchemaError, match="unknown schema"):
@@ -142,7 +161,7 @@ class TestLoadFile:
 
     def test_load_normalized_file(self, tmp_path):
         p = tmp_path / "BENCH_x.json"
-        p.write_text(json.dumps(to_json(normalize(ANALYTIC, source="t"))))
+        p.write_text(json.dumps(_script("bench_analytic")._record(ANALYTIC, CONTEXT)))
         record = load_bench_file(p)
         assert record.source == str(p)
         assert "analytic.fig5.analytic_speedup" in record.metrics

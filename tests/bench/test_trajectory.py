@@ -163,34 +163,3 @@ class TestCompareCli:
         doc = json.loads(out.read_text())
         assert doc["regressions"] == ["x"]
         assert doc["metrics"][0]["status"] == "regression"
-
-    def test_legacy_and_normalized_mix(self, tmp_path):
-        """The adapter lets old-shape and new-shape files share a trajectory."""
-        legacy = tmp_path / "old.json"
-        legacy.write_text(
-            json.dumps(
-                {
-                    "benchmark": "campaign+kernel",
-                    "event_throughput": {"events_per_s": 100000},
-                }
-            )
-        )
-        current = write_bench(
-            tmp_path / "new.json", **{"event_throughput.events_per_s": 50000.0}
-        )
-        assert main(["compare", str(legacy), str(current)]) == EXIT_REGRESSION
-
-    def test_normalize_subcommand_round_trips(self, tmp_path, capsys):
-        legacy = tmp_path / "old.json"
-        legacy.write_text(
-            json.dumps(
-                {
-                    "benchmark": "campaign+kernel",
-                    "event_throughput": {"events_per_s": 100000},
-                }
-            )
-        )
-        assert main(["normalize", str(legacy)]) == EXIT_OK
-        doc = json.loads(legacy.read_text())
-        assert doc["schema"] == SCHEMA
-        assert doc["raw"]["event_throughput"]["events_per_s"] == 100000

@@ -141,7 +141,7 @@ class TestDirtyAndOld:
         c.write(2)
         c.insert_clean(3)
         assert sorted(c.dirty_blocks()) == [1, 2]
-        assert c.dirty_count == 2
+        assert sorted(c.dirty_blocks(include_destaging=True)) == [1, 2]
 
 
 class TestDestageLifecycle:
@@ -244,7 +244,7 @@ class TestMakeRoom:
         assert c.make_room(1) == 1
         assert 1 not in c
         assert c.old_copies == 0
-        assert c.dirty_count == 0
+        assert c.dirty_blocks(include_destaging=True) == []
         assert c.free_slots == 2  # the block and its old copy
 
     def test_raises_when_reservations_leave_nothing_to_evict(self):

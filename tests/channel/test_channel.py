@@ -12,10 +12,6 @@ def env():
 
 
 class TestChannel:
-    def test_rate_validation(self, env):
-        with pytest.raises(ValueError):
-            Channel(env, rate_mb_per_s=0)
-
     def test_transfer_time_4kb_at_10mbs(self, env):
         ch = Channel(env)  # 10 MB/s
         assert ch.transfer_time(4096) == pytest.approx(0.4096)
@@ -51,22 +47,6 @@ class TestChannel:
         env.run()
         assert ends[0] == pytest.approx(0.4096)
         assert ends[1] == pytest.approx(0.8192)
-
-    def test_priority_transfers(self, env):
-        ch = Channel(env)
-        order = []
-
-        def xfer(env, prio, tag, delay=0.0):
-            if delay:
-                yield env.timeout(delay)
-            yield from ch.transfer(40960, priority=prio)
-            order.append(tag)
-
-        env.process(xfer(env, 0, "first"))
-        env.process(xfer(env, 1, "low", delay=0.1))
-        env.process(xfer(env, -1, "high", delay=0.1))
-        env.run()
-        assert order == ["first", "high", "low"]
 
     def test_utilization(self, env):
         ch = Channel(env)

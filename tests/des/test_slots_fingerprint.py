@@ -47,7 +47,7 @@ def test_diskrequest_rejects_unknown_attributes():
 
 def test_diskrequest_lifecycle_still_works():
     env = Environment()
-    req = DiskRequest(AccessKind.RMW, 5, nblocks=3, tag="t")
+    req = DiskRequest(AccessKind.RMW, 5, nblocks=3)
     req.attach(env)
     assert req.started is not None and req.done is not None
     assert req.end_block == 8

@@ -142,6 +142,6 @@ class TestMirrorPairing:
     def test_pair_members_hold_the_same_block_number(self, n):
         layout = MirrorLayout(n, 24)
         for lb in range(0, layout.logical_blocks, 7):
-            a, b = layout.pair_of(lb)
-            assert a.block == b.block
-            assert layout.mirror_of(a.disk) == b.disk
+            a = layout.map_block(lb)
+            assert layout.logical_of(a.disk, a.block) == lb
+            assert layout.logical_of(layout.mirror_of(a.disk), a.block) == lb

@@ -256,10 +256,10 @@ class TestMirrorSpecifics:
 
     def test_pair_of(self):
         layout = MirrorLayout(4, 240)
-        a, b = layout.pair_of(250)
-        assert a.disk == 2
-        assert b.disk == 3
-        assert a.block == b.block == 10
+        a = layout.map_block(250)
+        assert (a.disk, a.block) == (2, 10)
+        assert layout.mirror_of(a.disk) == 3
+        assert layout.logical_of(3, 10) == 250
 
 
 class TestReadRuns:

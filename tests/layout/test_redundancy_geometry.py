@@ -84,6 +84,7 @@ def test_map_parity_is_parity_of_block_by_block(layout):
 def test_mirror_copy_is_the_only_source(n, bpd):
     layout = MirrorLayout(n, bpd)
     for lb in range(layout.logical_blocks):
-        primary, partner = layout.pair_of(lb)
+        primary = layout.map_block(lb)
+        partner = PhysicalAddress(layout.mirror_of(primary.disk), primary.block)
         assert layout.reconstruction_sources(primary.disk, primary.block) == [partner]
         assert layout.reconstruction_sources(partner.disk, partner.block) == [primary]

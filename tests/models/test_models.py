@@ -8,9 +8,8 @@ import pytest
 
 from repro.des import Environment
 from repro.disk import AccessKind, Disk, DiskGeometry, DiskRequest, SeekModel
-from repro.layout import BaseLayout, ParityPlacement, Raid5Layout
+from repro.layout import ParityPlacement
 from repro.models import (
-    empirical_seek_profile,
     mg1_response_time,
     mg1_waiting_time,
     preferred_placement,
@@ -22,7 +21,6 @@ from repro.models.parity_placement import (
     parity_area_access_rate,
 )
 from repro.models.queueing import mm1_response_time
-from repro.trace import TRACE_DTYPE, Trace
 
 
 class TestParityPlacementRule:
@@ -181,45 +179,3 @@ class TestQueueingModels:
         s_second = s_mean**2 + seek_var + lat_var
         predicted = mg1_response_time(lam, s_mean, s_second)
         assert np.mean(times) == pytest.approx(predicted, rel=0.15)
-
-
-class TestSeekAffinity:
-    BPD = 26_400  # ~147 cylinders per logical disk
-
-    def _hot_region_trace(self, n=4000, ndisks=4, seed=2):
-        """Each logical disk has its own hot region; accesses interleave
-        across disks.  The Base layout keeps each arm inside its region;
-        striping makes every arm visit the images of all regions."""
-        rng = np.random.default_rng(seed)
-        bpd = self.BPD
-        region = bpd // 20
-        origins = [d * bpd + d * (bpd // 5) for d in range(ndisks)]
-        records = np.empty(n, dtype=TRACE_DTYPE)
-        records["time"] = np.arange(n, dtype=float)
-        disks = rng.integers(0, ndisks, size=n)
-        offsets = rng.integers(0, region, size=n)
-        records["lblock"] = [origins[d] + int(o) for d, o in zip(disks, offsets)]
-        records["nblocks"] = 1
-        records["is_write"] = False
-        return Trace(records, ndisks, bpd)
-
-    def test_striping_decreases_seek_affinity(self):
-        """§4.2: data striping increases average seek distance for a
-        workload with spatial locality."""
-        trace = self._hot_region_trace()
-        base = empirical_seek_profile(trace, BaseLayout(4, self.BPD))
-        raid5 = empirical_seek_profile(trace, Raid5Layout(4, self.BPD, striping_unit=1))
-        assert base.mean_seek_distance < raid5.mean_seek_distance
-
-    def test_larger_striping_unit_restores_affinity(self):
-        trace = self._hot_region_trace()
-        su1 = empirical_seek_profile(trace, Raid5Layout(4, self.BPD, striping_unit=1))
-        su16 = empirical_seek_profile(trace, Raid5Layout(4, self.BPD, striping_unit=16))
-        assert su16.mean_seek_distance <= su1.mean_seek_distance
-
-    def test_profile_fields(self):
-        trace = self._hot_region_trace(n=100)
-        p = empirical_seek_profile(trace, BaseLayout(4, self.BPD))
-        assert p.per_disk_accesses.sum() == 100
-        assert 0 <= p.zero_seek_fraction <= 1
-        assert p.median_seek_distance >= 0

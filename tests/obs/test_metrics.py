@@ -1,25 +1,11 @@
 """Unit tests for the metrics primitives: counters, gauges, log-bucket
-histograms (including Hypothesis merge laws) and the registry."""
+histograms and the registry."""
 
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
-
-values = st.floats(
-    min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False
-)
-value_lists = st.lists(values, max_size=60)
-
-
-def hist_of(xs, **kw):
-    h = Histogram(**kw)
-    for x in xs:
-        h.observe(x)
-    return h
 
 
 class TestCounterGauge:
@@ -77,38 +63,6 @@ class TestHistogram:
     def test_percentile_rejects_bad_q(self):
         with pytest.raises(ValueError):
             Histogram().percentile(101)
-
-    def test_incompatible_merge_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(lo=0.1).merge(Histogram(lo=1.0))
-
-    @given(value_lists, value_lists)
-    @settings(max_examples=50, deadline=None)
-    def test_merge_commutative(self, xs, ys):
-        ab = hist_of(xs).merge(hist_of(ys))
-        ba = hist_of(ys).merge(hist_of(xs))
-        assert ab.counts == ba.counts
-        assert ab.count == ba.count
-
-    @given(value_lists, value_lists, value_lists)
-    @settings(max_examples=50, deadline=None)
-    def test_merge_associative(self, xs, ys, zs):
-        a, b, c = hist_of(xs), hist_of(ys), hist_of(zs)
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        # Bucket and observation counts are integers: exactly equal.
-        assert left.counts == right.counts
-        assert left.count == right.count == len(xs) + len(ys) + len(zs)
-        assert left.min == right.min and left.max == right.max
-        # Totals are float sums: equal to rounding.
-        assert left.total == pytest.approx(right.total, rel=1e-12, abs=1e-9)
-
-    @given(value_lists, value_lists)
-    @settings(max_examples=50, deadline=None)
-    def test_merge_equals_pooled(self, xs, ys):
-        merged = hist_of(xs).merge(hist_of(ys))
-        pooled = hist_of(xs + ys)
-        assert merged.counts == pooled.counts
 
 
 class TestTimeSeries:

@@ -132,10 +132,10 @@ class TestBuildSystem:
         env = Environment()
         cfg5 = SystemConfig(organization=Organization.RAID5, n=5, blocks_per_disk=2640)
         sys5 = build_system(env, cfg5, cfg5.arrays_for(130))
-        assert sys5.total_disks == 156
+        assert sum(len(c.disks) for c in sys5.controllers) == 156
         cfg10 = SystemConfig(organization=Organization.RAID5, n=10, blocks_per_disk=2640)
         sys10 = build_system(Environment(), cfg10, cfg10.arrays_for(130))
-        assert sys10.total_disks == 143
+        assert sum(len(c.disks) for c in sys10.controllers) == 143
 
     def test_database_must_fit_disk(self):
         cfg = SystemConfig(blocks_per_disk=300_000)

@@ -27,7 +27,6 @@ class TestRunResultEdges:
         assert math.isnan(r.read_hit_ratio)
         assert math.isnan(r.mean_disk_utilization)
         assert len(r.per_disk_accesses) == 0
-        assert math.isnan(r.io_rate_per_s) or r.io_rate_per_s == 0
 
     def test_aggregation_across_arrays(self):
         r = RunResult(
@@ -40,13 +39,6 @@ class TestRunResultEdges:
         assert r.mean_disk_utilization == pytest.approx(0.25)
         assert r.max_disk_utilization == pytest.approx(0.4)
         assert r.read_hit_ratio == pytest.approx(0.5)
-
-    def test_io_rate(self):
-        r = RunResult(
-            name="x", organization="base", n=4, narrays=1,
-            simulated_ms=2000.0, requests=10, warmup_ms=1000.0,
-        )
-        assert r.io_rate_per_s == pytest.approx(10.0)
 
     def test_summary_without_cache_stats(self):
         r = RunResult(

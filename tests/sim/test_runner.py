@@ -173,7 +173,6 @@ class TestEmptyRun:
             result.p95_response_ms,
             result.read_hit_ratio,
             result.write_hit_ratio,
-            result.io_rate_per_s,
         ):
             assert math.isnan(value)
         assert result.mean_disk_utilization == 0.0
@@ -215,9 +214,6 @@ class TestMetrics:
     def test_utilizations_in_range(self, result):
         assert 0.0 <= result.mean_disk_utilization <= 1.0
         assert result.max_disk_utilization >= result.mean_disk_utilization
-
-    def test_io_rate_positive(self, result):
-        assert result.io_rate_per_s > 0
 
 
 class TestCrossOrganizationSanity:

@@ -6,15 +6,17 @@ with its Python-list history rings and ring positions, the loop
 :func:`_fill_addresses`, and the two generators that feed it ``.tolist()``
 columns, :func:`reference_generate_trace` (the whole-trace draw order)
 and :func:`reference_chunks` (the streaming draw order).  They are kept
-verbatim; only the generators' names changed.  The random draws are the
-module's own helpers, so the two sides differ in the address
-computation alone.
+verbatim, except that the generators' names changed and the
+update-intensive hot-write runs, which no workload set, are gone: the
+whole-trace generator no longer draws their column, and the streaming
+one still draws it per chunk and discards it, as the module does.  The
+random draws are the module's own helpers, so the two sides differ in
+the address computation alone.
 
 Hypothesis draws configurations that reach every branch of the loop and
 its edges: one-disk arrays, 64-block disks that clamp multi-block
 requests, history and recent-read windows down to one request so both
-rings wrap, zero or several update-intensive runs (``hot_write_weight``
-0 included), Virtual-Array targeting, all-read and all-write mixes, and
+rings wrap, Virtual-Array targeting, all-read and all-write mixes, and
 chunk sizes of 1, 7, 256 and the whole trace.  ``generate_trace`` and
 every ``TraceStream`` chunk must equal the reference's bytes.
 """
@@ -59,7 +61,6 @@ class _WorkloadState:
         "hot_size",
         "hot_start",
         "cursors",
-        "hw_origins",
         "history",
         "hist_pos",
         "recent_reads",
@@ -74,13 +75,11 @@ class _WorkloadState:
         cfg: SyntheticTraceConfig,
         hot_start: list,
         cursors: list,
-        hw_origins: list,
     ) -> None:
         bpd = cfg.blocks_per_disk
         self.hot_size = max(1, int(bpd * cfg.hot_spot_fraction))
         self.hot_start = hot_start
         self.cursors = cursors
-        self.hw_origins = hw_origins
         self.history: list[int] = []  # recent block addresses (ring buffer)
         self.hist_pos = 0
         self.recent_reads: list[int] = []
@@ -97,11 +96,7 @@ class _WorkloadState:
         hot_size = max(1, int(bpd * cfg.hot_spot_fraction))
         hot_start = (rng.random(cfg.ndisks) * (bpd - hot_size)).astype(np.int64)
         cursors = (rng.random(cfg.ndisks) * bpd).astype(np.int64)
-        hw_origins = np.zeros(0, dtype=np.int64)
-        if cfg.hot_write_runs:
-            span = cfg.ndisks * bpd - cfg.hot_write_run_blocks
-            hw_origins = (rng.random(cfg.hot_write_runs) * span).astype(np.int64)
-        return cls(cfg, hot_start.tolist(), cursors.tolist(), hw_origins.tolist())
+        return cls(cfg, hot_start.tolist(), cursors.tolist())
 
 
 def _fill_addresses(
@@ -113,7 +108,6 @@ def _fill_addresses(
     u_hot_l: list,
     u_pos_l: list,
     u_war_l: list,
-    u_hw_l: list,
     pick_l: list,
     stack_l: list,
     disks_l: list,
@@ -131,8 +125,6 @@ def _fill_addresses(
     hot_size = state.hot_size
     hot_start_l = state.hot_start
     cursors_l = state.cursors
-    hw_origins_l = state.hw_origins
-    n_hw = len(hw_origins_l)
     history = state.history
     hist_cap = cfg.rehit_window
     hist_pos = state.hist_pos
@@ -144,19 +136,13 @@ def _fill_addresses(
     rehit_p = cfg.rehit_prob
     seq_p = cfg.rehit_prob + cfg.sequential_prob
     war_p = cfg.write_after_read_prob
-    hw_w = cfg.hot_write_weight
-    hw_run = cfg.hot_write_run_blocks
     hot_w = cfg.hot_spot_weight
 
     for i in range(n):
         size = sizes_l[i]
         addr = -1
 
-        if is_write_l[i] and size == 1 and n_hw and u_hw_l[i] < hw_w:
-            # Update-intensive page: hammer a short hot run.
-            run = int(u_hw_l[i] / hw_w * n_hw)
-            addr = hw_origins_l[min(run, n_hw - 1)] + int(u_pos_l[i] * hw_run)
-        elif (
+        if (
             is_write_l[i]
             and size == 1
             and u_war_l[i] < war_p
@@ -244,10 +230,9 @@ def reference_generate_trace(cfg: SyntheticTraceConfig) -> Trace:
     stack_draw = np.exp(rng.normal(stack_mu, cfg.stack_sigma, size=n))
     pick_idx = rng.random(n)
 
-    # Per-disk state: hot-region origin and sequential cursor (plus the
-    # update-intensive page runs), drawn in the historical order.
+    # Per-disk state: hot-region origin and sequential cursor, drawn in
+    # the historical order.
     state = _WorkloadState.draw(cfg, rng)
-    u_hw = rng.random(n)
 
     if cfg.va_disks:
         disks_of = np.where(
@@ -267,7 +252,6 @@ def reference_generate_trace(cfg: SyntheticTraceConfig) -> Trace:
         u_hot.tolist(),
         u_pos.tolist(),
         u_war.tolist(),
-        u_hw.tolist(),
         pick_idx.tolist(),
         stack_draw.tolist(),
         disks_of.tolist(),
@@ -307,7 +291,7 @@ def reference_chunks(cfg: SyntheticTraceConfig, chunk_requests: int):
         u_war = rng.random(count)
         stack_draw = np.exp(rng.normal(stack_mu, cfg.stack_sigma, size=count))
         pick_idx = rng.random(count)
-        u_hw = rng.random(count)
+        rng.random(count)  # the retired hot-write column
 
         if write_cdf is not None:
             disks_of = np.where(
@@ -327,7 +311,6 @@ def reference_chunks(cfg: SyntheticTraceConfig, chunk_requests: int):
             u_hot.tolist(),
             u_pos.tolist(),
             u_war.tolist(),
-            u_hw.tolist(),
             pick_idx.tolist(),
             stack_draw.tolist(),
             disks_of.tolist(),
@@ -391,9 +374,6 @@ def configs(draw):
         burst_rate_multiplier=draw(_unit(1.0, 20.0)),
         burst_fraction=draw(st.just(0.0) | _unit(0.05, 0.9)),
         burst_mean_length=draw(_unit(1.0, 200.0)),
-        hot_write_runs=draw(st.integers(0, 5)),
-        hot_write_run_blocks=draw(st.integers(1, 32)),
-        hot_write_weight=draw(st.just(0.0) | _unit()),
         va_disks=va_disks,
         va_weights=va_weights,
         va_write_skew=draw(_unit(0.2, 4.0)),

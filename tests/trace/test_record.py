@@ -77,7 +77,7 @@ class TestAccessors:
         np.testing.assert_array_equal(trace.is_write, [False, True, False])
 
     def test_interarrivals(self, trace):
-        np.testing.assert_allclose(trace.interarrival_times(), [1.0, 2.5])
+        np.testing.assert_allclose(np.diff(trace.times), [1.0, 2.5])
 
     def test_repr(self, trace):
         assert "3 requests" in repr(trace)

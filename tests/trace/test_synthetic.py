@@ -44,6 +44,27 @@ def small_config(**overrides):
     return SyntheticTraceConfig(**base)
 
 
+#: Every float field of :class:`SyntheticTraceConfig`.
+FLOAT_FIELDS = [
+    "duration_ms",
+    "write_fraction",
+    "multiblock_fraction",
+    "multiblock_mean_extra",
+    "disk_zipf",
+    "hot_spot_fraction",
+    "hot_spot_weight",
+    "sequential_prob",
+    "rehit_prob",
+    "stack_median",
+    "stack_sigma",
+    "write_after_read_prob",
+    "burst_rate_multiplier",
+    "burst_fraction",
+    "burst_mean_length",
+    "va_write_skew",
+]
+
+
 class TestConfigValidation:
     def test_defaults_valid(self):
         small_config()
@@ -74,6 +95,43 @@ class TestConfigValidation:
         geometric draw)."""
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_floats(self, field, value):
+        """Every float knob, not only those with a range check: a NaN
+        ``disk_zipf`` used to put every request on logical disk 0, and a
+        NaN ``duration_ms`` failed later as "arrival times must be
+        finite"."""
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_rejects_non_finite_va_weight(self, weight):
+        """A NaN weight used to put every request on one disk."""
+        with pytest.raises(ValueError, match="va_weights"):
+            small_config(va_disks=(3, 5), va_weights=(weight, 1.0))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            # p = 1/mean of the size draw must be in (0, 1]: numpy raised
+            # "p <= 0, p > 1 or p contains NaNs", or ZeroDivisionError.
+            ("multiblock_mean_extra", 0.5),
+            ("multiblock_mean_extra", 0.0),
+            # numpy raised "scale < 0" from the stack-distance draw.
+            ("stack_sigma", -1.0),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
+    def test_range_edges_accepted(self):
+        trace = generate_trace(
+            small_config(n_requests=500, multiblock_mean_extra=1.0, stack_sigma=0.0)
+        )
+        assert len(trace) == 500
 
     def test_scaled(self):
         cfg = small_config().scaled(0.5)
@@ -137,13 +195,13 @@ class TestGeneratedShape:
 
     def test_burstiness(self, trace):
         """The MMPP arrivals must be burstier than Poisson (CV > 1)."""
-        iat = trace.interarrival_times()
+        iat = np.diff(trace.times)
         cv = iat.std() / iat.mean()
         assert cv > 1.2
 
     def test_no_bursts_gives_poisson_like(self):
         cfg = small_config(burst_fraction=0.0)
-        iat = generate_trace(cfg).interarrival_times()
+        iat = np.diff(generate_trace(cfg).times)
         assert iat.std() / iat.mean() == pytest.approx(1.0, abs=0.1)
 
     def test_temporal_locality_exists(self, trace):

@@ -15,7 +15,6 @@ from repro.trace import (
 from repro.trace.io_ import (
     load_npz,
     read_paper_format,
-    roundtrip_text,
     save_npz,
     write_paper_format,
 )
@@ -127,7 +126,10 @@ class TestPaperFormat:
         assert lines[2].startswith("0.000000 151 w")
 
     def test_roundtrip_preserves_requests(self, trace):
-        back = roundtrip_text(trace)
+        buf = io.StringIO()
+        write_paper_format(trace, buf)
+        buf.seek(0)
+        back = read_paper_format(buf, trace.ndisks, trace.blocks_per_disk)
         np.testing.assert_allclose(back.times, trace.times, atol=1e-5)
         np.testing.assert_array_equal(back.lblocks, trace.lblocks)
         np.testing.assert_array_equal(back.nblocks, trace.nblocks)
